@@ -53,7 +53,7 @@ from .estimators import (
     estimate_source_disclosure,
     estimate_spreading,
 )
-from .protocols import ProtocolState, run_async, run_delayed_start, run_sync, run_trace
+from .protocols import run_sync, run_trace
 
 __all__ = [
     "AttackOutcome",
@@ -66,7 +66,6 @@ __all__ = [
     "MultiRumorAttackSpec",
     "ObservedSequence",
     "PrivacyReport",
-    "ProtocolState",
     "RoundTrace",
     "SilenceAttackSpec",
     "SpreadingSummary",
@@ -88,8 +87,6 @@ __all__ = [
     "param_c",
     "param_delta_bound",
     "param_delta_exact",
-    "run_async",
-    "run_delayed_start",
     "run_sync",
     "run_trace",
     "silence_attack",

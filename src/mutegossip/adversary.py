@@ -1,46 +1,97 @@
 """Adversary view extraction and source-location attacks.
 
 The adversary monitors the curious nodes: its entire view of a run is the
-relative-order subsequence of events whose receiver is curious.  Attacks
-are pure functions of that view (plus an explicit random stream for
-tie-breaking), so they are safe to run concurrently on disjoint streams.
+relative-order subsequence of events whose receiver is curious.  Each
+attack rule is an online decider whose `feed(sender)` returns True once the
+rule is decided: offline attacks feed it a whole view, estimators feed it a
+running engine and stop there.  Attacks take an explicit random stream for
+tie-breaking, so they are safe to run concurrently on disjoint streams.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .core import ExecutionTrace, ObservedSequence, TimedObservedSequence
 
 
-def observe(trace: ExecutionTrace, curious: Optional[Iterable[int]] = None) -> ObservedSequence:
+def observe(trace: ExecutionTrace) -> ObservedSequence:
     """Extract the adversary's view: events whose receiver is curious, in
     trace order, with global indices discarded."""
-    mask = _curious_mask(trace, curious)
+    mask = trace.receivers >= trace.config.curious_lo
     return ObservedSequence(trace.senders[mask], trace.receivers[mask])
 
 
-def observe_timed(
-    trace: ExecutionTrace, curious: Optional[Iterable[int]] = None
-) -> TimedObservedSequence:
+def observe_timed(trace: ExecutionTrace) -> TimedObservedSequence:
     """Strong-adversary view: same subsequence, each entry carrying its
     global event index."""
-    mask = _curious_mask(trace, curious)
-    times = np.flatnonzero(mask)
-    return TimedObservedSequence(times, trace.senders[mask], trace.receivers[mask])
+    mask = trace.receivers >= trace.config.curious_lo
+    return TimedObservedSequence(np.flatnonzero(mask), trace.senders[mask], trace.receivers[mask])
 
 
-def _curious_mask(trace: ExecutionTrace, curious: Optional[Iterable[int]]) -> np.ndarray:
-    if curious is None:
-        return trace.receivers >= trace.config.curious_lo
-    curious = frozenset(curious)
-    if curious != trace.config.curious:
-        raise ValueError("curious set does not match the trace's configuration")
-    return trace.receivers >= trace.config.curious_lo
+class FirstInPrior:
+    """MAP rule: the first observed sender in `prior` (a set, or
+    range(curious_lo) for all non-curious nodes; sorted only to fall back)."""
+
+    def __init__(self, prior: Collection[int]):
+        self.prior = prior
+        self.found: Optional[int] = None
+
+    def feed(self, sender: int) -> bool:
+        if sender in self.prior:
+            self.found = sender
+            return True
+        return False
+
+    def predict(self, rng: np.random.Generator) -> int:
+        """The decided sender; otherwise the posterior is symmetric over the
+        prior, so draw a member uniformly."""
+        if self.found is not None:
+            return self.found
+        members = sorted(self.prior)
+        return members[int(rng.integers(0, len(members)))]
+
+
+class FirstKDistinct:
+    """Multi-rumor rule: the first k distinct observed senders, in order of
+    first appearance (fewer if the view runs out)."""
+
+    def __init__(self, k: int):
+        self.k = k
+        self.leads: list[int] = []
+        self._seen: set[int] = set()
+
+    def feed(self, sender: int) -> bool:
+        if sender in self._seen:
+            return False
+        self._seen.add(sender)
+        self.leads.append(sender)
+        return len(self.leads) >= self.k
+
+
+class ObservedPrefix:
+    """The first `length` observed senders (fewer if the view runs out), on
+    which the silence rule and the untimed events are decided."""
+
+    def __init__(self, length: int):
+        self.length = length
+        self.senders: list[int] = []
+
+    def feed(self, sender: int) -> bool:
+        self.senders.append(sender)
+        return len(self.senders) >= self.length
+
+
+def feed_all(decider, senders: Iterable[int]):
+    """Feed `senders` in order until the decider is decided; return it."""
+    for snd in senders:
+        if decider.feed(snd):
+            break
+    return decider
 
 
 @dataclass(frozen=True)
@@ -82,32 +133,11 @@ def map_attack(
     the posterior is symmetric over P and the attack falls back to a
     uniform prediction.
     """
-    prior = sorted(set(prior))
+    prior = set(prior)
     if not prior:
         raise ValueError("prior must be nonempty")
-    prior_set = frozenset(prior)
-    predicted = None
-    for snd in observed.senders.tolist():
-        if snd in prior_set:
-            predicted = snd
-            break
-    if predicted is None:
-        predicted = prior[int(rng.integers(0, len(prior)))]
-    return _outcome(predicted, true_source, observed)
-
-
-def first_k_distinct_senders(observed: ObservedSequence, k: int) -> list[int]:
-    """The first k distinct nodes to appear as senders, in order of first
-    appearance (fewer if the view runs out)."""
-    seen: list[int] = []
-    seen_set: set[int] = set()
-    for snd in observed.senders.tolist():
-        if snd not in seen_set:
-            seen_set.add(snd)
-            seen.append(snd)
-            if len(seen) == k:
-                break
-    return seen
+    rule = feed_all(FirstInPrior(prior), observed.senders.tolist())
+    return _outcome(rule.predict(rng), true_source, observed)
 
 
 def multi_rumor_attack(
@@ -125,7 +155,7 @@ def multi_rumor_attack(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    lead_lists = [first_k_distinct_senders(obs, k) for obs in observations]
+    lead_lists = [feed_all(FirstKDistinct(k), obs.senders.tolist()).leads for obs in observations]
     return _outcome(
         _score_multi_rumor(lead_lists, rng), true_source, observations[0] if observations else None
     )
@@ -153,6 +183,16 @@ def silence_window(n: int) -> int:
     return int(math.ceil(math.log(n) ** 2))
 
 
+def silence_prediction(prefix: Sequence[int]) -> Optional[int]:
+    """Silence rule on the first r+1 observed senders: the first sender if
+    it does not reappear among the other r, else None (abstain; also on an
+    empty view)."""
+    if not prefix:
+        return None
+    x = prefix[0]
+    return None if x in prefix[1:] else x
+
+
 def silence_attack(
     observed: ObservedSequence,
     r: int,
@@ -167,10 +207,5 @@ def silence_attack(
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    if len(observed) == 0:
-        return _outcome(None, true_source, observed)
-    senders = observed.senders
-    x = int(senders[0])
-    if np.any(senders[1 : r + 1] == x):
-        return _outcome(None, true_source, observed)
-    return _outcome(x, true_source, observed)
+    prefix = feed_all(ObservedPrefix(r + 1), observed.senders[: r + 1].tolist())
+    return _outcome(silence_prediction(prefix.senders), true_source, observed)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -215,16 +214,3 @@ def mean_fixed_point(s: float, n: int, tol: float = 1e-10) -> float:
     """Convenience wrapper: MeanDynamics(s, n).fixed_point(tol)."""
     return MeanDynamics(s=s, n=n).fixed_point(tol)
 
-
-def table_rows(n: int, f: int, s: float, c_coeff: float = 1.0) -> list[PrivacyReport]:
-    """The three regimes of the privacy/speed trade-off for given (n, f):
-    standard push (s=1), muting-after-send (s=0), and the generic muting
-    protocol at the given 0 < s < 1.  See experiments.bounds_rows for the
-    CSV rendering with spreading bounds."""
-    if not 0.0 < s < 1.0:
-        raise ValueError("the generic row needs 0 < s < 1")
-    return [
-        PrivacyReport(0.0, 1.0, param_c(1.0, f, n), "standard-push"),
-        PrivacyReport(0.0, optimal_delta(0.0, f, n), optimal_c(f, n), "muting-after-send"),
-        PrivacyReport(0.0, param_delta_bound(s, f, n, 1), param_c(s, f, n), "parameterized"),
-    ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -109,9 +109,6 @@ class GossipConfig:
     def curious(self) -> frozenset[int]:
         return frozenset(range(self.n - self.f, self.n))
 
-    def is_curious(self, node: int) -> bool:
-        return node >= self.n - self.f
-
     @property
     def max_steps(self) -> int:
         return self.step_cap if self.step_cap is not None else default_step_cap(self.n)
@@ -121,7 +118,7 @@ class GossipConfig:
 class ExecutionTrace:
     """The omniscient ordered event list of one run.
 
-    events[t] = (senders[t], receivers[t]) is the t-th tell_gossip call.
+    Event t, (senders[t], receivers[t]), is the t-th tell_gossip call.
     `complete` is False only when the run hit the step cap before every
     node was informed.
     """
@@ -139,12 +136,6 @@ class ExecutionTrace:
 
     def __len__(self) -> int:
         return int(self.senders.size)
-
-    def events(self) -> Iterator[tuple[int, int]]:
-        return zip(self.senders.tolist(), self.receivers.tolist())
-
-    def informed_nodes(self) -> set[int]:
-        return {self.config.source} | set(self.receivers.tolist())
 
     def validate(self) -> None:
         """Replay the informed set and assert trace well-formedness.
@@ -189,10 +180,6 @@ class ObservedSequence:
         hits = np.flatnonzero(self.senders == node)
         return int(hits[0]) if hits.size else None
 
-    @property
-    def first_sender(self) -> Optional[int]:
-        return int(self.senders[0]) if len(self) else None
-
 
 @dataclass(frozen=True)
 class TimedObservedSequence:
@@ -210,9 +197,6 @@ class TimedObservedSequence:
 
     def __len__(self) -> int:
         return int(self.times.size)
-
-    def untimed(self) -> ObservedSequence:
-        return ObservedSequence(self.senders, self.receivers)
 
 
 @dataclass(frozen=True)
@@ -235,14 +219,6 @@ class RoundTrace:
 
     def __len__(self) -> int:
         return int(self.informed.size)
-
-    @property
-    def rounds(self) -> np.ndarray:
-        return np.arange(len(self), dtype=np.int64)
-
-    @property
-    def cumulative_messages(self) -> np.ndarray:
-        return np.cumsum(self.messages)
 
     def validate(self) -> None:
         if len(self) == 0:

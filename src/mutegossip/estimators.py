@@ -24,8 +24,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .adversary import _score_multi_rumor, silence_window
-from .core import GossipConfig, ObservedSequence, TimedObservedSequence, split_stream
+from .adversary import (
+    FirstInPrior,
+    FirstKDistinct,
+    ObservedPrefix,
+    _score_multi_rumor,
+    silence_prediction,
+    silence_window,
+)
+from .core import GossipConfig, split_stream
 from .protocols import _sequential_run, run_sync
 
 Z99 = 2.576  # 99% two-sided normal quantile, as reported alongside estimates
@@ -54,18 +61,15 @@ class EstimateResult:
         """Normal approximation floor: flagged when raw_successes < 20."""
         return self.raw_successes < 20
 
-    def covers(self, value: float, widths: float = 1.0) -> bool:
-        return abs(self.estimate - value) <= widths * self.ci_half_width
-
 
 @dataclass(frozen=True)
 class EventSpec:
     """A boolean event evaluable on an adversary view.
 
     Kinds:
-      first_sender_is(node)    the first observed sender is `node`
       sender_rank_le(node, r)  `node` appears among the first r+1 observed
-                               senders (its sender rank is <= r)
+                               senders (its sender rank is <= r);
+                               first_sender_is(node) is the case r=0
       timed_first_disclosure() the strong adversary sees an entry at global
                                index 0 (the very first call hit a curious
                                node)
@@ -77,7 +81,7 @@ class EventSpec:
 
     @classmethod
     def first_sender_is(cls, node: int) -> "EventSpec":
-        return cls(kind="first_sender_is", node=node)
+        return cls.sender_rank_le(node, 0)
 
     @classmethod
     def sender_rank_le(cls, node: int, r: int) -> "EventSpec":
@@ -96,29 +100,14 @@ class EventSpec:
     @property
     def horizon(self) -> int:
         """Observed entries after which the event is decided."""
-        if self.kind == "first_sender_is":
-            return 1
-        if self.kind == "sender_rank_le":
-            return self.r + 1
-        raise ValueError(f"{self.kind} is not decided by an untimed prefix")
+        if self.timed:
+            raise ValueError(f"{self.kind} is not decided by an untimed prefix")
+        return self.r + 1
 
     def evaluate_senders(self, senders: Sequence[int]) -> bool:
         """Evaluate on the observed sender prefix (>= horizon entries, or
         the complete view if shorter)."""
-        if self.kind == "first_sender_is":
-            return len(senders) > 0 and senders[0] == self.node
-        if self.kind == "sender_rank_le":
-            return self.node in senders[: self.r + 1]
-        raise ValueError(f"{self.kind} cannot be evaluated on an untimed view")
-
-    def evaluate(self, view: Union[ObservedSequence, TimedObservedSequence]) -> bool:
-        if self.kind == "timed_first_disclosure":
-            if not isinstance(view, TimedObservedSequence):
-                raise TypeError("timed_first_disclosure needs a timed view")
-            return len(view) > 0 and int(view.times[0]) == 0
-        if isinstance(view, TimedObservedSequence):
-            view = view.untimed()
-        return self.evaluate_senders(view.senders.tolist())
+        return self.node in senders[: self.horizon]
 
 
 def _first_observed_senders_s0(
@@ -193,19 +182,19 @@ def estimate_events(
     results = [0] * len(events)
     incomplete = 0
     for _ in range(trials):
-        collected: list[int] = []
-
-        def stop(snd: int, collected=collected) -> bool:
-            collected.append(snd)
-            return len(collected) >= horizon
-
-        run = _sequential_run(config, rng, observed_stop=stop, collect_events=False)
-        if run.capped(config):
-            incomplete += 1
+        prefix = ObservedPrefix(horizon)
+        incomplete += _observe_until(config, rng, prefix)
         for k, e in enumerate(events):
-            if e.evaluate_senders(collected):
+            if e.evaluate_senders(prefix.senders):
                 results[k] += 1
     return [EstimateResult.from_counts(c, trials, incomplete) for c in results]
+
+
+def _observe_until(config: GossipConfig, rng: np.random.Generator, decider) -> bool:
+    """Simulate one run that stops once `decider` is decided; return
+    whether the step cap cut it short instead."""
+    run = _sequential_run(config, rng, observed_stop=decider.feed, collect_events=False)
+    return run.capped(config)
 
 
 def estimate_event(
@@ -330,15 +319,19 @@ def estimate_attack_precision(
     """Fraction of runs whose attack prediction equals the true source."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if isinstance(attack, MapAttackSpec):
-        counts = _map_precision(config, attack, trials, rng)
-    elif isinstance(attack, MultiRumorAttackSpec):
-        counts = _multi_rumor_precision(config, attack, trials, rng)
-    elif isinstance(attack, SilenceAttackSpec):
-        counts = _silence_precision(config, attack, trials, rng)
-    else:
+    trial = _ATTACK_TRIALS.get(type(attack))
+    if trial is None:
         raise TypeError(f"unknown attack spec: {attack!r}")
-    correct, abstained, incomplete = counts
+    correct = 0
+    abstained = 0
+    incomplete = 0
+    for _ in range(trials):
+        predicted, capped = trial(config, attack, rng)
+        incomplete += capped
+        if predicted is None:
+            abstained += 1
+        else:
+            correct += predicted == config.source
     return AttackPrecisionResult(
         precision=EstimateResult.from_counts(correct, trials, incomplete),
         n_abstained=abstained,
@@ -356,100 +349,42 @@ def _sample_prior(config: GossipConfig, size: int, rng: np.random.Generator) -> 
     return frozenset(int(x) for x in others) | {config.source}
 
 
-def _map_precision(config, attack, trials, rng):
-    lo = config.curious_lo
-    source = config.source
-    full_prior = attack.prior_size is None
-    correct = 0
-    incomplete = 0
-    for _ in range(trials):
-        if full_prior:
-            in_prior = lambda snd: snd < lo
-        else:
-            prior = _sample_prior(config, attack.prior_size, rng)
-            in_prior = prior.__contains__
-        found: list[int] = []
-
-        def stop(snd: int, found=found, in_prior=in_prior) -> bool:
-            if in_prior(snd):
-                found.append(snd)
-                return True
-            return False
-
-        run = _sequential_run(config, rng, observed_stop=stop, collect_events=False)
-        if run.capped(config):
-            incomplete += 1
-        if found:
-            predicted = found[0]
-        elif full_prior:
-            predicted = int(rng.integers(0, lo))
-        else:
-            members = sorted(prior)
-            predicted = members[int(rng.integers(0, len(members)))]
-        correct += predicted == source
-    return correct, 0, incomplete
+# One attack trial each: (prediction or None to abstain, step-capped runs).
+def _map_trial(config, attack, rng):
+    if attack.prior_size is None:
+        rule = FirstInPrior(range(config.curious_lo))
+    else:
+        rule = FirstInPrior(_sample_prior(config, attack.prior_size, rng))
+    capped = _observe_until(config, rng, rule)
+    return rule.predict(rng), capped
 
 
-def _multi_rumor_precision(config, attack, trials, rng):
+def _multi_rumor_trial(config, attack, rng):
     if attack.rumors < 1 or attack.k < 1:
         raise ValueError("rumors and k must be >= 1")
-    source = config.source
-    correct = 0
-    abstained = 0
-    incomplete = 0
-    for _ in range(trials):
-        lead_lists: list[list[int]] = []
-        for _ in range(attack.rumors):
-            leads: list[int] = []
-            seen: set[int] = set()
-
-            def stop(snd: int, leads=leads, seen=seen) -> bool:
-                if snd not in seen:
-                    seen.add(snd)
-                    leads.append(snd)
-                    return len(leads) >= attack.k
-                return False
-
-            run = _sequential_run(config, rng, observed_stop=stop, collect_events=False)
-            if run.capped(config):
-                incomplete += 1
-            lead_lists.append(leads)
-        predicted = _score_multi_rumor(lead_lists, rng)
-        if predicted is None:
-            abstained += 1
-        else:
-            correct += predicted == source
-    return correct, abstained, incomplete
+    lead_lists: list[list[int]] = []
+    capped = 0
+    for _ in range(attack.rumors):
+        rule = FirstKDistinct(attack.k)
+        capped += _observe_until(config, rng, rule)
+        lead_lists.append(rule.leads)
+    return _score_multi_rumor(lead_lists, rng), capped
 
 
-def _silence_precision(config, attack, trials, rng):
+def _silence_trial(config, attack, rng):
     r = attack.r if attack.r is not None else silence_window(config.n)
     if r < 1:
         raise ValueError("r must be >= 1")
-    source = config.source
-    correct = 0
-    abstained = 0
-    incomplete = 0
-    horizon = r + 1
-    for _ in range(trials):
-        collected: list[int] = []
+    prefix = ObservedPrefix(r + 1)
+    capped = _observe_until(config, rng, prefix)
+    return silence_prediction(prefix.senders), capped
 
-        def stop(snd: int, collected=collected) -> bool:
-            collected.append(snd)
-            return len(collected) >= horizon
 
-        run = _sequential_run(config, rng, observed_stop=stop, collect_events=False)
-        if run.capped(config):
-            incomplete += 1
-        if not collected:
-            abstained += 1
-            continue
-        x = collected[0]
-        if x in collected[1 : r + 1]:
-            abstained += 1
-        else:
-            correct += x == source
-    return correct, abstained, incomplete
+_ATTACK_TRIALS = {
+    MapAttackSpec: _map_trial,
+    MultiRumorAttackSpec: _multi_rumor_trial,
+    SilenceAttackSpec: _silence_trial,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +413,6 @@ class SpreadingSummary:
     plateau_median: float
     n_runs: int
     n_capped: int
-
-    @property
-    def rounds(self) -> np.ndarray:
-        return np.arange(self.informed_med.size, dtype=np.int64)
 
 
 def estimate_spreading(

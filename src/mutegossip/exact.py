@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
+
+from .adversary import FirstInPrior, feed_all
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -146,14 +148,6 @@ def exact_observation_posteriors(
     return out
 
 
-def first_in_prior(obs: Sequence[int], prior: Iterable[int]) -> Optional[int]:
-    prior = set(prior)
-    for x in obs:
-        if x in prior:
-            return x
-    return None
-
-
 def map_optimality_violations(
     posteriors: dict[tuple[int, ...], dict[int, Fraction]],
     priors: Optional[Sequence[frozenset[int]]] = None,
@@ -173,7 +167,7 @@ def map_optimality_violations(
     bad = []
     for obs, ps in posteriors.items():
         for prior in priors:
-            pick = first_in_prior(obs, prior)
+            pick = feed_all(FirstInPrior(prior), obs).found
             if pick is None:
                 continue
             p_pick = ps[pick]

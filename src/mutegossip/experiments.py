@@ -40,7 +40,7 @@ from .bounds import (
     source_disclosure_prob,
     spreading_round_bound,
 )
-from .core import GossipConfig, spawn_stream
+from .core import VARIANTS, GossipConfig, spawn_stream
 from .estimators import (
     EventSpec,
     MapAttackSpec,
@@ -218,7 +218,7 @@ def build_spec(items: dict) -> ExperimentSpec:
     kw["s"] = _as_list("s", *get("s", "1"), conv=_conv_float, lo=0.0, hi=1.0)
     kw["f_over_n"] = _as_list("f_over_n", *get("f_over_n", "0.1"), conv=_conv_float, lo=0.0, hi=1.0)
     variant, line = get("variant", "parameterized")
-    if variant not in ("parameterized", "delayed_start"):
+    if variant not in VARIANTS:
         raise SpecError("variant", f"unknown variant {variant!r}", line)
     kw["variant"] = variant
     kw["source"] = _as_int("source", *get("source", 0), lo=0)
@@ -233,14 +233,14 @@ def build_spec(items: dict) -> ExperimentSpec:
         kw["attack"] = attack
         if "prior_size" in items:
             kw["prior_size"] = _as_list(
-                "prior_size", *items["prior_size"], conv=_conv_opt_int, lo=1, none_word="all"
+                "prior_size", *items["prior_size"], conv=_conv_int, lo=1, none_word="all"
             )
         if "rumors" in items:
             kw["rumors"] = _as_list("rumors", *items["rumors"], conv=_conv_int, lo=1)
         if "k" in items:
             kw["k"] = _as_int("k", *items["k"], lo=1)
         if "r" in items:
-            kw["r"] = _as_list("r", *items["r"], conv=_conv_opt_int, lo=1, none_word="auto")
+            kw["r"] = _as_list("r", *items["r"], conv=_conv_int, lo=1, none_word="auto")
     elif "attack" in items:
         raise SpecError("attack", f"only valid for kind=attack, not kind={kind}")
 
@@ -296,10 +296,6 @@ def _conv_float(key, value, line=None):
         return float(str(value).strip())
     except ValueError:
         raise SpecError(key, f"expected number, got {value!r}", line) from None
-
-
-def _conv_opt_int(key, value, line=None):
-    return _conv_int(key, value, line)
 
 
 def _as_list(key, value, line=None, conv=str, lo=None, hi=None, none_word=None):

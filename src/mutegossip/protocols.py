@@ -1,16 +1,16 @@
 """Executable gossip engines on the complete graph.
 
-Three engines share the tell_gossip primitive (uniform target over all n
+Two engines share the tell_gossip primitive (uniform target over all n
 nodes, self included):
 
-* run_async          one tell_gossip call per step; the sender is drawn
-                     uniformly from the active set, deactivates with
-                     probability 1-s, and the receiver always activates.
-* run_sync           round-based version: every node active at round start
-                     sends once, then flips its stay-active coin; receivers
-                     activate for the next round.
-* run_delayed_start  the source sends exactly once and mutes permanently
-                     (until re-informed); the receiver runs standard push.
+* run_trace  one tell_gossip call per step; the sender is drawn uniformly
+             from the active set, deactivates with probability 1-s, and
+             the receiver always activates.  Under delayed start the
+             source sends exactly once and mutes permanently (until
+             re-informed); the receiver runs standard push.
+* run_sync   round-based version: every node active at round start sends
+             once, then flips its stay-active coin; receivers activate for
+             the next round.
 
 Engines are single-threaded and deterministic given their stream; run many
 of them concurrently on disjoint streams.
@@ -26,70 +26,6 @@ import numpy as np
 from .core import ExecutionTrace, GossipConfig, RoundTrace
 
 _BLOCK = 4096
-
-
-class ProtocolState:
-    """Mutable run state: informed set I, active set A, and the trace so far.
-
-    A is multiplicity-free and kept alongside an O(1) membership flag and a
-    position index so activation/deactivation are constant time.
-    """
-
-    def __init__(self, config: GossipConfig):
-        self.config = config
-        n = config.n
-        self.informed = bytearray(n)
-        self.informed[config.source] = 1
-        self.n_informed = 1
-        self.active = [config.source]
-        self._active_flag = bytearray(n)
-        self._active_flag[config.source] = 1
-        self._active_pos = [0] * n
-        self.senders: list[int] = []
-        self.receivers: list[int] = []
-
-    def is_active(self, node: int) -> bool:
-        return bool(self._active_flag[node])
-
-    def activate(self, node: int) -> None:
-        if not self._active_flag[node]:
-            self._active_flag[node] = 1
-            self._active_pos[node] = len(self.active)
-            self.active.append(node)
-
-    def deactivate(self, node: int) -> None:
-        if self._active_flag[node]:
-            p = self._active_pos[node]
-            last = self.active[-1]
-            self.active[p] = last
-            self._active_pos[last] = p
-            self.active.pop()
-            self._active_flag[node] = 0
-
-    def tell_gossip(self, sender: int, rng: np.random.Generator) -> int:
-        """One gossip call: `sender` tells a uniformly random node.
-
-        The receiver is informed, activated, and the event appended to the
-        trace.  Raises if the sender is not informed (protocol violation).
-        """
-        if not self.informed[sender]:
-            raise RuntimeError(f"protocol violation: sender {sender} is not informed")
-        receiver = int(rng.integers(0, self.config.n))
-        if not self.informed[receiver]:
-            self.informed[receiver] = 1
-            self.n_informed += 1
-        self.activate(receiver)
-        self.senders.append(sender)
-        self.receivers.append(receiver)
-        return receiver
-
-    def trace(self) -> ExecutionTrace:
-        return ExecutionTrace(
-            config=self.config,
-            senders=np.array(self.senders, dtype=np.int64),
-            receivers=np.array(self.receivers, dtype=np.int64),
-            complete=self.n_informed == self.config.n,
-        )
 
 
 @dataclass
@@ -115,7 +51,7 @@ def _sequential_run(
     observed_stop: Optional[Callable[[int], bool]] = None,
     collect_events: bool = True,
 ) -> SequentialRun:
-    """Inner loop shared by run_async and run_delayed_start.
+    """The sequential engine loop behind run_trace and the estimators.
 
     observed_stop, when given, is called with the sender of each event whose
     receiver is curious; the loop exits once it returns True.  Estimators
@@ -209,15 +145,15 @@ def _sequential_run(
     return SequentialRun(senders, receivers, n_informed, step, stopped)
 
 
-def run_async(config: GossipConfig, rng: np.random.Generator) -> ExecutionTrace:
-    """Run the asynchronous muting protocol to completion (or the step cap).
+def run_trace(config: GossipConfig, rng: np.random.Generator) -> ExecutionTrace:
+    """Run the sequential engine to completion (or the step cap).
 
     Per step: draw a sender uniformly from A, remove it from A with
-    probability 1-s, call tell_gossip, add the receiver to A.  The loop
-    exits once every node is informed.
+    probability 1-s, call tell_gossip, add the receiver to A.  Under
+    delayed start the source's first send always removes it, so it
+    re-activates only by receiving the rumor.  The loop exits once every
+    node is informed.
     """
-    if config.variant != "parameterized":
-        raise ValueError("run_async requires variant='parameterized'")
     run = _sequential_run(config, rng)
     return ExecutionTrace(
         config=config,
@@ -225,28 +161,6 @@ def run_async(config: GossipConfig, rng: np.random.Generator) -> ExecutionTrace:
         receivers=np.array(run.receivers, dtype=np.int64),
         complete=run.complete(config),
     )
-
-
-def run_delayed_start(config: GossipConfig, rng: np.random.Generator) -> ExecutionTrace:
-    """Run delayed-start gossip: one send from the source, then standard push
-    from the receiver.  The source re-activates only by receiving the rumor
-    (after which it behaves like any other pushing node)."""
-    if config.variant != "delayed_start":
-        raise ValueError("run_delayed_start requires variant='delayed_start'")
-    run = _sequential_run(config, rng)
-    return ExecutionTrace(
-        config=config,
-        senders=np.array(run.senders, dtype=np.int64),
-        receivers=np.array(run.receivers, dtype=np.int64),
-        complete=run.complete(config),
-    )
-
-
-def run_trace(config: GossipConfig, rng: np.random.Generator) -> ExecutionTrace:
-    """Dispatch to the sequential engine matching config.variant."""
-    if config.variant == "delayed_start":
-        return run_delayed_start(config, rng)
-    return run_async(config, rng)
 
 
 def run_sync(config: GossipConfig, rng: np.random.Generator) -> tuple[ExecutionTrace, RoundTrace]:

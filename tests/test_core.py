@@ -9,7 +9,7 @@ from mutegossip.core import (
     spawn_stream,
     split_stream,
 )
-from mutegossip.protocols import run_async
+from mutegossip.protocols import run_trace
 
 
 def test_stream_determinism():
@@ -74,10 +74,10 @@ def test_curious_convention_and_trace_wellformedness(n, f_frac, s):
     assert cfg.source not in cfg.curious
     assert all(node >= cfg.curious_lo for node in cfg.curious)
 
-    trace = run_async(cfg, spawn_stream(3, n * 100 + f))
+    trace = run_trace(cfg, spawn_stream(3, n * 100 + f))
     trace.validate()
     assert trace.complete
-    assert trace.informed_nodes() == set(range(n))
+    assert {cfg.source, *trace.receivers.tolist()} == set(range(n))
 
 
 def test_validate_catches_uninformed_sender():

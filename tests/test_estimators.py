@@ -79,19 +79,14 @@ def test_callback_view_matches_full_trace_observation():
     # The early-stop engine sees exactly what observe() extracts from the
     # full trace when run on the same stream without stopping.
     from mutegossip.adversary import observe
-    from mutegossip.protocols import _sequential_run, run_async
+    from mutegossip.protocols import _sequential_run, run_trace
 
     for variant, s in (("parameterized", 0.3), ("parameterized", 0.0), ("delayed_start", 1.0)):
         cfg = GossipConfig(n=100, f=10, s=s, variant=variant)
         seen: list[int] = []
         _sequential_run(cfg, spawn_stream(77, 1), observed_stop=lambda snd: seen.append(snd) or False,
                         collect_events=False)
-        if variant == "parameterized":
-            trace = run_async(cfg, spawn_stream(77, 1))
-        else:
-            from mutegossip.protocols import run_delayed_start
-
-            trace = run_delayed_start(cfg, spawn_stream(77, 1))
+        trace = run_trace(cfg, spawn_stream(77, 1))
         assert seen == observe(trace).senders.tolist()
 
 

@@ -3,16 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from mutegossip.adversary import observe
+from mutegossip.adversary import FirstInPrior, feed_all, observe
 from mutegossip.core import GossipConfig, spawn_stream
 from mutegossip.exact import (
     exact_observation_posteriors,
-    first_in_prior,
     map_optimality_violations,
     push_sequence_probability,
     walk_sequence_probability,
 )
-from mutegossip.protocols import run_async
+from mutegossip.protocols import run_trace
 
 
 def test_empty_observation_is_impossible():
@@ -58,7 +57,7 @@ def test_exact_matches_monte_carlo(s):
     trials = 120_000
     counts = Counter()
     for _ in range(trials):
-        counts[tuple(observe(run_async(cfg, rng)).senders.tolist())] += 1
+        counts[tuple(observe(run_trace(cfg, rng)).senders.tolist())] += 1
     prob = walk_sequence_probability if s == 0 else push_sequence_probability
     checked = 0
     for obs, cnt in counts.most_common(6):
@@ -72,8 +71,8 @@ def test_exact_matches_monte_carlo(s):
 
 
 def test_first_in_prior_helper():
-    assert first_in_prior((5, 3, 8), {3, 8}) == 3
-    assert first_in_prior((5,), {3}) is None
+    assert feed_all(FirstInPrior({3, 8}), (5, 3, 8)).found == 3
+    assert feed_all(FirstInPrior({3}), (5,)).found is None
 
 
 def test_map_optimality_no_violations_small_instances():

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import math
 
 import pytest
 
 from mutegossip.cli import main
+from mutegossip.core import GossipConfig, spawn_stream
+from mutegossip.estimators import EventSpec, estimate_events
 from mutegossip.experiments import (
     ExperimentSpec,
     SpecError,
@@ -194,6 +197,50 @@ def test_trace_dump_schema(tmp_path):
     assert lines[0] == "step,sender,receiver"
     step, sender, _ = lines[1].split(",")
     assert step == "0" and sender == "0"
+
+
+# sha256 of attack.csv for small attack grids.  They pin the draw order of
+# the engine and the attack rules (AC12 only compares a rerun with a rerun);
+# a change that moves it on purpose updates these digests and says so in
+# CHANGES.md.
+GOLDEN_ATTACKS = {
+    "map": (
+        {"attack": "map", "n": "1024", "s": "0, 0.5", "prior_size": "all, 10", "trials": "200"},
+        "44ec5855aeeeef4f25f81ff68c936f4574492467088e8484acd88e9ae7219669",
+    ),
+    "map_capped": (
+        {"attack": "map", "n": "256", "s": "0.5", "prior_size": "all, 10", "step_cap": "40",
+         "trials": "300"},
+        "61677567f8e57b1eb95af8c42c8b1ab82c3936564e884fc730db407b52ad6b03",
+    ),
+    "silence": (
+        {"attack": "silence", "variant": "delayed_start", "n": "1024", "s": "1", "trials": "300"},
+        "f406552428746cfebf88c48c54d7a520ffb87919931407d59cb79075d08d04fb",
+    ),
+    "multi_rumor": (
+        {"attack": "multi_rumor", "n": "256", "s": "0.5", "rumors": "1, 3", "k": "5",
+         "trials": "300"},
+        "9f3afd64c79f81c84eb26e1952a2c9b0621546631851b046055a1296bb454e6b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ATTACKS))
+def test_attack_csv_golden_digest(tmp_path, name):
+    keys, digest = GOLDEN_ATTACKS[name]
+    items = {"name": (name, None), "kind": ("attack", None), "master_seed": ("2027", None)}
+    items.update({k: (v, None) for k, v in keys.items()})
+    assert run_experiment(build_spec(items), tmp_path) == 0
+    assert hashlib.sha256((tmp_path / "attack.csv").read_bytes()).hexdigest() == digest
+
+
+def test_event_family_golden_counts():
+    # The per-trial loop path of estimate_events (s > 0), pinned like the
+    # digests above.
+    cfg = GossipConfig(n=64, f=6, s=0.3)
+    events = [EventSpec.sender_rank_le(0, 3), EventSpec.first_sender_is(1)]
+    res = estimate_events(cfg, events, 2000, spawn_stream(2027, 9))
+    assert [(r.raw_successes, r.incomplete) for r in res] == [(370, 0), (31, 0)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,24 +4,21 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from mutegossip.core import GossipConfig, spawn_stream
-from mutegossip.protocols import (
-    ProtocolState,
-    run_async,
-    run_delayed_start,
-    run_sync,
-)
+from mutegossip.protocols import run_sync, run_trace
 
 
 def test_tell_gossip_target_uniformity():
-    # Chi-square goodness of fit on 1e5 draws from a single informed sender.
+    # Chi-square goodness of fit on 1e5 receivers of step-capped runs: 20
+    # steps cannot inform 50 nodes, so no run completes and every receiver
+    # is an independent uniform draw.
     n = 50
-    cfg = GossipConfig(n=n, f=5, s=1.0)
-    state = ProtocolState(cfg)
+    cfg = GossipConfig(n=n, f=5, s=1.0, step_cap=20)
     rng = spawn_stream(17, 0)
+    traces = [run_trace(cfg, rng) for _ in range(5000)]
+    assert not any(t.complete for t in traces)
+    counts = np.bincount(np.concatenate([t.receivers for t in traces]), minlength=n)
     draws = 100_000
-    for _ in range(draws):
-        state.tell_gossip(0, rng)
-    counts = np.bincount(state.receivers, minlength=n)
+    assert counts.sum() == draws
     chi2, p = stats.chisquare(counts)
     assert p > 1e-4, f"receiver histogram not uniform (p={p})"
     # every per-bin deviation within 4 sigma of Binomial(draws, 1/n)
@@ -29,27 +26,22 @@ def test_tell_gossip_target_uniformity():
     assert np.all(np.abs(counts - draws / n) < 4 * sigma)
 
 
-def test_tell_gossip_rejects_uninformed_sender():
-    state = ProtocolState(GossipConfig(n=10, f=2, s=1.0))
-    with pytest.raises(RuntimeError):
-        state.tell_gossip(3, spawn_stream(0, 0))
-
-
 def test_self_send_recorded():
-    state = ProtocolState(GossipConfig(n=4, f=1, s=1.0))
+    cfg = GossipConfig(n=4, f=1, s=1.0)
     rng = spawn_stream(5, 1)
-    for _ in range(200):
-        state.tell_gossip(0, rng)
-    pairs = list(zip(state.senders, state.receivers))
-    assert (0, 0) in pairs  # self-sends happen and are ordinary events
-    assert state.n_informed == sum(state.informed)
+    pairs = []
+    for _ in range(20):
+        trace = run_trace(cfg, rng)
+        trace.validate()
+        pairs.extend(zip(trace.senders.tolist(), trace.receivers.tolist()))
+    assert any(x == y for x, y in pairs)  # self-sends happen and are ordinary events
 
 
 def test_s0_trace_is_a_walk():
     # With s=0 there is exactly one active node: each event's sender is the
     # previous event's receiver.
     cfg = GossipConfig(n=128, f=12, s=0.0)
-    trace = run_async(cfg, spawn_stream(21, 3))
+    trace = run_trace(cfg, spawn_stream(21, 3))
     assert trace.complete
     assert np.array_equal(trace.senders[1:], trace.receivers[:-1])
 
@@ -58,7 +50,7 @@ def test_s0_trace_is_a_walk():
 @settings(max_examples=25, deadline=None)
 def test_async_completes_and_validates(s, seed):
     cfg = GossipConfig(n=80, f=8, s=s)
-    trace = run_async(cfg, spawn_stream(seed, 0))
+    trace = run_trace(cfg, spawn_stream(seed, 0))
     trace.validate()
     assert trace.complete
 
@@ -68,22 +60,22 @@ def test_async_coupon_collector_at_s0():
     n = 2**10
     cfg = GossipConfig(n=n, f=102, s=0.0)
     rng = spawn_stream(23, 0)
-    totals = [len(run_async(cfg, rng)) for _ in range(100)]
+    totals = [len(run_trace(cfg, rng)) for _ in range(100)]
     median = np.median(totals)
     assert abs(median - n * np.log(n)) / (n * np.log(n)) < 0.15
 
 
 def test_async_determinism():
     cfg = GossipConfig(n=200, f=20, s=0.4)
-    t1 = run_async(cfg, spawn_stream(9, 9))
-    t2 = run_async(cfg, spawn_stream(9, 9))
+    t1 = run_trace(cfg, spawn_stream(9, 9))
+    t2 = run_trace(cfg, spawn_stream(9, 9))
     assert np.array_equal(t1.senders, t2.senders)
     assert np.array_equal(t1.receivers, t2.receivers)
 
 
 def test_step_cap_flags_incomplete():
     cfg = GossipConfig(n=64, f=6, s=1.0, step_cap=5)
-    trace = run_async(cfg, spawn_stream(2, 2))
+    trace = run_trace(cfg, spawn_stream(2, 2))
     assert not trace.complete
     assert len(trace) == 5
     trace.validate()  # well-formed even when capped
@@ -157,7 +149,7 @@ def test_sync_determinism():
 
 def test_delayed_start_source_sends_first():
     for seed in range(10):
-        trace = run_delayed_start(
+        trace = run_trace(
             GossipConfig(n=64, f=6, s=1.0, variant="delayed_start"), spawn_stream(41, seed)
         )
         assert trace.senders[0] == trace.config.source
@@ -169,7 +161,7 @@ def test_delayed_start_source_silent_until_reinformed():
     # as a receiver.
     hits = 0
     for seed in range(30):
-        trace = run_delayed_start(
+        trace = run_trace(
             GossipConfig(n=64, f=6, s=1.0, variant="delayed_start"), spawn_stream(43, seed)
         )
         src = trace.config.source
@@ -187,9 +179,5 @@ def test_delayed_start_source_silent_until_reinformed():
 
 
 def test_engine_variant_guards():
-    with pytest.raises(ValueError):
-        run_async(GossipConfig(n=8, f=1, s=1.0, variant="delayed_start"), spawn_stream(0, 0))
-    with pytest.raises(ValueError):
-        run_delayed_start(GossipConfig(n=8, f=1, s=1.0), spawn_stream(0, 0))
     with pytest.raises(ValueError):
         run_sync(GossipConfig(n=8, f=1, s=1.0, variant="delayed_start"), spawn_stream(0, 0))
