@@ -86,11 +86,21 @@ class ObservedPrefix:
         return len(self.senders) >= self.length
 
 
-def feed_all(decider, senders: Iterable[int]):
-    """Feed `senders` in order until the decider is decided; return it."""
-    for snd in senders:
-        if decider.feed(snd):
-            break
+def feed_all(decider, senders: Sequence[int]):
+    """Feed `senders` in order until the decider is decided; return it.
+
+    The senders are unboxed to Python ints in growing blocks, as the engine
+    draws them: most rules decide within the first few hundred entries of a
+    view that can be far longer.
+    """
+    senders = np.asarray(senders, dtype=np.int64)
+    start, block = 0, 256
+    while start < senders.size:
+        for snd in senders[start : start + block].tolist():
+            if decider.feed(snd):
+                return decider
+        start += block
+        block *= 4
     return decider
 
 
@@ -136,7 +146,7 @@ def map_attack(
     prior = set(prior)
     if not prior:
         raise ValueError("prior must be nonempty")
-    rule = feed_all(FirstInPrior(prior), observed.senders.tolist())
+    rule = feed_all(FirstInPrior(prior), observed.senders)
     return _outcome(rule.predict(rng), true_source, observed)
 
 
@@ -155,7 +165,7 @@ def multi_rumor_attack(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    lead_lists = [feed_all(FirstKDistinct(k), obs.senders.tolist()).leads for obs in observations]
+    lead_lists = [feed_all(FirstKDistinct(k), obs.senders).leads for obs in observations]
     return _outcome(
         _score_multi_rumor(lead_lists, rng), true_source, observations[0] if observations else None
     )
@@ -207,5 +217,5 @@ def silence_attack(
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    prefix = feed_all(ObservedPrefix(r + 1), observed.senders[: r + 1].tolist())
+    prefix = feed_all(ObservedPrefix(r + 1), observed.senders[: r + 1])
     return _outcome(silence_prediction(prefix.senders), true_source, observed)

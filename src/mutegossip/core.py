@@ -106,10 +106,6 @@ class GossipConfig:
         return self.n - self.f
 
     @property
-    def curious(self) -> frozenset[int]:
-        return frozenset(range(self.n - self.f, self.n))
-
-    @property
     def max_steps(self) -> int:
         return self.step_cap if self.step_cap is not None else default_step_cap(self.n)
 

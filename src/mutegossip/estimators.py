@@ -32,7 +32,7 @@ from .adversary import (
     silence_prediction,
     silence_window,
 )
-from .core import GossipConfig, split_stream
+from .core import GossipConfig, RoundTrace, split_stream
 from .protocols import _sequential_run, run_sync
 
 Z99 = 2.576  # 99% two-sided normal quantile, as reported alongside estimates
@@ -141,6 +141,38 @@ def _first_observed_senders_s0(
             cur = r
         steps += 1
     return out, int(idx.size)
+
+
+def _coupon_runs_s0(config: GossipConfig, trials: int, rng: np.random.Generator):
+    """Lumped s=0 synchronous engine: yield (complete, RoundTrace) per trial.
+
+    At s=0 the one active node sends to a uniform target, which is the next
+    round's only active node, so the informed count is a coupon collector:
+    the rounds from the k-th to the (k+1)-th informed node are independent
+    Geometric((n-k)/n) draws, k = 1..n-1, and every round sends one message.
+    A run is step-capped iff its rounds exceed config.max_steps (capped runs
+    yield no trace).  The same law as run_sync at s=0, in another draw order.
+    """
+    n = config.n
+    counts = np.arange(1, n + 1)
+    waits = rng.geometric((n - counts[:-1]) / n, size=(trials, n - 1))
+    held = np.ones(n, dtype=np.int64)  # rounds ending with each informed count
+    for w in waits:
+        rounds = int(w.sum())
+        if rounds > config.max_steps:
+            yield False, None
+            continue
+        held[:-1] = w
+        held[0] -= 1  # the second node is informed *in* round waits[0]
+        ones = np.ones(rounds, dtype=np.int64)
+        yield True, RoundTrace(np.repeat(counts, held), ones, ones)
+
+
+def _sync_runs(config: GossipConfig, trials: int, rng: np.random.Generator):
+    """(complete, RoundTrace) for each of `trials` synchronous-engine runs."""
+    for _ in range(trials):
+        trace, rounds = run_sync(config, rng)
+        yield trace.complete, rounds
 
 
 def estimate_events(
@@ -420,19 +452,23 @@ def estimate_spreading(
 ) -> SpreadingSummary:
     """Run the synchronous engine `trials` times and aggregate trajectories,
     completion rounds, message totals, and the late-round active plateau.
-    Step-capped runs are excluded from the aggregates and counted."""
+    Step-capped runs are excluded from the aggregates and counted.
+
+    At s=0 the runs come from the lumped coupon-collector engine
+    (_coupon_runs_s0), which draws each run's rounds in one call; otherwise
+    from run_sync."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = config.n
+    runs = _coupon_runs_s0 if config.s == 0.0 else _sync_runs
     informed_curves: list[np.ndarray] = []
     active_curves: list[np.ndarray] = []
     completion: list[int] = []
     totals: list[int] = []
     plateaus: list[float] = []
     n_capped = 0
-    for _ in range(trials):
-        trace, rounds = run_sync(config, rng)
-        if not trace.complete:
+    for complete, rounds in runs(config, trials, rng):
+        if not complete:
             n_capped += 1
             continue
         informed_curves.append(rounds.informed / n)

@@ -70,9 +70,8 @@ def test_config_rejects_invalid(kwargs):
 def test_curious_convention_and_trace_wellformedness(n, f_frac, s):
     f = min(int(f_frac * n), n - 2)
     cfg = GossipConfig(n=n, f=f, s=s)
-    assert len(cfg.curious) == f
-    assert cfg.source not in cfg.curious
-    assert all(node >= cfg.curious_lo for node in cfg.curious)
+    assert cfg.n - cfg.curious_lo == f  # curious ids are curious_lo..n-1
+    assert cfg.source < cfg.curious_lo
 
     trace = run_trace(cfg, spawn_stream(3, n * 100 + f))
     trace.validate()

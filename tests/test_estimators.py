@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from mutegossip.bounds import optimal_delta, param_c, source_disclosure_prob
 from mutegossip.core import GossipConfig, spawn_stream
@@ -11,6 +12,7 @@ from mutegossip.estimators import (
     MapAttackSpec,
     MultiRumorAttackSpec,
     SilenceAttackSpec,
+    _coupon_runs_s0,
     estimate_attack_precision,
     estimate_dp_gap,
     estimate_event,
@@ -18,6 +20,7 @@ from mutegossip.estimators import (
     estimate_source_disclosure,
     estimate_spreading,
 )
+from mutegossip.protocols import run_sync
 
 
 def test_estimate_result_fields():
@@ -218,27 +221,80 @@ def test_silence_attack_counts_abstentions_as_failures():
 # Spreading
 
 
+# s=0 runs on the lumped coupon-collector engine, every other s on run_sync;
+# each test loops over both paths.
+SPREAD_PATHS = (0.5, 0.0)
+
+
 def test_estimate_spreading_reproducible():
-    cfg = GossipConfig(n=256, f=26, s=0.5)
-    a = estimate_spreading(cfg, 10, spawn_stream(18, 0))
-    b = estimate_spreading(cfg, 10, spawn_stream(18, 0))
-    assert np.array_equal(a.informed_med, b.informed_med)
-    assert np.array_equal(a.completion_rounds, b.completion_rounds)
-    assert a.plateau_median == b.plateau_median
+    for s in SPREAD_PATHS:
+        cfg = GossipConfig(n=256, f=26, s=s)
+        a = estimate_spreading(cfg, 10, spawn_stream(18, 0))
+        b = estimate_spreading(cfg, 10, spawn_stream(18, 0))
+        assert np.array_equal(a.informed_med, b.informed_med)
+        assert np.array_equal(a.completion_rounds, b.completion_rounds)
+        assert a.plateau_median == b.plateau_median
 
 
 def test_estimate_spreading_shapes_and_monotonicity():
-    cfg = GossipConfig(n=512, f=51, s=0.5)
-    sp = estimate_spreading(cfg, 12, spawn_stream(18, 1))
-    assert sp.n_runs == 12 and sp.n_capped == 0
-    assert np.all(np.diff(sp.informed_med) >= 0)
-    assert sp.informed_med[-1] == 1.0
-    assert np.all(sp.informed_p10 <= sp.informed_med) and np.all(sp.informed_med <= sp.informed_p90)
-    assert sp.total_messages.size == 12
-    assert 0 < sp.plateau_median <= 1
+    for s in SPREAD_PATHS:
+        cfg = GossipConfig(n=512, f=51, s=s)
+        sp = estimate_spreading(cfg, 12, spawn_stream(18, 1))
+        assert sp.n_runs == 12 and sp.n_capped == 0
+        assert np.all(np.diff(sp.informed_med) >= 0)
+        assert sp.informed_med[-1] == 1.0
+        assert np.all(sp.informed_p10 <= sp.informed_med)
+        assert np.all(sp.informed_med <= sp.informed_p90)
+        assert sp.total_messages.size == 12
+        assert 0 < sp.plateau_median <= 1
 
 
 def test_estimate_spreading_all_capped_raises():
-    cfg = GossipConfig(n=256, f=26, s=1.0, step_cap=10)
-    with pytest.raises(RuntimeError):
-        estimate_spreading(cfg, 5, spawn_stream(18, 2))
+    for s in SPREAD_PATHS:
+        cfg = GossipConfig(n=256, f=26, s=s, step_cap=10)
+        with pytest.raises(RuntimeError):
+            estimate_spreading(cfg, 5, spawn_stream(18, 2))
+
+
+def _held_curves(rounds_list, width, n):
+    """Informed counts of rounds 1..width per run, held at n after completion."""
+    out = np.full((len(rounds_list), width), n, dtype=np.int64)
+    for row, rounds in zip(out, rounds_list):
+        head = rounds.informed[:width]
+        row[: head.size] = head
+    return out
+
+
+@pytest.mark.parametrize("n, sync_trials", [(3, 4000), (64, 400)])
+def test_coupon_runs_s0_match_run_sync(n, sync_trials):
+    cfg = GossipConfig(n=n, f=1, s=0.0)
+    lumped = [rounds for _, rounds in _coupon_runs_s0(cfg, 20000, spawn_stream(19, n))]
+    rng = spawn_stream(19, 1000 + n)
+    sync = [run_sync(cfg, rng)[1] for _ in range(sync_trials)]
+    for rounds in lumped[:100]:
+        rounds.validate()
+        assert np.all(rounds.active == 1) and np.all(rounds.messages == 1)
+        assert rounds.informed[-1] == n and rounds.informed[-2] == n - 1
+
+    # Completion-round law: two-sample chi-square on pooled-decile bins.
+    a = np.array([len(r) for r in lumped])
+    b = np.array([len(r) for r in sync])
+    edges = np.unique(np.quantile(np.concatenate([a, b]), np.linspace(0, 1, 11)))
+    edges[-1] += 1  # the last bin is closed
+    table = np.vstack([np.histogram(a, edges)[0], np.histogram(b, edges)[0]])
+    assert stats.chi2_contingency(table).pvalue > 1e-4
+
+    # Mean informed count at each of the first rounds (Bonferroni over rounds).
+    width = 2 * n
+    ca, cb = _held_curves(lumped, width, n), _held_curves(sync, width, n)
+    diff = ca.mean(axis=0) - cb.mean(axis=0)
+    se = np.sqrt(ca.var(axis=0, ddof=1) / len(ca) + cb.var(axis=0, ddof=1) / len(cb))
+    z = stats.norm.isf(1e-4 / (2 * width))
+    assert np.all(np.abs(diff) <= z * se + 1e-12), np.abs(diff) / np.maximum(se, 1e-12)
+
+    # Mean completion rounds against the coupon collector's n*H(n-1), with
+    # Var = sum over k of (1-p_k)/p_k^2, p_k = (n-k)/n.
+    p = (n - np.arange(1, n)) / n
+    sd = math.sqrt(float(np.sum((1 - p) / p**2)))
+    target = n * sum(1 / k for k in range(1, n))
+    assert abs(a.mean() - target) <= 4.0 * sd / math.sqrt(a.size)

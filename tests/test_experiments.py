@@ -234,6 +234,23 @@ def test_attack_csv_golden_digest(tmp_path, name):
     assert hashlib.sha256((tmp_path / "attack.csv").read_bytes()).hexdigest() == digest
 
 
+# sha256 of spread.csv for a small s > 0 grid, recorded like the attack
+# digests above: it pins run_sync's draw order through estimate_spreading
+# (s=0 points take the lumped coupon-collector engine instead).
+GOLDEN_SPREAD = (
+    {"n": "128, 512", "s": "0.5, 1", "trials": "20"},
+    "70df3c152cb4bb0f7f336a42310d9fddc8d2d83ccc892fdee810646018f9dc4e",
+)
+
+
+def test_spread_csv_golden_digest(tmp_path):
+    keys, digest = GOLDEN_SPREAD
+    items = {"name": ("spread", None), "kind": ("spread", None), "master_seed": ("2027", None)}
+    items.update({k: (v, None) for k, v in keys.items()})
+    assert run_experiment(build_spec(items), tmp_path) == 0
+    assert hashlib.sha256((tmp_path / "spread.csv").read_bytes()).hexdigest() == digest
+
+
 def test_event_family_golden_counts():
     # The per-trial loop path of estimate_events (s > 0), pinned like the
     # digests above.
