@@ -455,8 +455,8 @@ def estimate_spreading(
     Step-capped runs are excluded from the aggregates and counted.
 
     At s=0 the runs come from the lumped coupon-collector engine
-    (_coupon_runs_s0), which draws each run's rounds in one call; otherwise
-    from run_sync."""
+    (_coupon_runs_s0), which draws the rounds of every run in one call;
+    otherwise from run_sync."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = config.n
