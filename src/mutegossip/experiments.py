@@ -7,26 +7,31 @@ lexicographic order over the declared lists, and grid point g draws all of
 its randomness from the stream (master_seed, g), so results are
 byte-for-byte reproducible regardless of worker count or scheduling.
 
-CSV schemas (fixed column order, floats with 10 significant digits):
+Three tables describe what a spec can say and what a run writes:
 
-  spread.csv    n,s,f,round,informed_med,informed_p10,informed_p90,
-                active_med,active_p10,active_p90
-  attack.csv    n,s,f,attack,param,trials,precision,ci,abstain_rate
-  validate.csv  quantity,s,f,n,closed_form,estimate,ci,trials,pass
-  bounds.csv    regime,s,f,n,epsilon,delta,c,spreading_bound
-  trace.csv     step,sender,receiver
+  KEYS         each spec key's parser, bounds, the word standing for None
+               (`all`, `auto`) and whether it is a comma list, in the order
+               frozen_text() echoes them.  ExperimentSpec.keys() names the
+               keys one spec uses; build_spec rejects any other.
+  ATTACK_KEYS  each attack's own keys; the first is its grid list and fills
+               attack.csv's `param` column.
+  _KINDS       each kind's CSV header (<kind>.csv, fixed column order,
+               floats with 10 significant digits; README lists the same
+               headers) and the function giving one grid point's rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -53,12 +58,14 @@ from .estimators import (
 )
 from .protocols import run_trace
 
-KINDS = ("trace", "spread", "attack", "validate", "bounds")
-ATTACKS = ("map", "multi_rumor", "silence")
+# The keys each attack reads besides the common ones.  The first is the
+# attack's grid list; its keys are the fields of the estimator's attack spec.
+ATTACK_KEYS = {"map": ("prior_size",), "multi_rumor": ("rumors", "k"), "silence": ("r",)}
+ATTACKS = tuple(ATTACK_KEYS)
+_ATTACK_SPECS = {
+    "map": MapAttackSpec, "multi_rumor": MultiRumorAttackSpec, "silence": SilenceAttackSpec
+}
 QUANTITIES = ("first_sender_source", "first_sender_other", "event_f", "strong_first_disclosure")
-
-DEFAULT_TRIALS = 1000
-DEFAULT_SEED = 12345
 
 
 class SpecError(ValueError):
@@ -77,8 +84,8 @@ class ExperimentSpec:
 
     name: str
     kind: str
-    master_seed: int = DEFAULT_SEED
-    trials: int = DEFAULT_TRIALS
+    master_seed: int = 12345
+    trials: int = 1000
     n: tuple[int, ...] = (1024,)
     s: tuple[float, ...] = (1.0,)
     f_over_n: tuple[float, ...] = (0.1,)
@@ -92,33 +99,30 @@ class ExperimentSpec:
     step_cap: Optional[int] = None
     source: int = 0
 
+    def _own_keys(self) -> tuple[str, ...]:
+        """The keys only this kind (and attack) reads; the first is a grid list."""
+        if self.kind == "attack":
+            return ATTACK_KEYS[self.attack]
+        return ("quantity",) if self.kind == "validate" else ()
+
+    def keys(self) -> tuple[str, ...]:
+        """The keys this spec uses, in frozen_text order: the common keys,
+        plus `attack` and the attack's own keys for kind=attack, and
+        `quantity` for kind=validate."""
+        own = self._own_keys() + (("attack",) if self.kind == "attack" else ())
+        return tuple(k for k in KEYS if k in own or k not in _SCOPED_KEYS)
+
     def grid(self) -> list[dict]:
-        """Expand the parameter grid, lexicographic over the declared lists."""
-        points: list[dict] = []
-        for n in self.n:
-            for s in self.s:
-                for fon in self.f_over_n:
-                    base = {"n": n, "s": s, "f": round(fon * n)}
-                    if self.kind == "attack":
-                        for extra in self._attack_params():
-                            points.append({**base, **extra})
-                    elif self.kind == "validate":
-                        for q in self.quantity:
-                            points.append({**base, "quantity": q})
-                    else:
-                        points.append(base)
+        """Expand the parameter grid, lexicographic over the declared lists:
+        n, s, f_over_n, then the attack's grid list or the quantities."""
+        own = self._own_keys()
+        points = []
+        for n, s, fon in itertools.product(self.n, self.s, self.f_over_n):
+            base = {"n": n, "s": s, "f": round(fon * n)}
+            points += [{**base, own[0]: v} for v in getattr(self, own[0])] if own else [base]
         for g, p in enumerate(points):
             p["g"] = g
         return points
-
-    def _attack_params(self) -> list[dict]:
-        if self.attack == "map":
-            return [{"prior_size": ps} for ps in self.prior_size]
-        if self.attack == "multi_rumor":
-            return [{"rumors": m} for m in self.rumors]
-        if self.attack == "silence":
-            return [{"r": r} for r in self.r]
-        raise SpecError("attack", f"kind=attack needs attack in {ATTACKS}")
 
     def config(self, point: dict) -> GossipConfig:
         return GossipConfig(
@@ -131,31 +135,14 @@ class ExperimentSpec:
         )
 
     def frozen_text(self) -> str:
-        """Canonical key=value echo of this spec, defaults included."""
-        lines = [f"name = {self.name}", f"kind = {self.kind}"]
-        lines.append(f"master_seed = {self.master_seed}")
-        lines.append(f"trials = {self.trials}")
-        lines.append("n = " + ", ".join(str(v) for v in self.n))
-        lines.append("s = " + ", ".join(_fmt(v) for v in self.s))
-        lines.append("f_over_n = " + ", ".join(_fmt(v) for v in self.f_over_n))
-        lines.append(f"variant = {self.variant}")
-        lines.append(f"source = {self.source}")
-        if self.kind == "attack":
-            lines.append(f"attack = {self.attack}")
-            if self.attack == "map":
-                lines.append(
-                    "prior_size = "
-                    + ", ".join("all" if v is None else str(v) for v in self.prior_size)
-                )
-            elif self.attack == "multi_rumor":
-                lines.append("rumors = " + ", ".join(str(v) for v in self.rumors))
-                lines.append(f"k = {self.k}")
-            elif self.attack == "silence":
-                lines.append("r = " + ", ".join("auto" if v is None else str(v) for v in self.r))
-        if self.kind == "validate":
-            lines.append("quantity = " + ", ".join(self.quantity))
-        if self.step_cap is not None:
-            lines.append(f"step_cap = {self.step_cap}")
+        """Canonical key=value echo of this spec, defaults included; a
+        scalar left at None (step_cap) is omitted."""
+        lines = []
+        for key in self.keys():
+            rule, value = KEYS[key], getattr(self, key)
+            shown = map(rule.show, value if rule.many else [value])
+            if rule.many or value is not None:
+                lines.append(f"{key} = " + ", ".join(shown))
         return "\n".join(lines) + "\n"
 
 
@@ -164,7 +151,128 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Rows of one grid point, per kind
+
+
+def _trace_rows(spec: ExperimentSpec, point: dict, rng) -> list[list]:
+    trace = run_trace(spec.config(point), rng)
+    return np.column_stack((np.arange(len(trace)), trace.senders, trace.receivers)).tolist()
+
+
+def _spread_rows(spec: ExperimentSpec, point: dict, rng) -> list[list]:
+    summary = estimate_spreading(spec.config(point), spec.trials, rng)
+    # The six curve columns are named after the summary's fields.
+    curves = [getattr(summary, col) for col in _KINDS["spread"][0].split(",")[4:]]
+    return [
+        [point["n"], point["s"], point["f"], rnd, *(c[rnd] for c in curves)]
+        for rnd in range(summary.informed_med.size)
+    ]
+
+
+def _attack_rows(spec: ExperimentSpec, point: dict, rng) -> list[list]:
+    n, s, f = point["n"], point["s"], point["f"]
+    keys = ATTACK_KEYS[spec.attack]
+    attack = _ATTACK_SPECS[spec.attack](**{k: point.get(k, getattr(spec, k)) for k in keys})
+    param = point[keys[0]]
+    if param is None:  # what None stands for: all n - f non-curious nodes, the default window
+        param = n - f if spec.attack == "map" else silence_window(n)
+    res = estimate_attack_precision(spec.config(point), attack, spec.trials, rng)
+    p = res.precision
+    return [
+        [n, s, f, spec.attack, param, spec.trials, p.estimate, p.ci_half_width, res.abstain_rate]
+    ]
+
+
+def _validate_rows(spec: ExperimentSpec, point: dict, rng) -> list[list]:
+    n, s, f = point["n"], point["s"], point["f"]
+    q = point["quantity"]
+    cfg = spec.config(point)
+    if q == "first_sender_source":
+        closed = (f + 1) / n
+        res = estimate_event(cfg, EventSpec.first_sender_is(cfg.source), spec.trials, rng)
+    elif q == "first_sender_other":
+        closed = 1 / n
+        other = next(j for j in range(cfg.curious_lo) if j != cfg.source)
+        res = estimate_event(cfg, EventSpec.first_sender_is(other), spec.trials, rng)
+    elif q == "event_f":
+        closed = source_disclosure_prob(s, f, n)
+        res = estimate_source_disclosure(s, f, n, spec.trials, rng)
+    else:  # strong_first_disclosure
+        closed = f / n
+        res = estimate_event(cfg, EventSpec.timed_first_disclosure(), spec.trials, rng)
+    ok = abs(res.estimate - closed) <= 3.0 * res.ci_half_width
+    return [[q, s, f, n, closed, res.estimate, res.ci_half_width, spec.trials, str(ok).lower()]]
+
+
+def _bounds_rows(spec: ExperimentSpec, point: dict, rng) -> list[list]:
+    """One row per privacy/speed regime at epsilon = 0: (regime, its s,
+    delta, c, spreading bound); the parameterized one only for 0 < s < 1."""
+    n, s, f = point["n"], point["s"], point["f"]
+    regimes = [
+        ("standard_push", 1.0, 1.0, param_c(1.0, f, n), spreading_round_bound(n, 1.0)),
+        ("muting_after_send", 0.0, optimal_delta(0.0, f, n), optimal_c(f, n), n * math.log(n)),
+    ]
+    if 0.0 < s < 1.0:
+        delta, c = param_delta_bound(s, f, n, 1), param_c(s, f, n)
+        regimes.append(("parameterized", s, delta, c, spreading_round_bound(n, s)))
+    return [[name, row_s, f, n, 0.0, delta, c, bound] for name, row_s, delta, c, bound in regimes]
+
+
+# Each kind's CSV header (written to <kind>.csv) and rows of one grid point.
+_KINDS = {
+    "trace": ("step,sender,receiver", _trace_rows),
+    "spread": (
+        "n,s,f,round,informed_med,informed_p10,informed_p90,active_med,active_p10,active_p90",
+        _spread_rows,
+    ),
+    "attack": ("n,s,f,attack,param,trials,precision,ci,abstain_rate", _attack_rows),
+    "validate": ("quantity,s,f,n,closed_form,estimate,ci,trials,pass", _validate_rows),
+    "bounds": ("regime,s,f,n,epsilon,delta,c,spreading_bound", _bounds_rows),
+}
+KINDS = tuple(_KINDS)
+
+
+# ---------------------------------------------------------------------------
 # Parsing
+
+
+class Key(NamedTuple):
+    """How one spec key's value is parsed, checked and echoed."""
+
+    parse: type  # int, float or str, applied to the stripped text
+    many: bool = False  # a comma list (a tuple), else a scalar
+    lo: Optional[float] = None
+    hi: Optional[float] = None
+    none: Optional[str] = None  # the word that stands for None
+    choices: tuple = ()
+
+    def show(self, v) -> str:
+        if v is None:
+            return self.none
+        return _fmt(v) if self.parse is float else str(v)
+
+
+# Every spec key, in the order frozen_text() echoes them.
+KEYS = {
+    "name": Key(str),
+    "kind": Key(str, choices=KINDS),
+    "master_seed": Key(int),
+    "trials": Key(int, lo=1),
+    "n": Key(int, many=True, lo=2),
+    "s": Key(float, many=True, lo=0.0, hi=1.0),
+    "f_over_n": Key(float, many=True, lo=0.0, hi=1.0),
+    "variant": Key(str, choices=VARIANTS),
+    "source": Key(int, lo=0),
+    "attack": Key(str, choices=ATTACKS),
+    "prior_size": Key(int, many=True, lo=1, none="all"),
+    "rumors": Key(int, many=True, lo=1),
+    "k": Key(int, lo=1),
+    "r": Key(int, many=True, lo=1, none="auto"),
+    "quantity": Key(str, many=True, choices=QUANTITIES),
+    "step_cap": Key(int, lo=1),
+}
+# Keys that only some kinds or attacks use; every other key applies to all.
+_SCOPED_KEYS = {"attack", "quantity", *itertools.chain(*ATTACK_KEYS.values())}
 
 
 def parse_spec(path: str | Path) -> ExperimentSpec:
@@ -192,68 +300,56 @@ def parse_spec(path: str | Path) -> ExperimentSpec:
 
 def build_spec(items: dict) -> ExperimentSpec:
     """Validate a {key: (value, line)} mapping into an ExperimentSpec."""
-    known = set(ExperimentSpec.__dataclass_fields__)
     for key, (_, line) in items.items():
-        if key not in known:
+        if key not in KEYS:
             raise SpecError(key, "unknown key", line)
-
-    def get(key, default=None):
-        return items.get(key, (default, None))
-
-    def req(key):
+    head: dict = {}
+    for key in ("name", "kind", "attack"):  # attack only for kind=attack
+        if key == "attack" and head["kind"] != "attack":
+            break
         if key not in items:
             raise SpecError(key, "required key is missing")
-        return items[key]
-
-    name, line = req("name")
-    name = str(name)
-    kind, line = req("kind")
-    if kind not in KINDS:
-        raise SpecError("kind", f"must be one of {KINDS}, got {kind!r}", line)
-
-    kw: dict = {"name": name, "kind": kind}
-    kw["master_seed"] = _as_int("master_seed", *get("master_seed", DEFAULT_SEED))
-    kw["trials"] = _as_int("trials", *get("trials", DEFAULT_TRIALS), lo=1)
-    kw["n"] = _as_list("n", *get("n", "1024"), conv=_conv_int, lo=2)
-    kw["s"] = _as_list("s", *get("s", "1"), conv=_conv_float, lo=0.0, hi=1.0)
-    kw["f_over_n"] = _as_list("f_over_n", *get("f_over_n", "0.1"), conv=_conv_float, lo=0.0, hi=1.0)
-    variant, line = get("variant", "parameterized")
-    if variant not in VARIANTS:
-        raise SpecError("variant", f"unknown variant {variant!r}", line)
-    kw["variant"] = variant
-    kw["source"] = _as_int("source", *get("source", 0), lo=0)
-    cap, line = get("step_cap")
-    if cap is not None:
-        kw["step_cap"] = _as_int("step_cap", cap, line, lo=1)
-
-    if kind == "attack":
-        attack, line = req("attack")
-        if attack not in ATTACKS:
-            raise SpecError("attack", f"must be one of {ATTACKS}, got {attack!r}", line)
-        kw["attack"] = attack
-        if "prior_size" in items:
-            kw["prior_size"] = _as_list(
-                "prior_size", *items["prior_size"], conv=_conv_int, lo=1, none_word="all"
-            )
-        if "rumors" in items:
-            kw["rumors"] = _as_list("rumors", *items["rumors"], conv=_conv_int, lo=1)
-        if "k" in items:
-            kw["k"] = _as_int("k", *items["k"], lo=1)
-        if "r" in items:
-            kw["r"] = _as_list("r", *items["r"], conv=_conv_int, lo=1, none_word="auto")
-    elif "attack" in items:
-        raise SpecError("attack", f"only valid for kind=attack, not kind={kind}")
-
-    if "quantity" in items:
-        vals = _as_list("quantity", *items["quantity"], conv=str)
-        for q in vals:
-            if q not in QUANTITIES:
-                raise SpecError("quantity", f"unknown quantity {q!r}", items["quantity"][1])
-        kw["quantity"] = vals
-
-    spec = ExperimentSpec(**kw)
+        head[key] = _parse(key, *items[key])
+    used = ExperimentSpec(**head).keys()
+    user = f"kind={head['kind']}" + (f", attack={head['attack']}" if "attack" in head else "")
+    for key, (_, line) in items.items():
+        if key not in used:
+            raise SpecError(key, f"not used by {user}", line)
+    spec = ExperimentSpec(**{key: _parse(key, *items[key]) for key in used if key in items})
     _validate_grid(spec)
     return spec
+
+
+def _parse(key: str, value, line: Optional[int] = None):
+    """Parse and check one value by its KEYS entry: a tuple for a list key."""
+    rule = KEYS[key]
+    if not rule.many:
+        parts = [value]
+    elif isinstance(value, (list, tuple)):
+        parts = list(value)
+    else:
+        parts = [p.strip() for p in str(value).split(",") if p.strip()]
+    if not parts:
+        raise SpecError(key, "empty list", line)
+    out = []
+    for p in parts:
+        text = str(p).strip()
+        if rule.none is not None and text == rule.none:
+            out.append(None)
+            continue
+        try:
+            v = rule.parse(text)
+        except ValueError:
+            raise SpecError(key, f"expected {rule.parse.__name__}, got {p!r}", line) from None
+        if rule.choices and v not in rule.choices:
+            raise SpecError(key, f"must be one of {rule.choices}, got {v!r}", line)
+        # Written as "not >=" so that NaN fails the bound too.
+        if rule.lo is not None and not v >= rule.lo:
+            raise SpecError(key, f"value {v} is not >= {rule.lo}", line)
+        if rule.hi is not None and not v <= rule.hi:
+            raise SpecError(key, f"value {v} is not <= {rule.hi}", line)
+        out.append(v)
+    return tuple(out) if rule.many else out[0]
 
 
 def _validate_grid(spec: ExperimentSpec) -> None:
@@ -264,59 +360,14 @@ def _validate_grid(spec: ExperimentSpec) -> None:
             spec.config(point)
         except ValueError as e:
             raise SpecError("grid", f"point {point} is invalid: {e}") from e
-        if spec.kind == "validate":
-            q = point["quantity"]
-            if q in ("first_sender_source", "first_sender_other") and point["s"] != 0.0:
-                raise SpecError("quantity", f"{q} has a closed form only at s=0")
-            if q == "event_f" and not 0.0 < point["s"] < 1.0:
-                raise SpecError("quantity", "event_f needs 0 < s < 1")
-        if spec.kind == "attack" and spec.attack == "map":
-            ps = point.get("prior_size")
-            if ps is not None and ps > point["n"] - point["f"]:
-                raise SpecError("prior_size", f"prior larger than the non-curious set at {point}")
-
-
-def _as_int(key, value, line=None, lo=None):
-    v = _conv_int(key, value, line)
-    if lo is not None and v < lo:
-        raise SpecError(key, f"must be >= {lo}, got {v}", line)
-    return v
-
-
-def _conv_int(key, value, line=None):
-    try:
-        v = int(str(value).strip())
-    except ValueError:
-        raise SpecError(key, f"expected integer, got {value!r}", line) from None
-    return v
-
-
-def _conv_float(key, value, line=None):
-    try:
-        return float(str(value).strip())
-    except ValueError:
-        raise SpecError(key, f"expected number, got {value!r}", line) from None
-
-
-def _as_list(key, value, line=None, conv=str, lo=None, hi=None, none_word=None):
-    if isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
-        parts = [p.strip() for p in str(value).split(",") if p.strip()]
-    if not parts:
-        raise SpecError(key, "empty list", line)
-    out = []
-    for p in parts:
-        if none_word is not None and str(p).strip() == none_word:
-            out.append(None)
-            continue
-        v = conv(key, p, line) if conv is not str else str(p)
-        if lo is not None and v < lo:
-            raise SpecError(key, f"value {v} below minimum {lo}", line)
-        if hi is not None and v > hi:
-            raise SpecError(key, f"value {v} above maximum {hi}", line)
-        out.append(v)
-    return tuple(out)
+        q = point.get("quantity")
+        if q in ("first_sender_source", "first_sender_other") and point["s"] != 0.0:
+            raise SpecError("quantity", f"{q} has a closed form only at s=0")
+        if q == "event_f" and not 0.0 < point["s"] < 1.0:
+            raise SpecError("quantity", "event_f needs 0 < s < 1")
+        ps = point.get("prior_size")
+        if ps is not None and ps > point["n"] - point["f"]:
+            raise SpecError("prior_size", f"prior larger than the non-curious set at {point}")
 
 
 # ---------------------------------------------------------------------------
@@ -335,25 +386,16 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, jobs: int = 1) -> 
 
     points = spec.grid()
     t0 = time.perf_counter()
-    results: list[tuple[dict, Optional[list], Optional[str]]] = []
+    # Both branches return the results in grid order.
     if jobs > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for point, rows, err in pool.map(_point_worker, [(spec, p) for p in points]):
-                results.append((point, rows, err))
+            results = list(pool.map(_point_worker, [(spec, p) for p in points]))
     else:
-        for p in points:
-            results.append(_point_worker((spec, p)))
-    results.sort(key=lambda t: t[0]["g"])
+        results = [_point_worker((spec, p)) for p in points]
 
-    all_rows = []
-    failures = []
-    for point, rows, err in results:
-        if err is not None:
-            failures.append({"point": point, "error": err})
-        else:
-            all_rows.extend(rows)
-    header, fname = _SCHEMAS[spec.kind]
-    _write_csv(out / fname, header, all_rows)
+    failures = [{"point": p, **failure} for p, (_, failure) in zip(points, results) if failure]
+    all_rows = [row for rows, failure in results if not failure for row in rows]
+    _write_csv(out / f"{spec.kind}.csv", _KINDS[spec.kind][0], all_rows)
 
     manifest = {
         "name": spec.name,
@@ -373,179 +415,20 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, jobs: int = 1) -> 
 
 
 def _point_worker(args: tuple[ExperimentSpec, dict]):
+    """(rows, None) for a finished point, (None, failure) for a failed one."""
     spec, point = args
     try:
-        rows = _run_point(spec, point)
-        return point, rows, None
+        return _run_point(spec, point), None
     except Exception as e:  # keep completed points, report the rest
-        return point, None, f"{type(e).__name__}: {e}"
+        return None, {"error": f"{type(e).__name__}: {e}", "traceback": traceback.format_exc()}
 
 
 def _run_point(spec: ExperimentSpec, point: dict) -> list[list]:
-    rng = spawn_stream(spec.master_seed, point["g"])
-    n, s, f = point["n"], point["s"], point["f"]
-    if spec.kind == "trace":
-        trace = run_trace(spec.config(point), rng)
-        return [
-            [step, snd, rcv]
-            for step, (snd, rcv) in enumerate(zip(trace.senders.tolist(), trace.receivers.tolist()))
-        ]
-    if spec.kind == "spread":
-        summary = estimate_spreading(spec.config(point), spec.trials, rng)
-        return [
-            [
-                n,
-                _fmt(s),
-                f,
-                rnd,
-                _fmt(summary.informed_med[rnd]),
-                _fmt(summary.informed_p10[rnd]),
-                _fmt(summary.informed_p90[rnd]),
-                _fmt(summary.active_med[rnd]),
-                _fmt(summary.active_p10[rnd]),
-                _fmt(summary.active_p90[rnd]),
-            ]
-            for rnd in range(summary.informed_med.size)
-        ]
-    if spec.kind == "attack":
-        attack, param = _attack_spec(spec, point)
-        res = estimate_attack_precision(spec.config(point), attack, spec.trials, rng)
-        return [
-            [
-                n,
-                _fmt(s),
-                f,
-                spec.attack,
-                param,
-                spec.trials,
-                _fmt(res.precision.estimate),
-                _fmt(res.precision.ci_half_width),
-                _fmt(res.abstain_rate),
-            ]
-        ]
-    if spec.kind == "validate":
-        return [_validate_row(spec, point, rng)]
-    if spec.kind == "bounds":
-        return _bounds_rows(n, f, s)
-    raise AssertionError(f"unhandled kind {spec.kind}")
+    return _KINDS[spec.kind][1](spec, point, spawn_stream(spec.master_seed, point["g"]))
 
 
-def _attack_spec(spec: ExperimentSpec, point: dict):
-    if spec.attack == "map":
-        ps = point["prior_size"]
-        return MapAttackSpec(prior_size=ps), (ps if ps is not None else point["n"] - point["f"])
-    if spec.attack == "multi_rumor":
-        return MultiRumorAttackSpec(rumors=point["rumors"], k=spec.k), point["rumors"]
-    r = point["r"] if point["r"] is not None else silence_window(point["n"])
-    return SilenceAttackSpec(r=r), r
-
-
-def _validate_row(spec: ExperimentSpec, point: dict, rng) -> list:
-    n, s, f = point["n"], point["s"], point["f"]
-    q = point["quantity"]
-    cfg = spec.config(point)
-    if q == "first_sender_source":
-        closed = (f + 1) / n
-        res = estimate_event(cfg, EventSpec.first_sender_is(cfg.source), spec.trials, rng)
-    elif q == "first_sender_other":
-        closed = 1 / n
-        other = next(j for j in range(cfg.curious_lo) if j != cfg.source)
-        res = estimate_event(cfg, EventSpec.first_sender_is(other), spec.trials, rng)
-    elif q == "event_f":
-        closed = source_disclosure_prob(s, f, n)
-        res = estimate_source_disclosure(s, f, n, spec.trials, rng)
-    elif q == "strong_first_disclosure":
-        closed = f / n
-        res = estimate_event(cfg, EventSpec.timed_first_disclosure(), spec.trials, rng)
-    else:
-        raise AssertionError(q)
-    ok = abs(res.estimate - closed) <= 3.0 * res.ci_half_width
-    return [
-        q,
-        _fmt(s),
-        f,
-        n,
-        _fmt(closed),
-        _fmt(res.estimate),
-        _fmt(res.ci_half_width),
-        spec.trials,
-        str(ok).lower(),
-    ]
-
-
-def _bounds_rows(n: int, f: int, s: float) -> list[list]:
-    """The three privacy/speed regimes for one (n, f), the generic row at s."""
-    rows = [
-        [
-            "standard_push",
-            _fmt(1.0),
-            f,
-            n,
-            _fmt(0.0),
-            _fmt(1.0),
-            _fmt(param_c(1.0, f, n)),
-            _fmt(spreading_round_bound(n, 1.0)),
-        ],
-        [
-            "muting_after_send",
-            _fmt(0.0),
-            f,
-            n,
-            _fmt(0.0),
-            _fmt(optimal_delta(0.0, f, n)),
-            _fmt(optimal_c(f, n)),
-            _fmt(n * math.log(n)),
-        ],
-    ]
-    if 0.0 < s < 1.0:
-        rows.append(
-            [
-                "parameterized",
-                _fmt(s),
-                f,
-                n,
-                _fmt(0.0),
-                _fmt(param_delta_bound(s, f, n, 1)),
-                _fmt(param_c(s, f, n)),
-                _fmt(spreading_round_bound(n, s)),
-            ]
-        )
-    return rows
-
-
-_SCHEMAS = {
-    "trace": (["step", "sender", "receiver"], "trace.csv"),
-    "spread": (
-        [
-            "n",
-            "s",
-            "f",
-            "round",
-            "informed_med",
-            "informed_p10",
-            "informed_p90",
-            "active_med",
-            "active_p10",
-            "active_p90",
-        ],
-        "spread.csv",
-    ),
-    "attack": (
-        ["n", "s", "f", "attack", "param", "trials", "precision", "ci", "abstain_rate"],
-        "attack.csv",
-    ),
-    "validate": (
-        ["quantity", "s", "f", "n", "closed_form", "estimate", "ci", "trials", "pass"],
-        "validate.csv",
-    ),
-    "bounds": (
-        ["regime", "s", "f", "n", "epsilon", "delta", "c", "spreading_bound"],
-        "bounds.csv",
-    ),
-}
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(str(v) for v in row) for row in rows)
+def _write_csv(path: Path, header: str, rows: list[list]) -> None:
+    """Floats (numpy's included) at 10 significant digits, the rest by str."""
+    lines = [header]
+    lines.extend(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n")

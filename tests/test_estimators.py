@@ -256,6 +256,19 @@ def test_estimate_spreading_all_capped_raises():
             estimate_spreading(cfg, 5, spawn_stream(18, 2))
 
 
+@pytest.mark.parametrize("log2n", [8, 10, 12, 14])
+def test_run_sync_s1_matches_pittel(log2n):
+    # At s=1 the round engine is Pittel's push model, whose completion takes
+    # log2 n + ln n + O(1) rounds (Pittel 1987, "On spreading a rumor");
+    # an oracle for run_sync that does not go through AC04's log-fit.
+    n = 2**log2n
+    cfg = GossipConfig(n=n, f=round(0.1 * n), s=1.0)
+    sp = estimate_spreading(cfg, 200, spawn_stream(20, log2n))
+    assert sp.n_runs == 200
+    offset = float(np.median(sp.completion_rounds)) - (math.log2(n) + math.log(n))
+    assert 0.0 <= offset <= 3.0, offset
+
+
 def _held_curves(rounds_list, width, n):
     """Informed counts of rounds 1..width per run, held at n after completion."""
     out = np.full((len(rounds_list), width), n, dtype=np.int64)

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +10,7 @@ from mutegossip.cli import main
 from mutegossip.core import GossipConfig, spawn_stream
 from mutegossip.estimators import EventSpec, estimate_events
 from mutegossip.experiments import (
-    ExperimentSpec,
+    KINDS,
     SpecError,
     build_spec,
     parse_spec,
@@ -41,6 +43,14 @@ def test_parse_spec_range_error_names_key_and_line(tmp_path):
     assert err.value.line == 3
 
 
+def test_parse_spec_rejects_nan(tmp_path):
+    # NaN compares false with both bounds; it must be refused here rather
+    # than reach the grid expansion, where round(nan * n) raises ValueError.
+    with pytest.raises(SpecError) as err:
+        parse_spec(write(tmp_path, "name = demo\nkind = spread\nf_over_n = nan\n"))
+    assert (err.value.key, err.value.line) == ("f_over_n", 3)
+
+
 def test_parse_spec_unknown_key(tmp_path):
     with pytest.raises(SpecError) as err:
         parse_spec(write(tmp_path, BASE + "bogus = 3\n"))
@@ -64,6 +74,29 @@ def test_parse_spec_json_front_end(tmp_path):
     payload = {"name": "j", "kind": "attack", "attack": "map", "n": [128], "s": [1.0]}
     spec = parse_spec(write(tmp_path, json.dumps(payload), "exp.json"))
     assert spec.kind == "attack" and spec.attack == "map"
+
+
+@pytest.mark.parametrize(
+    "fname, text, key, line",
+    [
+        pytest.param("exp.cfg", "name = x\nkind = spread\nprior_size = abc\n", "prior_size", 3,
+                     id="spread-prior_size"),
+        pytest.param("exp.cfg", "name = x\nkind = attack\nattack = map\nr = 5\n", "r", 4,
+                     id="map-r"),
+        pytest.param("exp.cfg", "name = x\nkind = attack\nattack = silence\nk = 3\n", "k", 4,
+                     id="silence-k"),
+        pytest.param("exp.cfg", "name = x\nkind = attack\nquantity = event_f\nattack = map\n",
+                     "quantity", 3, id="attack-quantity"),
+        pytest.param("exp.json", json.dumps({"name": "j", "kind": "bounds", "rumors": [1, 2]}),
+                     "rumors", None, id="json-bounds-rumors"),
+    ],
+)
+def test_parse_spec_rejects_keys_the_spec_does_not_use(tmp_path, fname, text, key, line):
+    # Accepting such a key would drop it, unparsed, from spec.cfg.
+    with pytest.raises(SpecError) as err:
+        parse_spec(write(tmp_path, text, fname))
+    assert (err.value.key, err.value.line) == (key, line)
+    assert "not used by" in str(err.value)
 
 
 def test_parse_twice_is_byte_identical(tmp_path):
@@ -183,7 +216,10 @@ def test_run_experiment_keeps_partial_results(tmp_path, monkeypatch):
     assert status == 1
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["points_failed"] == 1
-    assert "boom" in manifest["failures"][0]["error"]
+    failure = manifest["failures"][0]
+    assert failure["point"]["g"] == 1
+    assert "boom" in failure["error"]
+    assert "flaky" in failure["traceback"] and "boom" in failure["traceback"]
     rows = (tmp_path / "out" / "bounds.csv").read_text().splitlines()
     assert len(rows) == 1 + 3  # the surviving grid point's rows
 
@@ -197,6 +233,27 @@ def test_trace_dump_schema(tmp_path):
     assert lines[0] == "step,sender,receiver"
     step, sender, _ = lines[1].split(",")
     assert step == "0" and sender == "0"
+
+
+# The smallest run of each kind; README's CSV contract is checked against
+# the header each one writes.
+TINY_RUNS = {
+    "trace": {"n": "8"},
+    "spread": {"n": "8", "trials": "2"},
+    "attack": {"attack": "map", "n": "16", "trials": "2"},
+    "validate": {"n": "16", "s": "0", "quantity": "first_sender_source", "trials": "10"},
+    "bounds": {"n": "16"},
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_readme_csv_header_matches_run_experiment(tmp_path, kind):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    documented = dict(re.findall(r"^\s*\* `(\w+)\.csv`: `([^`]+)`$", readme, re.M))
+    items = {"name": (kind, None), "kind": (kind, None)}
+    items.update({k: (v, None) for k, v in TINY_RUNS[kind].items()})
+    assert run_experiment(build_spec(items), tmp_path) == 0
+    assert (tmp_path / f"{kind}.csv").read_text().splitlines()[0] == documented[kind]
 
 
 # sha256 of attack.csv for small attack grids.  They pin the draw order of
