@@ -1,149 +1,155 @@
 """Exact small-instance posterior oracle.
 
-For tiny complete graphs with a single curious node, the probability that a
-complete run produces a given observed sender sequence can be computed
-exactly (as Fractions) by dynamic programming over absorbing layers, for
-the two extreme muting regimes:
+For tiny complete graphs with one curious node c = n-1 (f = 1), it gives
+the exact probability (a Fraction) that a complete run produces a given
+observed sender sequence, for every rational s and for delayed start.  A run
+is one absorbing Markov chain on (informed set I, active set A) whose step
+rule `_moves` states once: a uniform sender from A mutes with probability
+1-s, a uniform receiver joins A and I, a send to c is observed.  Delayed
+start is the same chain at s=1, entered after the source's forced mute.
 
-* s=0: exactly one node is active, so a run is a walk; the layer state is
-  (matched prefix length, walker position, informed set).
-* s=1: the active set always equals the informed set and the sender draw
-  is memoryless, so the layer state is just (matched prefix length,
-  informed set).
-
-Layers only grow in (|informed|, matched length), so each layer reduces to
-a one-unknown linear equation -- no matrix solves, no truncation error.
-The oracle exists to check attack optimality claims against enumerated
-posteriors, independently of the simulation engines.
+V(w, I, A) is the probability that a run in state (I, A) ends with exactly
+the observed senders w still to come.  I only grows and w only shrinks, so
+the states sharing (w, I) form a layer that a step either keeps (informed,
+non-curious receiver) or leaves for a layer solved before.  In a layer
+V = (Id - Q)^-1 b, with Q the step matrix over the active sets reachable at
+I and b the mass leaving it (the fundamental matrix of an absorbing chain;
+Kemeny & Snell, Finite Markov Chains, 3.2).  Q does not depend on w, so each
+informed set's matrix is inverted once and serves every observation, and
+observations that share a suffix share its values.  The oracle checks
+attack optimality claims independently of the simulation engines.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import Optional, Sequence
 
 from .adversary import FirstInPrior, feed_all
+from .core import GossipConfig
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _check_instance(n: int, s: float) -> None:
-    if not 3 <= n <= 8:
-        raise ValueError("exact enumeration is for small n (3..8)")
-    if s not in (0, 1, 0.0, 1.0):
-        raise ValueError("exact enumeration supports s in {0, 1}")
+def _moves(n: int, s: Fraction, active: int) -> list[tuple[Fraction, int, int, int]]:
+    """One step from an active set: (probability, sender, receiver, next active set)."""
+    senders = [i for i in range(n) if active >> i & 1]
+    out = []
+    for i in senders:
+        for p, kept in ((s, active), (1 - s, active & ~(1 << i))):
+            if p:
+                out += [(p / (len(senders) * n), i, j, kept | 1 << j) for j in range(n)]
+    return out
 
 
-def _walk_value_table(n: int, obs: Sequence[int]) -> dict[tuple[int, int], dict[int, Fraction]]:
-    """V[(k, mask)][u]: probability that an s=0 run finishes with exactly the
-    remaining observation matched, from walker u, informed set mask, k
-    entries already matched.  One sweep serves every candidate source."""
-    c = n - 1
-    m = len(obs)
-    full = (1 << n) - 1
-    step = Fraction(1, n)
-    V: dict[tuple[int, int], dict[int, Fraction]] = {}
-
-    masks = sorted(range(1, full + 1), key=lambda msk: bin(msk).count("1"), reverse=True)
-    for mask in masks:
-        if mask == full:
-            continue
-        nodes = [u for u in range(n) if mask >> u & 1]
-        inner = [u for u in nodes if u != c]
-        for k in range(m, -1, -1):
-            spread = ZERO
-            for v in range(n):
-                if v == c or mask >> v & 1:
-                    continue
-                nxt = mask | (1 << v)
-                spread += (ONE if k == m else ZERO) if nxt == full else V[(k, nxt)][v]
-
-            # V(u) = W/n + b(u) with W = sum of V over informed non-curious
-            # nodes; b(u) carries the cross-layer mass (newly informed nodes
-            # plus, for the walker matching the next expected sender, an
-            # emission).  Any emission that breaks the match is dead mass.
-            b = {u: step * spread for u in nodes}
-            if k < m and obs[k] in b:
-                nxt = mask | (1 << c)
-                emit_value = (ONE if k + 1 == m else ZERO) if nxt == full else V[(k + 1, nxt)][c]
-                b[obs[k]] += step * emit_value
-            w_sum = sum((b[u] for u in inner), ZERO)
-            W = w_sum * n / (n - len(inner))
-            V[(k, mask)] = {u: W * step + b[u] for u in nodes}
-    return V
+def _entries(n: int, delayed: bool, source: int) -> list[tuple[Fraction, int, int, int]]:
+    """Where a run from `source` enters the chain, as (probability, observed sender
+    or -1, informed set, active set): under delayed start, after its forced mute."""
+    if not delayed:
+        return [(ONE, -1, 1 << source, 1 << source)]
+    return [(p, i if j == n - 1 else -1, 1 << i | 1 << j, nxt)
+            for p, i, j, nxt in _moves(n, ZERO, 1 << source)]
 
 
-def walk_sequence_probability(n: int, source: int, obs: Sequence[int]) -> Fraction:
-    """P(complete s=0 run from `source` produces exactly the observed sender
-    sequence `obs`), with the single curious node c = n-1."""
-    if not 0 <= source < n - 1:
-        raise ValueError("source must be non-curious")
-    return _walk_value_table(n, obs)[(0, 1 << source)][source]
+def _fundamental(q: list[list[Fraction]]) -> list[list[Fraction]]:
+    """(Id - q)^-1 by Gauss-Jordan.  Id - q is strictly diagonally dominant
+    (every state leaves its layer with probability >= 1/n), so no pivoting."""
+    k = len(q)
+    rows = [[(r == col) - x for col, x in enumerate(row)] + [Fraction(r == col) for col in range(k)]
+            for r, row in enumerate(q)]
+    for col in range(k):
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(k):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [row[k:] for row in rows]
 
 
-def _push_value_table(n: int, obs: Sequence[int]) -> dict[tuple[int, int], Fraction]:
-    """V[(k, mask)] for the s=1 engine: the sender draw is memoryless (the
-    active set equals the informed set), so no walker coordinate."""
-    c = n - 1
-    m = len(obs)
-    full = (1 << n) - 1
-    step = Fraction(1, n)
-
-    V: dict[tuple[int, int], Fraction] = {}
-    masks = sorted(range(1, full + 1), key=lambda msk: bin(msk).count("1"), reverse=True)
-    for mask in masks:
-        if mask == full:
-            continue
-        size = bin(mask).count("1")
-        stay = Fraction(size - (1 if mask >> c & 1 else 0), n)  # informed non-c receiver
-        for k in range(m, -1, -1):
-            b = ZERO
-            for v in range(n):
-                if v == c or mask >> v & 1:
-                    continue
-                nxt = mask | (1 << v)
-                b += step * ((ONE if k == m else ZERO) if nxt == full else V[(k, nxt)])
-            if k < m and mask >> obs[k] & 1:
-                nxt = mask | (1 << c)
-                emit_value = (ONE if k + 1 == m else ZERO) if nxt == full else V[(k + 1, nxt)]
-                b += step * Fraction(1, size) * emit_value
-            V[(k, mask)] = b / (ONE - stay)
-    return V
+@cache
+def _layers(n: int, s: Fraction, delayed: bool) -> dict[int, tuple]:
+    """Per informed set: the index of each reachable active set, (Id - Q)^-1, and per
+    active set its moves out of the layer as {(observed sender or -1, I, A): p}."""
+    c, full = n - 1, (1 << n) - 1
+    todo = [(i, a) for x in range(c) for _, _, i, a in _entries(n, delayed, x)]
+    reach: dict[int, set[int]] = {}
+    while todo:
+        informed, active = todo.pop()
+        if informed != full and active not in reach.setdefault(informed, set()):
+            reach[informed].add(active)
+            todo += [(informed | 1 << j, nxt) for _, _, j, nxt in _moves(n, s, active)]
+    layers = {}
+    for informed, actives in reach.items():
+        index = {a: k for k, a in enumerate(sorted(actives))}
+        q = [[ZERO] * len(index) for _ in index]
+        leave: list[dict] = [{} for _ in index]
+        for active, k in index.items():
+            for p, i, j, nxt in _moves(n, s, active):
+                key = (i if j == c else -1, informed | 1 << j, nxt)
+                if key[:2] == (-1, informed):
+                    q[k][index[nxt]] += p
+                else:
+                    leave[k][key] = leave[k].get(key, ZERO) + p
+        layers[informed] = (index, _fundamental(q), leave)
+    return layers
 
 
-def push_sequence_probability(n: int, source: int, obs: Sequence[int]) -> Fraction:
-    """P(complete s=1 run from `source` produces exactly the observed sender
-    sequence `obs`), with the single curious node c = n-1."""
-    if not 0 <= source < n - 1:
-        raise ValueError("source must be non-curious")
-    return _push_value_table(n, obs)[(0, 1 << source)]
+class _Values:
+    """V(w, I, A) for one (n, s, variant), memoized per (w, I) layer."""
+
+    def __init__(self, n: int, s: Fraction, delayed: bool):
+        if not (3 <= n <= 8 and 0 <= s <= 1):
+            raise ValueError(f"exact enumeration is for small n (3..8) and s in [0, 1]: {n}, {s}")
+        self.full, self.entries = (1 << n) - 1, [_entries(n, delayed, x) for x in range(n - 1)]
+        self.layers = _layers(n, s, delayed)
+        self.memo: dict[tuple[tuple[int, ...], int], tuple[Fraction, ...]] = {}
+
+    def after(self, w: tuple[int, ...], sender: int, informed: int, active: int) -> Fraction:
+        """Value on landing in (informed, active) by a step observing `sender` (-1: none)."""
+        if sender >= 0:
+            if not w or w[0] != sender:
+                return ZERO
+            w = w[1:]
+        if informed == self.full:
+            return ZERO if w else ONE
+        index, inv, leave = self.layers[informed]
+        v = self.memo.get((w, informed))
+        if v is None:
+            b = [sum((p * self.after(w, *key) for key, p in out.items()), ZERO) for out in leave]
+            v = tuple(sum((r * x for r, x in zip(row, b) if x), ZERO) for row in inv)
+            self.memo[(w, informed)] = v
+        return v[index[active]]
+
+    def start(self, w: tuple[int, ...], source: int) -> Fraction:
+        return sum((p * self.after(w, *e) for p, *e in self.entries[source]), ZERO)
+
+
+def sequence_probability(config: GossipConfig, obs: Sequence[int]) -> Fraction:
+    """P(a complete run of `config` observes exactly the sender sequence
+    `obs`), for f = 1 (curious node n-1) and no step cap.  s is taken
+    exactly: a Fraction as itself, a float as its binary value."""
+    if config.f != 1 or config.step_cap is not None:
+        raise ValueError("exact enumeration needs f=1 and no step cap")
+    delayed = config.variant == "delayed_start"
+    return _Values(config.n, Fraction(config.s), delayed).start(tuple(obs), config.source)
 
 
 def exact_observation_posteriors(
-    n: int, s: float, max_len: int
+    n: int, s: float | Fraction, max_len: int
 ) -> dict[tuple[int, ...], dict[int, Fraction]]:
-    """Exact run probabilities p_i(obs) for every reachable observed sender
-    sequence up to length max_len and every non-curious candidate source i.
-
-    The curious set is {n-1} (f=1).  Probabilities are of the *complete*
-    observation equaling obs; sequences reachable from no source are
-    dropped.
-    """
-    _check_instance(n, s)
-    walk = s in (0, 0.0)
-    sources = range(n - 1)
+    """Exact run probabilities p_i(obs) for every observed sender sequence up to
+    length max_len and every non-curious candidate source i, with the curious set
+    {n-1} (f=1) and the parameterized variant.  Probabilities are of the *complete*
+    observation equaling obs; sequences reachable from no source are dropped."""
+    values = _Values(n, Fraction(s), False)
     out: dict[tuple[int, ...], dict[int, Fraction]] = {}
     for length in range(max_len + 1):
         for obs in product(range(n), repeat=length):
-            if walk:
-                table = _walk_value_table(n, obs)
-                ps = {i: table[(0, 1 << i)][i] for i in sources}
-            else:
-                table = _push_value_table(n, obs)
-                ps = {i: table[(0, 1 << i)] for i in sources}
-            if any(p > 0 for p in ps.values()):
+            ps = {i: values.start(obs, i) for i in range(n - 1)}
+            if any(ps.values()):
                 out[obs] = ps
     return out
 
@@ -163,22 +169,12 @@ def map_optimality_violations(
         raise ValueError("posteriors is empty")
     sources = sorted(next(iter(posteriors.values())).keys())
     if priors is None:
-        priors = _nonempty_subsets(sources)
+        priors = [frozenset(x for k, x in enumerate(sources) if bits >> k & 1)
+                  for bits in range(1, 1 << len(sources))]
     bad = []
     for obs, ps in posteriors.items():
         for prior in priors:
             pick = feed_all(FirstInPrior(prior), obs).found
-            if pick is None:
-                continue
-            p_pick = ps[pick]
-            for i in prior:
-                if ps[i] > p_pick:
-                    bad.append((obs, prior, i))
+            if pick is not None:
+                bad += [(obs, prior, i) for i in prior if ps[i] > ps[pick]]
     return bad
-
-
-def _nonempty_subsets(items: Sequence[int]) -> list[frozenset[int]]:
-    out = []
-    for bits in range(1, 1 << len(items)):
-        out.append(frozenset(items[i] for i in range(len(items)) if bits >> i & 1))
-    return out
