@@ -45,11 +45,15 @@ def main(argv: list[str] | None = None) -> int:
             items = {k: (v, None) for k, v in _spec_items(spec)}
         items.setdefault("name", (args.kind, None))
         items["kind"] = (args.kind, None)
+        given: dict = {}  # key=value arguments override the file's keys
         for tok in args.overrides:
             if "=" not in tok:
                 raise SpecError("<arg>", f"expected key=value, got {tok!r}")
-            key, _, value = tok.partition("=")
-            items[key.strip()] = (value.strip(), None)
+            key, _, value = (part.strip() for part in tok.partition("="))
+            if key in given:
+                raise SpecError(key, "given twice on the command line")
+            given[key] = (value, None)
+        items.update(given)
         if "GOSSIP_SEED" in os.environ:
             items["master_seed"] = (os.environ["GOSSIP_SEED"], None)
         if args.seed is not None:

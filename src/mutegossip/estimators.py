@@ -113,34 +113,21 @@ class EventSpec:
 def _first_observed_senders_s0(
     config: GossipConfig, trials: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, int]:
-    """Vectorized s=0 fast path: the first observed sender of each trial.
+    """s=0 fast path: the first observed sender of each trial, from its law.
 
-    At s=0 exactly one node is active, so the run is a walk whose state is
-    a single node id; all trials advance in lockstep and drop out at their
-    first curious receiver.  Returns (first senders, -1 where the step cap
-    hit; count of capped trials).
+    At s=0 the run is a walk: each step's receiver sends the next step.  The
+    first observed entry comes at step T ~ Geometric(f/n); its sender is the
+    source if T = 1, else the previous receiver, which was not curious and is
+    uniform on [0, curious_lo).  Returns (first senders, -1 where T exceeds
+    the step cap; count of capped trials).
     """
-    n = config.n
-    lo = config.curious_lo
-    cap = config.max_steps
-    out = np.full(trials, -1, dtype=np.int64)
     if config.f == 0:
-        return out, 0  # complete runs with an empty observation, not capped
-    cur = np.full(trials, config.source, dtype=np.int64)
-    idx = np.arange(trials)
-    steps = 0
-    while idx.size and steps < cap:
-        r = rng.integers(0, n, size=idx.size)
-        hit = r >= lo
-        if hit.any():
-            out[idx[hit]] = cur[hit]
-            keep = ~hit
-            idx = idx[keep]
-            cur = r[keep]
-        else:
-            cur = r
-        steps += 1
-    return out, int(idx.size)
+        return np.full(trials, -1, dtype=np.int64), 0  # complete, empty observation
+    steps = rng.geometric(config.f / config.n, size=trials)
+    out = np.where(steps == 1, config.source, rng.integers(0, config.curious_lo, size=trials))
+    capped = steps > config.max_steps
+    out[capped] = -1
+    return out, int(np.count_nonzero(capped))
 
 
 def _coupon_runs_s0(config: GossipConfig, trials: int, rng: np.random.Generator):
@@ -164,8 +151,8 @@ def _coupon_runs_s0(config: GossipConfig, trials: int, rng: np.random.Generator)
             continue
         held[:-1] = w
         held[0] -= 1  # the second node is informed *in* round waits[0]
-        ones = np.ones(rounds, dtype=np.int64)
-        yield True, RoundTrace(np.repeat(counts, held), ones, ones)
+        one = np.broadcast_to(np.int64(1), (rounds,))
+        yield True, RoundTrace(np.repeat(counts, held), one, one)
 
 
 def _sync_runs(config: GossipConfig, trials: int, rng: np.random.Generator):
@@ -460,32 +447,14 @@ def estimate_spreading(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = config.n
-    runs = _coupon_runs_s0 if config.s == 0.0 else _sync_runs
-    informed_curves: list[np.ndarray] = []
-    active_curves: list[np.ndarray] = []
-    completion: list[int] = []
-    totals: list[int] = []
-    plateaus: list[float] = []
-    n_capped = 0
-    for complete, rounds in runs(config, trials, rng):
-        if not complete:
-            n_capped += 1
-            continue
-        informed_curves.append(rounds.informed / n)
-        active_curves.append(rounds.active / n)
-        completion.append(len(rounds))
-        totals.append(int(rounds.messages.sum()))
-        late = rounds.informed > 0.99 * n
-        if late.any():
-            plateaus.append(float(np.mean(rounds.active[late]) / n))
-    if not informed_curves:
+    engine = _coupon_runs_s0 if config.s == 0.0 else _sync_runs
+    runs = [rounds for complete, rounds in engine(config, trials, rng) if complete]
+    if not runs:
         raise RuntimeError("every run hit the step cap; raise step_cap")
-
-    width = max(c.size for c in informed_curves)
-    informed_mat = np.vstack([_pad_hold(c, width) for c in informed_curves])
-    active_mat = np.vstack([_pad_hold(c, width) for c in active_curves])
-    inf_p10, inf_med, inf_p90 = np.percentile(informed_mat, [10, 50, 90], axis=0)
-    act_p10, act_med, act_p90 = np.percentile(active_mat, [10, 50, 90], axis=0)
+    late = (rounds.active[rounds.informed > 0.99 * n] for rounds in runs)
+    plateaus = [np.mean(active) / n for active in late if active.size]
+    inf_p10, inf_med, inf_p90 = _bands([rounds.informed for rounds in runs], n)
+    act_p10, act_med, act_p90 = _bands([rounds.active for rounds in runs], n)
     return SpreadingSummary(
         config=config,
         informed_med=inf_med,
@@ -494,15 +463,20 @@ def estimate_spreading(
         active_med=act_med,
         active_p10=act_p10,
         active_p90=act_p90,
-        completion_rounds=np.array(completion, dtype=np.int64),
-        total_messages=np.array(totals, dtype=np.int64),
+        completion_rounds=np.array([len(rounds) for rounds in runs], dtype=np.int64),
+        total_messages=np.array([rounds.messages.sum() for rounds in runs], dtype=np.int64),
         plateau_median=float(np.median(plateaus)),
-        n_runs=len(informed_curves),
-        n_capped=n_capped,
+        n_runs=len(runs),
+        n_capped=trials - len(runs),
     )
 
 
-def _pad_hold(curve: np.ndarray, width: int) -> np.ndarray:
-    if curve.size == width:
-        return curve
-    return np.concatenate([curve, np.full(width - curve.size, curve[-1])])
+def _bands(curves: list[np.ndarray], n: int) -> np.ndarray:
+    """The 10th, 50th and 90th percentiles per round of int count curves, as
+    fractions of n; each curve holds its last value after it ends."""
+    mat = np.empty((len(curves), max(c.size for c in curves)))
+    for row, c in zip(mat, curves):
+        row[: c.size] = c
+        row[c.size :] = c[-1]
+    mat /= n
+    return np.percentile(mat, [10, 50, 90], axis=0, overwrite_input=True)

@@ -163,10 +163,8 @@ def _spread_rows(spec: ExperimentSpec, point: dict, rng) -> list[list]:
     summary = estimate_spreading(spec.config(point), spec.trials, rng)
     # The six curve columns are named after the summary's fields.
     curves = [getattr(summary, col) for col in _KINDS["spread"][0].split(",")[4:]]
-    return [
-        [point["n"], point["s"], point["f"], rnd, *(c[rnd] for c in curves)]
-        for rnd in range(summary.informed_med.size)
-    ]
+    head = [point["n"], point["s"], point["f"]]
+    return [[*head, rnd, *row] for rnd, row in enumerate(np.column_stack(curves).tolist())]
 
 
 def _attack_rows(spec: ExperimentSpec, point: dict, rng) -> list[list]:
@@ -281,7 +279,7 @@ def parse_spec(path: str | Path) -> ExperimentSpec:
     text = path.read_text()
     if path.suffix == ".json" or text.lstrip().startswith("{"):
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:
             raise SpecError("<json>", f"invalid JSON: {e}") from e
         items = {str(k): (v, None) for k, v in raw.items()}
@@ -293,9 +291,21 @@ def parse_spec(path: str | Path) -> ExperimentSpec:
                 continue
             if "=" not in stripped:
                 raise SpecError("<line>", f"expected key = value, got {stripped!r}", lineno)
-            key, _, value = stripped.partition("=")
-            items[key.strip()] = (value.strip(), lineno)
+            key, _, value = (part.strip() for part in stripped.partition("="))
+            if key in items:
+                raise SpecError(key, f"given twice, first on line {items[key][1]}", lineno)
+            items[key] = (value, lineno)
     return build_spec(items)
+
+
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A JSON object's members as a dict; a key given twice is an error."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise SpecError(key, "given twice")
+        out[key] = value
+    return out
 
 
 def build_spec(items: dict) -> ExperimentSpec:

@@ -1,16 +1,24 @@
-"""The demos import only names the package provides.
+"""The demos import only names the package provides, and the spreading
+demo runs.
 
-Each demo is parsed, not run (they simulate at full size); every name a
-demo imports from mutegossip must exist on the module it names.
+Every demo is parsed, and every name it imports from mutegossip must exist
+on the module it names.  The others simulate at full size, so only the
+spreading demo is run (about 2 s): it is the one caller of
+completion_rounds, total_messages and plateau_median on both engines.
 """
 
 import ast
 import importlib
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _imports(path: Path) -> list[tuple[str, str]]:
@@ -36,3 +44,15 @@ def test_demo_imports_resolve(path):
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing, f"{path.name} imports names the package lacks: {missing}"
+
+
+def test_spreading_demo_runs():
+    path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "01_spreading.py")],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    # At s = 0 one node sends per round, so the rounds equal the messages.
+    line = re.search(r"^ +0 +(\d+) +(\d+)$", done.stdout, re.MULTILINE)
+    assert line and line[1] == line[2], done.stdout

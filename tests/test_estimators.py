@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from mutegossip.adversary import ObservedPrefix
 from mutegossip.bounds import optimal_delta, param_c, source_disclosure_prob
 from mutegossip.core import GossipConfig, spawn_stream
 from mutegossip.estimators import (
@@ -13,6 +15,8 @@ from mutegossip.estimators import (
     MultiRumorAttackSpec,
     SilenceAttackSpec,
     _coupon_runs_s0,
+    _first_observed_senders_s0,
+    _observe_until,
     estimate_attack_precision,
     estimate_dp_gap,
     estimate_event,
@@ -112,6 +116,37 @@ def test_timed_first_disclosure_rate():
     cfg = GossipConfig(n=1000, f=100, s=0.0)
     r = estimate_event(cfg, EventSpec.timed_first_disclosure(), 100_000, spawn_stream(11, 0))
     assert abs(r.estimate - 0.1) <= 3 * r.ci_half_width
+
+
+def test_first_observed_senders_s0_match_exact_marginals():
+    # n=4, f=1, source 0: the exact first-sender law 2/4, 1/4, 1/4 and 0,
+    # which test_exact derives from exact_observation_posteriors.
+    cfg = GossipConfig(n=4, f=1, s=0.0)
+    first, capped = _first_observed_senders_s0(cfg, 200_000, spawn_stream(21, 0))
+    assert capped == 0
+    counts = np.bincount(first, minlength=4)
+    assert counts[3] == 0
+    assert stats.chisquare(counts[:3], 200_000 * np.array([0.5, 0.25, 0.25])).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n, f, step_cap", [(20, 2, None), (20, 2, 3), (64, 6, 8)])
+def test_first_observed_senders_s0_match_engine(n, f, step_cap):
+    # The s=0 law against the per-node engine stopped at its first observed
+    # entry: two-sample chi-square over the classes {each node, capped}.
+    cfg = GossipConfig(n=n, f=f, s=0.0, step_cap=step_cap)
+    stream = 100 * n + (step_cap or 0)
+    law, capped = _first_observed_senders_s0(cfg, 200_000, spawn_stream(22, stream))
+    assert capped == np.count_nonzero(law < 0)
+    rng = spawn_stream(23, stream)
+    engine = []
+    for _ in range(20_000):
+        prefix = ObservedPrefix(1)
+        engine.append(-1 if _observe_until(cfg, rng, prefix) else prefix.senders[0])
+    table = np.vstack([np.bincount(np.add(x, 1), minlength=n + 1) for x in (law, engine)])
+    assert stats.chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue > 1e-3
+    # The cap binds iff the first `step_cap` receivers all miss the f curious.
+    expect = (1 - f / n) ** cfg.max_steps
+    assert abs(capped / law.size - expect) <= 4 * math.sqrt(expect * (1 - expect) / law.size) + 1e-9
 
 
 def test_estimate_source_disclosure_matches_closed_form():
@@ -254,6 +289,38 @@ def test_estimate_spreading_all_capped_raises():
         cfg = GossipConfig(n=256, f=26, s=s, step_cap=10)
         with pytest.raises(RuntimeError):
             estimate_spreading(cfg, 5, spawn_stream(18, 2))
+
+
+# sha256 of a SpreadingSummary on stream (2027, 10): the six band arrays,
+# completion_rounds and total_messages as raw bytes, then
+# repr((plateau_median, n_runs, n_capped)).  They pin estimate_spreading's
+# aggregation, capped runs included, on both engines.
+GOLDEN_SUMMARIES = {
+    "s0": (
+        GossipConfig(n=64, f=6, s=0.0), 40,
+        "d2f3b6c0ab77158f073cab560f06bbcbf4c50caac6abad722a7bc71eaa5e0054",
+    ),
+    "s0_capped": (  # 17 of 40 runs capped
+        GossipConfig(n=64, f=6, s=0.0, step_cap=300), 40,
+        "5b352df7d696ab333b0c52ec749de084e8786dcfc167744de30bcc40aa23eedf",
+    ),
+    "s05_capped": (  # 7 of 20 runs capped
+        GossipConfig(n=128, f=13, s=0.5, step_cap=700), 20,
+        "c7b4e5fc2619c44d8af19f36dbabdb7175db506bd6e8ec197690acc79eae006e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_SUMMARIES)
+def test_spreading_summary_golden(name):
+    cfg, trials, digest = GOLDEN_SUMMARIES[name]
+    sp = estimate_spreading(cfg, trials, spawn_stream(2027, 10))
+    h = hashlib.sha256()
+    for a in (sp.informed_med, sp.informed_p10, sp.informed_p90, sp.active_med,
+              sp.active_p10, sp.active_p90, sp.completion_rounds, sp.total_messages):
+        h.update(a.tobytes())
+    h.update(repr((sp.plateau_median, sp.n_runs, sp.n_capped)).encode())
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("log2n", [8, 10, 12, 14])

@@ -76,6 +76,18 @@ def test_parse_spec_json_front_end(tmp_path):
     assert spec.kind == "attack" and spec.attack == "map"
 
 
+def test_parse_spec_rejects_duplicate_keys(tmp_path):
+    # A key given twice used to be silently last-wins.
+    with pytest.raises(SpecError) as err:
+        parse_spec(write(tmp_path, "name = d\nkind = spread\ns = 0.5\n\ns = 1\n"))
+    assert (err.value.key, err.value.line) == ("s", 5)
+    assert "first on line 3" in str(err.value)
+    text = '{"name": "j", "kind": "spread", "n": [64], "n": [128]}'
+    with pytest.raises(SpecError) as err:
+        parse_spec(write(tmp_path, text, "exp.json"))
+    assert err.value.key == "n" and "given twice" in str(err.value)
+
+
 @pytest.mark.parametrize(
     "fname, text, key, line",
     [
@@ -350,6 +362,19 @@ def test_cli_env_seed_override(tmp_path, monkeypatch):
         ]
     )
     assert (out1 / "validate.csv").read_bytes() == (out2 / "validate.csv").read_bytes()
+
+
+def test_cli_rejects_duplicate_override(tmp_path, capsys):
+    status = main(["spread", "--out", str(tmp_path / "x"), "n=64", "n=128", "trials=2"])
+    assert status == 2
+    assert "'n'" in capsys.readouterr().err and not (tmp_path / "x").exists()
+
+
+def test_cli_override_replaces_spec_key(tmp_path):
+    spec = write(tmp_path, "name = o\nkind = spread\nn = 64\ns = 1\ntrials = 2\n")
+    out = tmp_path / "o"
+    assert main(["spread", "--spec", str(spec), "--out", str(out), "n=32"]) == 0
+    assert "n = 32\n" in (out / "spec.cfg").read_text()
 
 
 def test_cli_rejects_bad_override(tmp_path, capsys):
