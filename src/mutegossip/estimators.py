@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .adversary import (
     silence_window,
 )
 from .core import GossipConfig, RoundTrace, split_stream
-from .protocols import _sequential_run, run_sync
+from .protocols import run_sync
 
 Z99 = 2.576  # 99% two-sided normal quantile, as reported alongside estimates
 
@@ -108,6 +108,363 @@ class EventSpec:
         """Evaluate on the observed sender prefix (>= horizon entries, or
         the complete view if shorter)."""
         return self.node in senders[: self.horizon]
+
+
+# ---------------------------------------------------------------------------
+# Lumped lockstep engine
+#
+# On the complete graph the nodes outside a few labelled ones are
+# exchangeable within their class, so a run lumps to per-class counts of
+# active, muted and uninformed nodes plus the states of the labelled nodes
+# (strong lumpability; Kemeny & Snell, Finite Markov Chains, 6.3).  The
+# labelled nodes are the source and every observed sender: an unlabelled
+# sender that is observed takes a fresh id, uniform over the unused ids of
+# its class, and keeps it.  A labelled node has sent or is the source, so it
+# is informed.  Many runs ("lanes") advance together on numpy arrays, and
+# Python runs only once per observed entry, to feed the lane's decider; the
+# last lanes of a long tail, and lanes with many labels, end one by one in
+# Python (_lone_lane), where a step costs less than a step of the arrays.
+#
+# One step of a lane: a uniform sender among the active nodes, laid out as
+# each class's unlabelled active nodes, then the active labelled slots; its
+# mute coin (forced on the first step of a delayed start); a uniform receiver
+# among the n nodes, laid out as the labelled slots, then each class's
+# [active, muted, uninformed] nodes as they were before the sender muted.  An
+# unlabelled sender holds the first place of its class's active block, which
+# tells a send to itself apart.  A lane's counts are the rows of
+# _lumped_views' state: labelled nodes, then per class active, muted and
+# uninformed nodes, then active labelled nodes, uninformed nodes and steps.
+
+_LANES = 2048  # lanes stepped together at most; bounds the engine's arrays
+_TAIL = 256  # with fewer lanes left and none waiting, each ends alone (_lone_lane)
+_CROWD = 256  # a lane with this many labelled nodes ends alone, which bounds W
+
+
+def _pools(config: GossipConfig, prior_size: Optional[int] = None) -> list[tuple[np.ndarray, bool]]:
+    """The ids of each class of exchangeable nodes, and whether it is curious:
+    the non-curious nodes but the source (with a MAP prior, split into the
+    rest and the last prior_size-1 of them, the prior but its source), then
+    the curious nodes last.  A class may be empty."""
+    others = np.delete(np.arange(config.curious_lo), config.source)
+    split = [] if prior_size is None else [others.size - prior_size + 1]
+    noncurious = [(ids, False) for ids in np.split(others, split)]
+    return noncurious + [(np.arange(config.curious_lo, config.n), True)]
+
+
+def _count_moves(K: int) -> np.ndarray:
+    """The change of a lane's counts for each step outcome, one column per
+    ((sender class * 2 + mute) * (3K+1) + receiver block) * 2 + self-send.
+    Sender class K is a labelled sender; receiver block 0 is a labelled slot
+    and block 1+3c+b is class c's active (b=0), muted (1) or uninformed (2)
+    nodes."""
+    blocks = 3 * K + 1
+    moves = np.zeros((3 * K + 4, (K + 1) * 2 * blocks * 2), np.int64)
+    for col, move in enumerate(moves.T):
+        rest, self_send = divmod(col, 2)
+        rest, block = divmod(rest, blocks)
+        sender, mute = divmod(rest, 2)
+        move[-1] = 1  # steps
+        if sender < K and mute and not self_send:  # the sender goes quiet
+            move[1 + 3 * sender] -= 1
+            move[2 + 3 * sender] += 1
+        c, b = divmod(block - 1, 3)
+        if block and b:  # a muted or uninformed receiver becomes active
+            move[1 + 3 * c] += 1
+            move[1 + 3 * c + b] -= 1
+            move[-2] -= b == 2  # uninformed nodes
+    return moves
+
+
+def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Generator, pools):
+    """One run of `config` per decider, stepped in lockstep with up to _LANES
+    others, its nodes lumped into the classes `pools` (from _pools).  Each
+    decider is fed the senders of its run's observed entries until it is
+    decided, the run informs every node, or it hits the step cap.  Yields
+    (index of the decider in `deciders`, decider, capped) as runs end.
+    """
+    n, s, cap = config.n, config.s, config.max_steps
+    delayed = config.variant == "delayed_start"
+    K, W = len(pools), 8
+    ids = [pool for pool, _ in pools]
+    sizes = np.array([pool.size for pool in ids])
+    flat_ids = np.concatenate(ids)
+    first_id = np.cumsum(sizes) - sizes
+    curious = np.array([cur for _, cur in pools])
+    moves = _count_moves(K)
+    observed_block = np.concatenate([[False], np.repeat(curious, 3)])
+    NLAB, ON, LEFT, STEPS = 0, 3 * K + 1, 3 * K + 2, 3 * K + 3
+    A = 1 + 3 * np.arange(K)
+    source_lane = np.zeros(3 * K + 4, np.int64)  # slot 0 is the source: informed, active
+    source_lane[[NLAB, ON, LEFT]] = 1, 1, sizes.sum()
+    source_lane[A + 2] = sizes
+    pending = enumerate(deciders)
+    exhausted = False
+
+    # Per lane (column): its counts; its decider, the decider's feed and its
+    # index.  Per lane and labelled slot (L, W): id (-1 if unused), active, and
+    # the active slots as a swap-remove list with each slot's position in it.
+    st = np.zeros((3 * K + 4, 0), np.int64)
+    decs: list = []
+    feeds: list = []
+    keys: list[int] = []
+    slot_t = np.int16 if n < 2**15 else np.int32  # holds any id and any slot
+    # The deciders of all lanes keep what they are fed: on small graphs they
+    # share one int object per id instead of one per entry.
+    names = list(range(n)) if n <= 2**16 else range(n)
+    lab_id = np.zeros((0, W), slot_t)
+    lab_on = np.zeros((0, W), bool)
+    on_list, on_pos = np.zeros((0, W), slot_t), np.zeros((0, W), slot_t)
+    alive = np.zeros(0, bool)
+
+    def activate(rows, slots):
+        on = st[ON, rows]
+        on_list[rows, on] = slots
+        on_pos[rows, slots] = on
+        st[ON, rows] = on + 1
+        lab_on[rows, slots] = True
+
+    def alone(row):
+        nlab, on = st[NLAB, row], st[ON, row]
+        capped = _lone_lane(config, pools, st[:, row].tolist(), lab_id[row, :nlab].tolist(),
+                            on_list[row, :on].tolist(), feeds[row], rng)
+        return keys[row], decs[row], capped
+
+    while True:
+        n_alive = int(np.count_nonzero(alive))
+        admit = not exhausted and 2 * n_alive <= _LANES
+        if n_alive < alive.size and (admit or 4 * n_alive < 3 * alive.size):
+            keep = alive.tolist()
+            decs, feeds, keys = ([x for x, k in zip(xs, keep) if k] for xs in (decs, feeds, keys))
+            st = st[:, alive]
+            lab_id, lab_on, on_list, on_pos = (x[alive] for x in (lab_id, lab_on, on_list, on_pos))
+            alive = alive[alive]
+        if admit:
+            for index, decider in pending:
+                decs.append(decider)
+                feeds.append(decider.feed)
+                keys.append(index)
+                if len(decs) == n_alive + _LANES // 2:
+                    break
+            else:
+                exhausted = True
+            m = len(decs) - alive.size
+            if m:
+                first_slot = np.tile(np.arange(W) == 0, (m, 1))
+                st = np.hstack([st, np.repeat(source_lane[:, None], m, axis=1)])
+                lab_id = np.vstack([lab_id, np.where(first_slot, config.source, -1).astype(slot_t)])
+                lab_on = np.vstack([lab_on, first_slot])
+                on_list = np.vstack([on_list, np.zeros((m, W), slot_t)])
+                on_pos = np.vstack([on_pos, np.zeros((m, W), slot_t)])
+                alive = np.concatenate([alive, np.ones(m, bool)])
+                n_alive += m
+        if exhausted and n_alive <= _TAIL:
+            for row in np.flatnonzero(alive).tolist():
+                yield alone(row)
+            return
+        L = alive.size
+
+        u = rng.random((3 if 0.0 < s < 1.0 else 2, L))
+        cum_active = [st[A[0]]]
+        for c in range(1, K):
+            cum_active.append(cum_active[-1] + st[A[c]])
+        unl = cum_active[-1]
+        total = unl + st[ON]
+        k = np.minimum((u[0] * total).astype(np.int64), total - 1)
+        cs = np.zeros(L, np.int64)  # the sender's class; K if labelled
+        for bound in cum_active:
+            cs += k >= bound
+        mute = u[2] >= s if 0.0 < s < 1.0 else np.full(L, s == 0.0)
+        if delayed:
+            mute |= st[STEPS] == 0
+        r = (u[1] * n).astype(np.int64)
+        bound = st[NLAB]
+        block = (r >= bound).astype(np.int64)  # 0: a labelled slot
+        self_send = (cs == 0) & (r == bound)
+        for row in range(1, ON - 1):
+            bound = bound + st[row]
+            block += r >= bound
+            if row % 3 == 0:  # the start of class row // 3
+                self_send |= (cs == row // 3) & (r == bound)
+        st += np.take(moves, ((cs * 2 + mute) * ON + block) * 2 + self_send, axis=1)
+        obs = observed_block[block]
+
+        ls = np.flatnonzero(cs == K)
+        sender_slot = np.zeros(L, np.int64)
+        sender_slot[ls] = on_list[ls, k[ls] - unl[ls]]
+        lm = ls[mute[ls]]
+        if lm.size:  # swap-remove muted labelled senders from the active list
+            quiet = sender_slot[lm]
+            on = st[ON, lm] - 1
+            pos = on_pos[lm, quiet]
+            last = on_list[lm, on]
+            on_list[lm, pos] = last
+            on_pos[lm, last] = pos
+            st[ON, lm] = on
+            lab_on[lm, quiet] = False
+        lr = np.flatnonzero(block == 0)
+        if lr.size:
+            obs[lr] = lab_id[lr, r[lr]] >= config.curious_lo
+            woken = lr[~lab_on[lr, r[lr]]]
+            activate(woken, r[woken])
+
+        # Observed senders: a labelled one by its id; an unlabelled one takes
+        # the next slot and a fresh id, uniform over its class's ids and
+        # redrawn while the lane uses it.
+        ob = np.flatnonzero(obs & alive)
+        decided = np.zeros(L, bool)
+        if ob.size:
+            c = cs[ob]
+            ou, cu = ob[c < K], c[c < K]
+            if ou.size:
+                slot = st[NLAB, ou]
+                if slot.max() >= W:
+                    grow = ((0, 0), (0, W))
+                    lab_on, on_list, on_pos = (np.pad(x, grow) for x in (lab_on, on_list, on_pos))
+                    lab_id = np.pad(lab_id, grow, constant_values=-1)
+                    W *= 2
+                awake = ~mute[ou] | self_send[ou]
+                st[A[cu], ou] -= awake
+                st[A[cu] + 1, ou] -= ~awake
+                activate(ou[awake], slot[awake])
+                st[NLAB, ou] += 1
+                sender_slot[ou] = slot
+                fresh = np.full(ou.size, -1)
+                used = lab_id[ou, : slot.max()]
+                clash = np.arange(ou.size)
+                while clash.size:
+                    cc = cu[clash]
+                    fresh[clash] = flat_ids[first_id[cc] + (rng.random(clash.size) * sizes[cc]).astype(np.int64)]
+                    clash = clash[(used[clash] == fresh[clash, None]).any(1)]
+                lab_id[ou, slot] = fresh
+            done = [row for row, sender in zip(ob.tolist(), lab_id[ob, sender_slot[ob]].tolist())
+                    if feeds[row](names[sender])]
+            decided[done] = True
+
+        ended = alive & (decided | (st[LEFT] == 0) | (st[STEPS] >= cap))
+        alive &= ~ended
+        for row in np.flatnonzero(ended).tolist():
+            yield keys[row], decs[row], bool(not decided[row] and st[LEFT, row] > 0)
+        for row in np.flatnonzero(alive & (st[NLAB] >= _CROWD)).tolist():
+            alive[row] = False
+            yield alone(row)
+
+
+def _lone_lane(config, pools, counts, lab_id, on, feed, rng) -> bool:
+    """Step one lane of _lumped_views alone, in Python, from its counts and
+    labelled slots until `feed` is decided, every node is informed or the
+    step cap; return whether the cap cut the run short.  The same step rule
+    and layouts as the lockstep loop, for the last lanes of a long tail and
+    lanes with many labels.  The sender is found only when it mutes or is
+    observed: otherwise the step does not depend on it."""
+    n, s, cap, curious_lo = config.n, config.s, config.max_steps, config.curious_lo
+    first_mute = config.variant == "delayed_start" and counts[-1] == 0
+    always_mute, coin = s == 0.0, 0.0 < s < 1.0
+    K = len(pools)
+    curious = [cur for _, cur in pools]
+    act, mut, uni = counts[1:-3:3], counts[2:-3:3], counts[3:-3:3]
+    size = [a + m + u for a, m, u in zip(act, mut, uni)]
+    unl, left, steps = sum(act), counts[-2], counts[-1]
+    nlab = len(lab_id)
+    lab_on = [False] * nlab
+    pos = [0] * nlab
+    for i, slot in enumerate(on):
+        lab_on[slot], pos[slot] = True, i
+    used = set(lab_id)
+    draws, at, batch = [], 0, 16
+    while left and steps < cap:
+        if at == len(draws):  # four draws per step, in batches growing like run_trace's
+            batch = min(4 * batch, 4096)
+            draws, at = rng.random(batch).tolist(), 0
+        r = int(draws[at] * n) - nlab
+        mute = draws[at + 1] >= s if coin else always_mute
+        if first_mute:
+            mute, first_mute = True, False
+        at += 4
+        steps += 1
+        if r < 0:  # a labelled receiver
+            observed = lab_id[r + nlab] >= curious_lo
+        else:
+            rc = 0
+            while r >= size[rc]:
+                r -= size[rc]
+                rc += 1
+            observed = curious[rc]
+        if not (mute or observed):
+            if r >= 0:
+                if r >= act[rc]:  # a muted or uninformed receiver becomes active
+                    act[rc] += 1
+                    unl += 1
+                    if r < act[rc] - 1 + mut[rc]:
+                        mut[rc] -= 1
+                    else:
+                        uni[rc] -= 1
+                        left -= 1
+            elif not lab_on[r + nlab]:
+                r += nlab
+                lab_on[r], pos[r] = True, len(on)
+                on.append(r)
+            continue
+        total = unl + len(on)
+        k = int(draws[at - 2] * total)
+        if k == total:  # float round-up at the interval edge
+            k -= 1
+        if k < unl:
+            c = 0
+            while k >= act[c]:
+                k -= act[c]
+                c += 1
+        else:
+            c, sender_slot = K, on[k - unl]
+        self_send = r == 0 and rc == c
+        if mute and not self_send:
+            if c < K:
+                act[c] -= 1
+                mut[c] += 1
+                unl -= 1
+            else:
+                last = on.pop()
+                if last != sender_slot:
+                    on[pos[sender_slot]] = last
+                    pos[last] = pos[sender_slot]
+                lab_on[sender_slot] = False
+        if r < 0:
+            r += nlab
+            if not lab_on[r]:
+                lab_on[r], pos[r] = True, len(on)
+                on.append(r)
+        elif r >= act[rc] + (mute and rc == c and not self_send):  # before the sender muted
+            act[rc] += 1
+            unl += 1
+            if r < act[rc] - 1 + mut[rc]:
+                mut[rc] -= 1
+            else:
+                uni[rc] -= 1
+                left -= 1
+        if not observed:
+            continue
+        if c < K:  # the sender takes the next slot and a fresh id of its class
+            awake = not mute or self_send
+            if awake:
+                act[c] -= 1
+                unl -= 1
+            else:
+                mut[c] -= 1
+            size[c] -= 1
+            sender_slot = nlab
+            nlab += 1
+            ids = pools[c][0]
+            fresh = ids.item(int(draws[at - 1] * ids.size))
+            while fresh in used:
+                fresh = ids.item(int(rng.random() * ids.size))
+            used.add(fresh)
+            lab_id.append(fresh)
+            lab_on.append(awake)
+            pos.append(len(on))
+            if awake:
+                on.append(sender_slot)
+        if feed(lab_id[sender_slot]):
+            return False
+    return bool(left)
 
 
 def _first_observed_senders_s0(
@@ -200,20 +557,12 @@ def estimate_events(
 
     results = [0] * len(events)
     incomplete = 0
-    for _ in range(trials):
-        prefix = ObservedPrefix(horizon)
-        incomplete += _observe_until(config, rng, prefix)
+    prefixes = (ObservedPrefix(horizon) for _ in range(trials))
+    for _, prefix, capped in _lumped_views(config, prefixes, rng, _pools(config)):
+        incomplete += capped
         for k, e in enumerate(events):
-            if e.evaluate_senders(prefix.senders):
-                results[k] += 1
+            results[k] += e.evaluate_senders(prefix.senders)
     return [EstimateResult.from_counts(c, trials, incomplete) for c in results]
-
-
-def _observe_until(config: GossipConfig, rng: np.random.Generator, decider) -> bool:
-    """Simulate one run that stops once `decider` is decided; return
-    whether the step cap cut it short instead."""
-    run = _sequential_run(config, rng, observed_stop=decider.feed, collect_events=False)
-    return run.capped(config)
 
 
 def estimate_event(
@@ -338,14 +687,13 @@ def estimate_attack_precision(
     """Fraction of runs whose attack prediction equals the true source."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    trial = _ATTACK_TRIALS.get(type(attack))
-    if trial is None:
+    runs = _ATTACK_RUNS.get(type(attack))
+    if runs is None:
         raise TypeError(f"unknown attack spec: {attack!r}")
     correct = 0
     abstained = 0
     incomplete = 0
-    for _ in range(trials):
-        predicted, capped = trial(config, attack, rng)
+    for predicted, capped in runs(config, attack, trials, rng):
         incomplete += capped
         if predicted is None:
             abstained += 1
@@ -358,51 +706,53 @@ def estimate_attack_precision(
     )
 
 
-def _sample_prior(config: GossipConfig, size: int, rng: np.random.Generator) -> frozenset[int]:
-    """The source plus size-1 distinct non-curious others."""
-    lo = config.curious_lo
-    if not 1 <= size <= lo:
-        raise ValueError(f"prior size must be in [1, {lo}]")
-    others = rng.choice(lo - 1, size=size - 1, replace=False)
-    others = others + (others >= config.source)  # skip the source's slot
-    return frozenset(int(x) for x in others) | {config.source}
-
-
-# One attack trial each: (prediction or None to abstain, step-capped runs).
-def _map_trial(config, attack, rng):
-    if attack.prior_size is None:
-        rule = FirstInPrior(range(config.curious_lo))
+# Each attack's trials on the lumped engine: (prediction or None to abstain,
+# step-capped runs) per trial, in the order the trials end.
+def _map_runs(config, attack, trials, rng):
+    """A sized prior is the source plus the last prior_size-1 other non-curious
+    ids: those nodes are exchangeable, so which of them form the prior does not
+    change the law of the attack's success."""
+    size = attack.prior_size
+    if size is None:
+        pools, prior = _pools(config), range(config.curious_lo)
     else:
-        rule = FirstInPrior(_sample_prior(config, attack.prior_size, rng))
-    capped = _observe_until(config, rng, rule)
-    return rule.predict(rng), capped
+        if not 1 <= size <= config.curious_lo:
+            raise ValueError(f"prior size must be in [1, {config.curious_lo}]")
+        pools = _pools(config, size)
+        prior = frozenset(pools[1][0].tolist()) | {config.source}
+    rules = (FirstInPrior(prior) for _ in range(trials))
+    for _, rule, capped in _lumped_views(config, rules, rng, pools):
+        yield rule.predict(rng), capped
 
 
-def _multi_rumor_trial(config, attack, rng):
+def _multi_rumor_runs(config, attack, trials, rng):
     if attack.rumors < 1 or attack.k < 1:
         raise ValueError("rumors and k must be >= 1")
-    lead_lists: list[list[int]] = []
-    capped = 0
-    for _ in range(attack.rumors):
-        rule = FirstKDistinct(attack.k)
-        capped += _observe_until(config, rng, rule)
-        lead_lists.append(rule.leads)
-    return _score_multi_rumor(lead_lists, rng), capped
+    rules = (FirstKDistinct(attack.k) for _ in range(trials * attack.rumors))
+    waiting: dict[int, list] = {}  # trial -> [rumors still running, capped, lead lists]
+    for index, rule, capped in _lumped_views(config, rules, rng, _pools(config)):
+        trial = waiting.setdefault(index // attack.rumors, [attack.rumors, 0, [None] * attack.rumors])
+        trial[0] -= 1
+        trial[1] += capped
+        trial[2][index % attack.rumors] = rule.leads
+        if not trial[0]:
+            del waiting[index // attack.rumors]
+            yield _score_multi_rumor(trial[2], rng), trial[1]
 
 
-def _silence_trial(config, attack, rng):
+def _silence_runs(config, attack, trials, rng):
     r = attack.r if attack.r is not None else silence_window(config.n)
     if r < 1:
         raise ValueError("r must be >= 1")
-    prefix = ObservedPrefix(r + 1)
-    capped = _observe_until(config, rng, prefix)
-    return silence_prediction(prefix.senders), capped
+    prefixes = (ObservedPrefix(r + 1) for _ in range(trials))
+    for _, prefix, capped in _lumped_views(config, prefixes, rng, _pools(config)):
+        yield silence_prediction(prefix.senders), capped
 
 
-_ATTACK_TRIALS = {
-    MapAttackSpec: _map_trial,
-    MultiRumorAttackSpec: _multi_rumor_trial,
-    SilenceAttackSpec: _silence_trial,
+_ATTACK_RUNS = {
+    MapAttackSpec: _map_runs,
+    MultiRumorAttackSpec: _multi_rumor_runs,
+    SilenceAttackSpec: _silence_runs,
 }
 
 

@@ -19,7 +19,6 @@ of them concurrently on disjoint streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,31 +35,17 @@ class SequentialRun:
     receivers: list[int]
     n_informed: int
     steps: int
-    stopped_early: bool  # an observation callback ended the run
 
     def complete(self, config: GossipConfig) -> bool:
         return self.n_informed == config.n
 
-    def capped(self, config: GossipConfig) -> bool:
-        return not self.complete(config) and not self.stopped_early
 
-
-def _sequential_run(
-    config: GossipConfig,
-    rng: np.random.Generator,
-    observed_stop: Optional[Callable[[int], bool]] = None,
-    collect_events: bool = True,
-) -> SequentialRun:
-    """The sequential engine loop behind run_trace and the estimators.
-
-    observed_stop, when given, is called with the sender of each event whose
-    receiver is curious; the loop exits once it returns True.  Estimators
-    that only need the observation prefix run with collect_events=False.
-    """
+def _sequential_run(config: GossipConfig, rng: np.random.Generator) -> SequentialRun:
+    """The per-node sequential engine loop behind run_trace: the reference
+    that the estimators' lumped engine is tested against."""
     n = config.n
     s = config.s
     cap = config.max_steps
-    curious_lo = config.curious_lo
     delayed = config.variant == "delayed_start"
 
     informed = bytearray(n)
@@ -76,8 +61,7 @@ def _sequential_run(
     # Block-drawn randomness, unboxed to plain Python scalars: receivers come
     # from an integer block; sender picks (only needed while |A| > 1) and
     # stay/mute coins (only needed for 0 < s < 1) from a float block.
-    # Blocks start small (early-stopped runs often need a few dozen draws)
-    # and grow to _BLOCK.
+    # Blocks start small and grow to _BLOCK; their sizes fix the draw order.
     block = 256
     targets = rng.integers(0, n, size=block).tolist()
     tptr = 0
@@ -86,10 +70,9 @@ def _sequential_run(
     use_coin = 0.0 < s < 1.0
     always_mute = s == 0.0
     stay_p = s
-    stopped = False
     step = 0
 
-    while n_informed < n and step < cap and not stopped:
+    while n_informed < n and step < cap:
         if tptr == len(targets):
             block = min(block * 4, _BLOCK)
             targets = rng.integers(0, n, size=block).tolist()
@@ -135,14 +118,11 @@ def _sequential_run(
             active_pos[j] = len(active)
             active.append(j)
 
-        if collect_events:
-            senders.append(i)
-            receivers.append(j)
+        senders.append(i)
+        receivers.append(j)
         step += 1
-        if observed_stop is not None and j >= curious_lo:
-            stopped = observed_stop(i)
 
-    return SequentialRun(senders, receivers, n_informed, step, stopped)
+    return SequentialRun(senders, receivers, n_informed, step)
 
 
 def run_trace(config: GossipConfig, rng: np.random.Generator) -> ExecutionTrace:

@@ -89,7 +89,7 @@ def test_ac03_divergence_gap_grows_with_n():
         cj = GossipConfig(n=n, f=f, s=1.0, source=1)
         gaps.append(
             estimate_dp_gap(
-                ci, cj, [EventSpec.sender_rank_le(0, 10)], 10**4, spawn_stream(SEED, 300 + k)
+                ci, cj, [EventSpec.sender_rank_le(0, 10)], 4 * 10**4, spawn_stream(SEED, 300 + k)
             )
         )
     increasing = all(a < b for a, b in zip(gaps, gaps[1:]))

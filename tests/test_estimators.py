@@ -1,11 +1,21 @@
 import hashlib
 import math
+from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from mutegossip.adversary import ObservedPrefix
+from mutegossip import estimators
+from mutegossip.adversary import (
+    ObservedPrefix,
+    map_attack,
+    multi_rumor_attack,
+    observe,
+    silence_attack,
+    silence_window,
+)
 from mutegossip.bounds import optimal_delta, param_c, source_disclosure_prob
 from mutegossip.core import GossipConfig, spawn_stream
 from mutegossip.estimators import (
@@ -16,7 +26,8 @@ from mutegossip.estimators import (
     SilenceAttackSpec,
     _coupon_runs_s0,
     _first_observed_senders_s0,
-    _observe_until,
+    _lumped_views,
+    _pools,
     estimate_attack_precision,
     estimate_dp_gap,
     estimate_event,
@@ -24,7 +35,8 @@ from mutegossip.estimators import (
     estimate_source_disclosure,
     estimate_spreading,
 )
-from mutegossip.protocols import run_sync
+from mutegossip.exact import sequence_probability
+from mutegossip.protocols import run_sync, run_trace
 
 
 def test_estimate_result_fields():
@@ -67,12 +79,12 @@ def test_estimate_event_reproducible_both_paths():
     cfg1 = GossipConfig(n=200, f=20, s=1.0)
     a = estimate_event(cfg1, EventSpec.sender_rank_le(0, 3), 500, spawn_stream(7, 2))
     b = estimate_event(cfg1, EventSpec.sender_rank_le(0, 3), 500, spawn_stream(7, 2))
-    assert a == b  # per-trial loop path
+    assert a == b  # lumped engine path
 
 
 def test_vectorized_and_loop_paths_agree():
     # Same event estimated through the s=0 fast path and through the
-    # generic loop (forced by a longer-horizon companion event).
+    # lumped engine (forced by a longer-horizon companion event).
     cfg = GossipConfig(n=100, f=10, s=0.0)
     fast = estimate_event(cfg, EventSpec.first_sender_is(0), 20000, spawn_stream(8, 1))
     slow = estimate_events(
@@ -80,21 +92,6 @@ def test_vectorized_and_loop_paths_agree():
     )[0]
     diff = abs(fast.estimate - slow.estimate)
     assert diff < 4 * math.sqrt(fast.ci_half_width**2 + slow.ci_half_width**2)
-
-
-def test_callback_view_matches_full_trace_observation():
-    # The early-stop engine sees exactly what observe() extracts from the
-    # full trace when run on the same stream without stopping.
-    from mutegossip.adversary import observe
-    from mutegossip.protocols import _sequential_run, run_trace
-
-    for variant, s in (("parameterized", 0.3), ("parameterized", 0.0), ("delayed_start", 1.0)):
-        cfg = GossipConfig(n=100, f=10, s=s, variant=variant)
-        seen: list[int] = []
-        _sequential_run(cfg, spawn_stream(77, 1), observed_stop=lambda snd: seen.append(snd) or False,
-                        collect_events=False)
-        trace = run_trace(cfg, spawn_stream(77, 1))
-        assert seen == observe(trace).senders.tolist()
 
 
 def test_first_sender_distribution_sums_to_one():
@@ -131,22 +128,179 @@ def test_first_observed_senders_s0_match_exact_marginals():
 
 @pytest.mark.parametrize("n, f, step_cap", [(20, 2, None), (20, 2, 3), (64, 6, 8)])
 def test_first_observed_senders_s0_match_engine(n, f, step_cap):
-    # The s=0 law against the per-node engine stopped at its first observed
+    # The s=0 law against the lumped engine stopped at its first observed
     # entry: two-sample chi-square over the classes {each node, capped}.
     cfg = GossipConfig(n=n, f=f, s=0.0, step_cap=step_cap)
     stream = 100 * n + (step_cap or 0)
     law, capped = _first_observed_senders_s0(cfg, 200_000, spawn_stream(22, stream))
     assert capped == np.count_nonzero(law < 0)
-    rng = spawn_stream(23, stream)
-    engine = []
-    for _ in range(20_000):
-        prefix = ObservedPrefix(1)
-        engine.append(-1 if _observe_until(cfg, rng, prefix) else prefix.senders[0])
+    prefixes = (ObservedPrefix(1) for _ in range(20_000))
+    engine = [-1 if cut else prefix.senders[0]
+              for _, prefix, cut in _lumped_views(cfg, prefixes, spawn_stream(23, stream), _pools(cfg))]
     table = np.vstack([np.bincount(np.add(x, 1), minlength=n + 1) for x in (law, engine)])
     assert stats.chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue > 1e-3
     # The cap binds iff the first `step_cap` receivers all miss the f curious.
     expect = (1 - f / n) ** cfg.max_steps
     assert abs(capped / law.size - expect) <= 4 * math.sqrt(expect * (1 - expect) / law.size) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The lumped engine against the exact law and the per-node engine
+
+
+def _engine_path(monkeypatch, path):
+    """Run every lane of _lumped_views in lockstep, every lane alone, or
+    each lane alone from its second labelled sender on."""
+    if path == "lone":
+        monkeypatch.setattr(estimators, "_LANES", 10**6)
+        monkeypatch.setattr(estimators, "_TAIL", 10**6)
+    else:
+        monkeypatch.setattr(estimators, "_TAIL", 0)
+    if path == "crowded":
+        monkeypatch.setattr(estimators, "_CROWD", 3)
+
+
+@pytest.mark.parametrize("path", ["lockstep", "lone", "crowded"])
+@pytest.mark.parametrize("k, s, variant", [(0, 0.0, "parameterized"), (1, 1 / 3, "parameterized"),
+                                           (2, 0.5, "parameterized"), (3, 1.0, "parameterized"),
+                                           (4, 1.0, "delayed_start")])
+def test_lumped_views_match_exact_law(monkeypatch, path, k, s, variant):
+    # Complete observed-sender sequences of the lumped engine at n=4, f=1
+    # against exact.sequence_probability: chi-square goodness of fit over the
+    # sequences of length <= 3 (those expected < 5 times pooled) and one cell
+    # for every longer sequence.
+    _engine_path(monkeypatch, path)
+    cfg = GossipConfig(n=4, f=1, s=s, variant=variant)
+    trials = 20_000 if path == "lockstep" else 10_000
+    seqs = [obs for length in range(4) for obs in product(range(4), repeat=length)]
+    p = np.array([float(sequence_probability(cfg, obs)) for obs in seqs])
+    cell = {obs: i for i, obs in enumerate(seqs)}
+    counts = np.zeros(len(seqs) + 1)
+    prefixes = (ObservedPrefix(10**9) for _ in range(trials))
+    stream = 3 * k + ["lockstep", "lone", "crowded"].index(path)
+    for _, prefix, capped in _lumped_views(cfg, prefixes, spawn_stream(24, stream), _pools(cfg)):
+        assert not capped
+        counts[cell.get(tuple(prefix.senders), len(seqs))] += 1
+    assert not counts[:-1][p == 0].any()  # no impossible sequence
+    expected = np.append(p, 1.0 - p.sum()) * trials
+    big = expected >= 5
+    pooled = (expected > 0) & ~big
+    observed = np.append(counts[big], counts[pooled].sum())
+    expected = np.append(expected[big], expected[pooled].sum())
+    if not pooled.any():
+        observed, expected = observed[:-1], expected[:-1]
+    assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+
+def _two_sample_p(a: Counter, b: Counter) -> float:
+    """Chi-square two-sample p-value of two count tables over the same cells,
+    pooling the cells expected fewer than 5 times in either sample."""
+    cells = sorted(set(a) | set(b), key=repr)
+    table = np.array([[a[c] for c in cells], [b[c] for c in cells]], dtype=float)
+    expected = np.outer(table.sum(1), table.sum(0)) / table.sum()
+    small = expected.min(axis=0) < 5
+    table = np.column_stack([table[:, ~small], table[:, small].sum(axis=1)])
+    return stats.chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue
+
+
+def _sender_class(cfg, node):
+    return "source" if node == cfg.source else "curious" if node >= cfg.curious_lo else "other"
+
+
+# (n, s, variant, step cap): the cap bounds the per-node engine's runs and
+# applies to both engines, so capped runs are compared too.
+FIRST_SENDER_CASES = [
+    (100, 0.0, "parameterized", 60), (100, 0.3, "parameterized", 60),
+    (100, 1.0, "parameterized", 60), (100, 1.0, "delayed_start", 60),
+    (1024, 0.0, "parameterized", 60), (1024, 0.3, "parameterized", 60),
+    (1024, 1.0, "parameterized", 60), (1024, 1.0, "delayed_start", 60),
+]
+
+
+@pytest.mark.parametrize("n, s, variant, cap", FIRST_SENDER_CASES)
+def test_lumped_first_senders_match_per_node_engine(n, s, variant, cap):
+    # The classes (source, other non-curious, curious) of the first two
+    # observed senders, and whether they are the same node, from the lumped
+    # engine and from observe() on run_trace's full traces.
+    cfg = GossipConfig(n=n, f=n // 10, s=s, variant=variant, step_cap=cap)
+
+    def cell(senders):
+        return (tuple(_sender_class(cfg, x) for x in senders[:2]), len(set(senders[:2])))
+
+    stream = int(n * 10 + 10 * s) + (variant == "delayed_start")
+    prefixes = (ObservedPrefix(2) for _ in range(20_000))
+    lumped = Counter(cell(prefix.senders) for _, prefix, _ in
+                     _lumped_views(cfg, prefixes, spawn_stream(25, stream), _pools(cfg)))
+    rng = spawn_stream(26, stream)
+    per_node = Counter(cell(observe(run_trace(cfg, rng)).senders.tolist()) for _ in range(1500))
+    assert _two_sample_p(lumped, per_node) > 1e-3
+
+
+@pytest.mark.parametrize("s", [0.8])
+def test_lumped_source_sends_match_per_node_engine(monkeypatch, s):
+    # How often the source is an observed sender in a complete run, which
+    # follows how long it stays active: the lumped engine in lockstep and
+    # alone against observe() on run_trace.  (The view's length does not
+    # depend on s: every step's receiver is uniform whoever sends.)
+    cfg = GossipConfig(n=16, f=2, s=s)
+    rng = spawn_stream(29, int(10 * s))
+    per_node = Counter(min(observe(run_trace(cfg, rng)).senders.tolist().count(cfg.source), 5)
+                       for _ in range(10_000))
+    for i, path in enumerate(("lockstep", "lone")):
+        _engine_path(monkeypatch, path)
+        prefixes = (ObservedPrefix(10**9) for _ in range(20_000))
+        lumped = Counter(min(prefix.senders.count(cfg.source), 5) for _, prefix, _ in
+                         _lumped_views(cfg, prefixes, spawn_stream(30, 10 * int(10 * s) + i), _pools(cfg)))
+        assert _two_sample_p(lumped, per_node) > 1e-3, path
+
+
+def _outcome(predicted, source):
+    return "abstain" if predicted is None else predicted == source
+
+
+# (name, config, attack spec, per-node runs).  map_capped is the golden
+# digest's capped case: its runs are evaluated on the partial view.
+ATTACK_CASES = [
+    ("map_all_s0", GossipConfig(n=100, f=10, s=0.0, step_cap=300), MapAttackSpec(), 1500),
+    ("map_10_s03", GossipConfig(n=100, f=10, s=0.3, step_cap=300), MapAttackSpec(10), 1500),
+    ("map_all_s1", GossipConfig(n=1024, f=102, s=1.0, step_cap=300), MapAttackSpec(), 1500),
+    ("map_capped", GossipConfig(n=256, f=26, s=0.5, step_cap=40), MapAttackSpec(10), 1500),
+    ("silence_delayed", GossipConfig(n=100, f=10, s=1.0, variant="delayed_start"),
+     SilenceAttackSpec(), 1000),
+    ("silence_delayed_1024", GossipConfig(n=1024, f=102, s=1.0, variant="delayed_start",
+                                          step_cap=2000), SilenceAttackSpec(), 200),
+    ("silence_s03", GossipConfig(n=100, f=10, s=0.3, step_cap=600), SilenceAttackSpec(), 1000),
+    ("multi_rumor_s03", GossipConfig(n=100, f=10, s=0.3, step_cap=300),
+     MultiRumorAttackSpec(rumors=3, k=5), 500),
+]
+
+
+def _per_node_outcome(cfg, attack, rng):
+    """One trial of the attack, offline, on run_trace's full traces."""
+    if isinstance(attack, MultiRumorAttackSpec):
+        views = [observe(run_trace(cfg, rng)) for _ in range(attack.rumors)]
+        return multi_rumor_attack(views, attack.k, rng).predicted
+    view = observe(run_trace(cfg, rng))
+    if isinstance(attack, SilenceAttackSpec):
+        return silence_attack(view, silence_window(cfg.n)).predicted
+    others = rng.choice(np.arange(1, cfg.curious_lo), size=(attack.prior_size or cfg.curious_lo) - 1,
+                        replace=False)
+    return map_attack(view, [cfg.source, *others.tolist()], rng).predicted
+
+
+@pytest.mark.parametrize("name", [case[0] for case in ATTACK_CASES])
+def test_lumped_attack_outcomes_match_per_node_engine(name):
+    # Counts of correct, wrong and abstaining predictions (step-capped runs
+    # included, on their partial views) from estimate_attack_precision and
+    # from the offline attacks on run_trace's traces.
+    index = [case[0] for case in ATTACK_CASES].index(name)
+    _, cfg, attack, runs = ATTACK_CASES[index]
+    res = estimate_attack_precision(cfg, attack, 6000, spawn_stream(27, index))
+    lumped = Counter({True: res.n_correct, "abstain": res.n_abstained,
+                      False: 6000 - res.n_correct - res.n_abstained})
+    rng = spawn_stream(28, index)
+    per_node = Counter(_outcome(_per_node_outcome(cfg, attack, rng), cfg.source) for _ in range(runs))
+    assert _two_sample_p(lumped, per_node) > 1e-3
 
 
 def test_estimate_source_disclosure_matches_closed_form():
