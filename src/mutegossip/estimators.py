@@ -202,7 +202,7 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
 
     # Per lane (column): its counts; its decider, the decider's feed and its
     # index.  Per lane and labelled slot (L, W): id (-1 if unused), active, and
-    # the active slots as a swap-remove list with each slot's position in it.
+    # the active slots as a swap-remove list.
     st = np.zeros((3 * K + 4, 0), np.int64)
     decs: list = []
     feeds: list = []
@@ -213,13 +213,12 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
     names = list(range(n)) if n <= 2**16 else range(n)
     lab_id = np.zeros((0, W), slot_t)
     lab_on = np.zeros((0, W), bool)
-    on_list, on_pos = np.zeros((0, W), slot_t), np.zeros((0, W), slot_t)
+    on_list = np.zeros((0, W), slot_t)
     alive = np.zeros(0, bool)
 
     def activate(rows, slots):
         on = st[ON, rows]
         on_list[rows, on] = slots
-        on_pos[rows, slots] = on
         st[ON, rows] = on + 1
         lab_on[rows, slots] = True
 
@@ -236,7 +235,7 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
             keep = alive.tolist()
             decs, feeds, keys = ([x for x, k in zip(xs, keep) if k] for xs in (decs, feeds, keys))
             st = st[:, alive]
-            lab_id, lab_on, on_list, on_pos = (x[alive] for x in (lab_id, lab_on, on_list, on_pos))
+            lab_id, lab_on, on_list = (x[alive] for x in (lab_id, lab_on, on_list))
             alive = alive[alive]
         if admit:
             for index, decider in pending:
@@ -254,7 +253,6 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
                 lab_id = np.vstack([lab_id, np.where(first_slot, config.source, -1).astype(slot_t)])
                 lab_on = np.vstack([lab_on, first_slot])
                 on_list = np.vstack([on_list, np.zeros((m, W), slot_t)])
-                on_pos = np.vstack([on_pos, np.zeros((m, W), slot_t)])
                 alive = np.concatenate([alive, np.ones(m, bool)])
                 n_alive += m
         if exhausted and n_alive <= _TAIL:
@@ -293,14 +291,10 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
         sender_slot[ls] = on_list[ls, k[ls] - unl[ls]]
         lm = ls[mute[ls]]
         if lm.size:  # swap-remove muted labelled senders from the active list
-            quiet = sender_slot[lm]
             on = st[ON, lm] - 1
-            pos = on_pos[lm, quiet]
-            last = on_list[lm, on]
-            on_list[lm, pos] = last
-            on_pos[lm, last] = pos
+            on_list[lm, k[lm] - unl[lm]] = on_list[lm, on]
             st[ON, lm] = on
-            lab_on[lm, quiet] = False
+            lab_on[lm, sender_slot[lm]] = False
         lr = np.flatnonzero(block == 0)
         if lr.size:
             obs[lr] = lab_id[lr, r[lr]] >= config.curious_lo
@@ -319,7 +313,7 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
                 slot = st[NLAB, ou]
                 if slot.max() >= W:
                     grow = ((0, 0), (0, W))
-                    lab_on, on_list, on_pos = (np.pad(x, grow) for x in (lab_on, on_list, on_pos))
+                    lab_on, on_list = (np.pad(x, grow) for x in (lab_on, on_list))
                     lab_id = np.pad(lab_id, grow, constant_values=-1)
                     W *= 2
                 awake = ~mute[ou] | self_send[ou]
