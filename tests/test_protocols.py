@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +73,32 @@ def test_async_determinism():
     t2 = run_trace(cfg, spawn_stream(9, 9))
     assert np.array_equal(t1.senders, t2.senders)
     assert np.array_equal(t1.receivers, t2.receivers)
+
+
+# sha256 of the senders, receivers and completion of 20 run_trace runs at
+# n=64 per case, one fixed stream each.  They pin the sequential engine's
+# draw order (the other run_trace tests check only its law); a change that
+# moves it on purpose updates these digests and says so in CHANGES.md.
+GOLDEN_TRACES = {
+    "s0": (0.0, "parameterized", "82dec71d30dbe7b7e517a30c4ce7a199fafb810ca9f60657ada476b155718510"),
+    "s01": (0.1, "parameterized", "7f72c38bd8321c9a58c6d473950c9722ebe04ddb6a01465e9d4fcb3087e4a40a"),
+    "s1": (1.0, "parameterized", "d82d725aada3428314b1ab9ad9811e5e5ad521525b34536de6a325c65b52be1a"),
+    "delayed": (1.0, "delayed_start", "dca9229420ba3660a958ee4eb7afd468c5c7ca97ad32cff16f65a8904a0809bf"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_TRACES)
+def test_run_trace_golden_digest(name):
+    s, variant, digest = GOLDEN_TRACES[name]
+    cfg = GossipConfig(n=64, f=6, s=s, variant=variant)
+    rng = spawn_stream(47, list(GOLDEN_TRACES).index(name))
+    h = hashlib.sha256()
+    for _ in range(20):
+        trace = run_trace(cfg, rng)
+        h.update(trace.senders.tobytes())
+        h.update(trace.receivers.tobytes())
+        h.update(bytes([trace.complete]))
+    assert h.hexdigest() == digest
 
 
 def test_step_cap_flags_incomplete():
