@@ -33,7 +33,7 @@ from .adversary import (
     silence_window,
 )
 from .core import GossipConfig, RoundTrace, split_stream
-from .protocols import run_sync
+from .protocols import _sequential_run, run_sync
 
 Z99 = 2.576  # 99% two-sided normal quantile, as reported alongside estimates
 
@@ -121,9 +121,13 @@ class EventSpec:
 # sender that is observed takes a fresh id, uniform over the unused ids of
 # its class, and keeps it.  A labelled node has sent or is the source, so it
 # is informed.  Many runs ("lanes") advance together on numpy arrays, and
-# Python runs only once per observed entry, to feed the lane's decider; the
-# last lanes of a long tail, and lanes with many labels, end one by one in
-# Python (_lone_lane), where a step costs less than a step of the arrays.
+# Python runs only once per observed entry, to feed the lane's decider.  The
+# last lanes, and lanes with many labels, are un-lumped and end one by one on
+# the per-node engine (protocols._sequential_run): a step there costs about
+# 1 us against 100-150 us for a step of the arrays, and a hand-off about one
+# step of the arrays.  The state is exchangeable within each class, so the
+# hand-off keeps the law: each class's active and muted nodes take distinct
+# ids, uniform over its unlabelled ids.
 #
 # One step of a lane: a uniform sender among the active nodes, laid out as
 # each class's unlabelled active nodes, then the active labelled slots; its
@@ -136,7 +140,11 @@ class EventSpec:
 # uninformed nodes, then active labelled nodes, uninformed nodes and steps.
 
 _LANES = 2048  # lanes stepped together at most; bounds the engine's arrays
-_TAIL = 256  # with fewer lanes left and none waiting, each ends alone (_lone_lane)
+# Once no run waits and at most _TAIL lanes are left, they step together
+# for as many more steps as lanes are left, then each ends alone: a lane
+# that is about to end is not handed off, and a long tail is not stepped
+# together for long.
+_TAIL = 256
 _CROWD = 256  # a lane with this many labelled nodes ends alone, which bounds W
 
 
@@ -199,6 +207,7 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
     source_lane[A + 2] = sizes
     pending = enumerate(deciders)
     exhausted = False
+    tail = 0
 
     # Per lane (column): its counts; its decider, the decider's feed and its
     # index.  Per lane and labelled slot (L, W): id (-1 if unused), active, and
@@ -223,10 +232,22 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
         lab_on[rows, slots] = True
 
     def alone(row):
-        nlab, on = st[NLAB, row], st[ON, row]
-        capped = _lone_lane(config, pools, st[:, row].tolist(), lab_id[row, :nlab].tolist(),
-                            on_list[row, :on].tolist(), feeds[row], rng)
-        return keys[row], decs[row], capped
+        # Un-lump the lane: its labelled nodes keep their ids, each class's
+        # active and muted nodes take distinct ids, uniform over the class's
+        # unlabelled ids, and the run goes on on the per-node engine.
+        counts = st[:, row].tolist()
+        labels = lab_id[row, : counts[NLAB]].astype(np.int64)
+        free = np.ones(n, bool)
+        free[labels] = False
+        informed, active = [labels], [labels[lab_on[row, : labels.size]]]
+        for pool, a, m in zip(ids, counts[1:ON:3], counts[2:ON:3]):
+            if a + m:
+                drawn = rng.choice(pool[free[pool]], a + m, replace=False)
+                informed.append(drawn)
+                active.append(drawn[:a])
+        start = np.concatenate(informed), np.concatenate(active), counts[STEPS]
+        run = _sequential_run(config, rng, start, feeds[row])
+        return keys[row], decs[row], not run.decided and not run.complete(config)
 
     while True:
         n_alive = int(np.count_nonzero(alive))
@@ -256,9 +277,11 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
                 alive = np.concatenate([alive, np.ones(m, bool)])
                 n_alive += m
         if exhausted and n_alive <= _TAIL:
-            for row in np.flatnonzero(alive).tolist():
-                yield alone(row)
-            return
+            tail += 1
+            if tail > n_alive:
+                for row in np.flatnonzero(alive).tolist():
+                    yield alone(row)
+                return
         L = alive.size
 
         u = rng.random((3 if 0.0 < s < 1.0 else 2, L))
@@ -341,124 +364,6 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
         for row in np.flatnonzero(alive & (st[NLAB] >= _CROWD)).tolist():
             alive[row] = False
             yield alone(row)
-
-
-def _lone_lane(config, pools, counts, lab_id, on, feed, rng) -> bool:
-    """Step one lane of _lumped_views alone, in Python, from its counts and
-    labelled slots until `feed` is decided, every node is informed or the
-    step cap; return whether the cap cut the run short.  The same step rule
-    and layouts as the lockstep loop, for the last lanes of a long tail and
-    lanes with many labels.  The sender is found only when it mutes or is
-    observed: otherwise the step does not depend on it."""
-    n, s, cap, curious_lo = config.n, config.s, config.max_steps, config.curious_lo
-    first_mute = config.variant == "delayed_start" and counts[-1] == 0
-    always_mute, coin = s == 0.0, 0.0 < s < 1.0
-    K = len(pools)
-    curious = [cur for _, cur in pools]
-    act, mut, uni = counts[1:-3:3], counts[2:-3:3], counts[3:-3:3]
-    size = [a + m + u for a, m, u in zip(act, mut, uni)]
-    unl, left, steps = sum(act), counts[-2], counts[-1]
-    nlab = len(lab_id)
-    lab_on = [False] * nlab
-    pos = [0] * nlab
-    for i, slot in enumerate(on):
-        lab_on[slot], pos[slot] = True, i
-    used = set(lab_id)
-    draws, at, batch = [], 0, 16
-    while left and steps < cap:
-        if at == len(draws):  # four draws per step, in batches growing like run_trace's
-            batch = min(4 * batch, 4096)
-            draws, at = rng.random(batch).tolist(), 0
-        r = int(draws[at] * n) - nlab
-        mute = draws[at + 1] >= s if coin else always_mute
-        if first_mute:
-            mute, first_mute = True, False
-        at += 4
-        steps += 1
-        if r < 0:  # a labelled receiver
-            observed = lab_id[r + nlab] >= curious_lo
-        else:
-            rc = 0
-            while r >= size[rc]:
-                r -= size[rc]
-                rc += 1
-            observed = curious[rc]
-        if not (mute or observed):
-            if r >= 0:
-                if r >= act[rc]:  # a muted or uninformed receiver becomes active
-                    act[rc] += 1
-                    unl += 1
-                    if r < act[rc] - 1 + mut[rc]:
-                        mut[rc] -= 1
-                    else:
-                        uni[rc] -= 1
-                        left -= 1
-            elif not lab_on[r + nlab]:
-                r += nlab
-                lab_on[r], pos[r] = True, len(on)
-                on.append(r)
-            continue
-        total = unl + len(on)
-        k = int(draws[at - 2] * total)
-        if k == total:  # float round-up at the interval edge
-            k -= 1
-        if k < unl:
-            c = 0
-            while k >= act[c]:
-                k -= act[c]
-                c += 1
-        else:
-            c, sender_slot = K, on[k - unl]
-        self_send = r == 0 and rc == c
-        if mute and not self_send:
-            if c < K:
-                act[c] -= 1
-                mut[c] += 1
-                unl -= 1
-            else:
-                last = on.pop()
-                if last != sender_slot:
-                    on[pos[sender_slot]] = last
-                    pos[last] = pos[sender_slot]
-                lab_on[sender_slot] = False
-        if r < 0:
-            r += nlab
-            if not lab_on[r]:
-                lab_on[r], pos[r] = True, len(on)
-                on.append(r)
-        elif r >= act[rc] + (mute and rc == c and not self_send):  # before the sender muted
-            act[rc] += 1
-            unl += 1
-            if r < act[rc] - 1 + mut[rc]:
-                mut[rc] -= 1
-            else:
-                uni[rc] -= 1
-                left -= 1
-        if not observed:
-            continue
-        if c < K:  # the sender takes the next slot and a fresh id of its class
-            awake = not mute or self_send
-            if awake:
-                act[c] -= 1
-                unl -= 1
-            else:
-                mut[c] -= 1
-            size[c] -= 1
-            sender_slot = nlab
-            nlab += 1
-            ids = pools[c][0]
-            fresh = ids.item(int(draws[at - 1] * ids.size))
-            while fresh in used:
-                fresh = ids.item(int(rng.random() * ids.size))
-            used.add(fresh)
-            lab_id.append(fresh)
-            lab_on.append(awake)
-            pos.append(len(on))
-            if awake:
-                on.append(sender_slot)
-        if feed(lab_id[sender_slot]):
-            return False
-    return bool(left)
 
 
 def _first_observed_senders_s0(

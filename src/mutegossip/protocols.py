@@ -35,28 +35,41 @@ class SequentialRun:
     receivers: list[int]
     n_informed: int
     steps: int
+    decided: bool = False  # the feed stopped the run
 
     def complete(self, config: GossipConfig) -> bool:
         return self.n_informed == config.n
 
 
-def _sequential_run(config: GossipConfig, rng: np.random.Generator) -> SequentialRun:
+def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, feed=None) -> SequentialRun:
     """The per-node sequential engine loop behind run_trace: the reference
-    that the estimators' lumped engine is tested against."""
+    that the estimators' lumped engine is tested against, and on which it
+    ends its last runs.
+
+    `start` = (informed ids, active ids, steps taken) continues a run from
+    that state instead of the source alone at step 0; the step count keeps
+    delayed start's forced first mute at step 0.  With `feed`, the sender
+    of each observed entry (a curious receiver) is passed to it instead of
+    recording the step, and the run stops once it returns True (decided).
+    """
     n = config.n
     s = config.s
     cap = config.max_steps
+    curious_lo = config.curious_lo
     delayed = config.variant == "delayed_start"
 
-    informed = bytearray(n)
-    informed[config.source] = 1
-    n_informed = 1
-    active = [config.source]
-    active_flag = bytearray(n)
-    active_flag[config.source] = 1
-    active_pos = [0] * n
+    informed_ids, active_ids, step = start or ([config.source], [config.source], 0)
+    flags = np.zeros(n, np.uint8)
+    flags[informed_ids] = 1
+    informed = bytearray(flags)
+    n_informed = len(informed_ids)
+    flags[:] = 0
+    flags[active_ids] = 1
+    active_flag = bytearray(flags)
+    active = np.asarray(active_ids).tolist()
     senders: list[int] = []
     receivers: list[int] = []
+    decided = False
 
     # Block-drawn randomness, unboxed to plain Python scalars: receivers come
     # from an integer block; sender picks (only needed while |A| > 1) and
@@ -70,7 +83,6 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator) -> Sequentia
     use_coin = 0.0 < s < 1.0
     always_mute = s == 0.0
     stay_p = s
-    step = 0
 
     while n_informed < n and step < cap:
         if tptr == len(targets):
@@ -83,13 +95,13 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator) -> Sequentia
 
         la = len(active)
         if la == 1:
-            i = active[0]
+            k = 0
         else:
             k = int(uniforms[uptr] * la)
             uptr += 1
             if k == la:  # guard against float round-up at the interval edge
                 k = la - 1
-            i = active[k]
+        i = active[k]
 
         if always_mute:
             mute = True
@@ -100,12 +112,10 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator) -> Sequentia
             mute = False
         if delayed and step == 0:
             mute = True  # the source's single send, then permanent silence
-        if mute:
-            p = active_pos[i]
-            last = active[-1]
-            active[p] = last
-            active_pos[last] = p
-            active.pop()
+        if mute:  # swap-remove the sender from A
+            last = active.pop()
+            if k < la - 1:
+                active[k] = last
             active_flag[i] = 0
 
         j = targets[tptr]
@@ -115,14 +125,17 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator) -> Sequentia
             n_informed += 1
         if not active_flag[j]:
             active_flag[j] = 1
-            active_pos[j] = len(active)
             active.append(j)
 
-        senders.append(i)
-        receivers.append(j)
         step += 1
+        if feed is None:
+            senders.append(i)
+            receivers.append(j)
+        elif j >= curious_lo and feed(i):
+            decided = True
+            break
 
-    return SequentialRun(senders, receivers, n_informed, step)
+    return SequentialRun(senders, receivers, n_informed, step, decided)
 
 
 def run_trace(config: GossipConfig, rng: np.random.Generator) -> ExecutionTrace:

@@ -149,15 +149,12 @@ def test_first_observed_senders_s0_match_engine(n, f, step_cap):
 
 
 def _engine_path(monkeypatch, path):
-    """Run every lane of _lumped_views in lockstep, every lane alone, or
-    each lane alone from its second labelled sender on."""
-    if path == "lone":
-        monkeypatch.setattr(estimators, "_LANES", 10**6)
-        monkeypatch.setattr(estimators, "_TAIL", 10**6)
-    else:
-        monkeypatch.setattr(estimators, "_TAIL", 0)
-    if path == "crowded":
-        monkeypatch.setattr(estimators, "_CROWD", 3)
+    """Run every lane of _lumped_views in lockstep, or in lockstep until it
+    holds one label (after its first step) or three labels and then alone,
+    un-lumped, on the per-node engine."""
+    monkeypatch.setattr(estimators, "_TAIL", 0)
+    if path != "lockstep":
+        monkeypatch.setattr(estimators, "_CROWD", 1 if path == "lone" else 3)
 
 
 @pytest.mark.parametrize("path", ["lockstep", "lone", "crowded"])
@@ -165,31 +162,36 @@ def _engine_path(monkeypatch, path):
                                            (2, 0.5, "parameterized"), (3, 1.0, "parameterized"),
                                            (4, 1.0, "delayed_start")])
 def test_lumped_views_match_exact_law(monkeypatch, path, k, s, variant):
-    # Complete observed-sender sequences of the lumped engine at n=4, f=1
-    # against exact.sequence_probability: chi-square goodness of fit over the
+    # Complete observed-sender sequences of the lumped engine at f=1 against
+    # exact.sequence_probability: chi-square goodness of fit over the
     # sequences of length <= 3 (those expected < 5 times pooled) and one cell
-    # for every longer sequence.
+    # for every longer sequence.  Two inputs: n=4 in the two classes of the
+    # events and the silence and multi-rumor attacks, and n=5 in the three
+    # of a MAP prior of size 2 ({1, 2}, {3} and the curious node 4), where
+    # un-lumping must give each class's nodes distinct unlabelled ids.
     _engine_path(monkeypatch, path)
-    cfg = GossipConfig(n=4, f=1, s=s, variant=variant)
     trials = 20_000 if path == "lockstep" else 10_000
-    seqs = [obs for length in range(4) for obs in product(range(4), repeat=length)]
-    p = np.array([float(sequence_probability(cfg, obs)) for obs in seqs])
-    cell = {obs: i for i, obs in enumerate(seqs)}
-    counts = np.zeros(len(seqs) + 1)
-    prefixes = (ObservedPrefix(10**9) for _ in range(trials))
     stream = 3 * k + ["lockstep", "lone", "crowded"].index(path)
-    for _, prefix, capped in _lumped_views(cfg, prefixes, spawn_stream(24, stream), _pools(cfg)):
-        assert not capped
-        counts[cell.get(tuple(prefix.senders), len(seqs))] += 1
-    assert not counts[:-1][p == 0].any()  # no impossible sequence
-    expected = np.append(p, 1.0 - p.sum()) * trials
-    big = expected >= 5
-    pooled = (expected > 0) & ~big
-    observed = np.append(counts[big], counts[pooled].sum())
-    expected = np.append(expected[big], expected[pooled].sum())
-    if not pooled.any():
-        observed, expected = observed[:-1], expected[:-1]
-    assert stats.chisquare(observed, expected).pvalue > 1e-3
+    for seed, n, prior_size in ((24, 4, None), (31, 5, 2)):
+        cfg = GossipConfig(n=n, f=1, s=s, variant=variant)
+        seqs = [obs for length in range(4) for obs in product(range(n), repeat=length)]
+        p = np.array([float(sequence_probability(cfg, obs)) for obs in seqs])
+        cell = {obs: i for i, obs in enumerate(seqs)}
+        counts = np.zeros(len(seqs) + 1)
+        prefixes = (ObservedPrefix(10**9) for _ in range(trials))
+        pools = _pools(cfg, prior_size)
+        for _, prefix, capped in _lumped_views(cfg, prefixes, spawn_stream(seed, stream), pools):
+            assert not capped
+            counts[cell.get(tuple(prefix.senders), len(seqs))] += 1
+        assert not counts[:-1][p == 0].any()  # no impossible sequence
+        expected = np.append(p, 1.0 - p.sum()) * trials
+        big = expected >= 5
+        pooled = (expected > 0) & ~big
+        observed = np.append(counts[big], counts[pooled].sum())
+        expected = np.append(expected[big], expected[pooled].sum())
+        if not pooled.any():
+            observed, expected = observed[:-1], expected[:-1]
+        assert stats.chisquare(observed, expected).pvalue > 1e-3, n
 
 
 def _two_sample_p(a: Counter, b: Counter) -> float:
@@ -205,6 +207,35 @@ def _two_sample_p(a: Counter, b: Counter) -> float:
 
 def _sender_class(cfg, node):
     return "source" if node == cfg.source else "curious" if node >= cfg.curious_lo else "other"
+
+
+@pytest.mark.parametrize("s, variant", [(0.0, "parameterized"), (0.5, "parameterized"),
+                                        (1.0, "delayed_start")])
+def test_lumped_hand_off_states_are_valid(monkeypatch, s, variant):
+    # Every un-lumped state that a lane hands to the per-node engine holds
+    # distinct informed ids, the source among them, and distinct active ids
+    # among those.  (At n <= 5 the exact-law test above barely sees a drawn
+    # id that repeats a labelled one.)
+    cfg = GossipConfig(n=12, f=3, s=s, variant=variant)
+    pools = _pools(cfg, 4)
+    _engine_path(monkeypatch, "crowded")
+    starts = []
+
+    def record(config, rng, start, feed):
+        starts.append(start)
+        return sequential_run(config, rng, start, feed)
+
+    sequential_run = estimators._sequential_run
+    monkeypatch.setattr(estimators, "_sequential_run", record)
+    prefixes = [ObservedPrefix(10**9) for _ in range(3000)]
+    for _ in _lumped_views(cfg, prefixes, spawn_stream(32, int(10 * s)), pools):
+        pass
+    assert len(starts) > 1000
+    for informed, active, steps in starts:
+        informed = informed.tolist()
+        assert len(set(informed)) == len(informed) and cfg.source in informed
+        assert len(set(active)) == len(active) and set(active) <= set(informed)
+        assert steps > 0
 
 
 # (n, s, variant, step cap): the cap bounds the per-node engine's runs and

@@ -275,21 +275,21 @@ def test_readme_csv_header_matches_run_experiment(tmp_path, kind):
 GOLDEN_ATTACKS = {
     "map": (
         {"attack": "map", "n": "1024", "s": "0, 0.5", "prior_size": "all, 10", "trials": "200"},
-        "5494960ac2c7b02bdc6d57b8af56f1df088790509a04ce0c9e71fac954d7b118",
+        "3de133172b3f3f3d04c0d4d31578ed7b676db9f9f93a5b0b72bee37ab23be7ad",
     ),
     "map_capped": (
         {"attack": "map", "n": "256", "s": "0.5", "prior_size": "all, 10", "step_cap": "40",
          "trials": "300"},
-        "cf5e8ff0359b4c1086a30d0e5a0e1597971ac9523854f4d207986086ea537aae",
+        "27732575be10f47477fd6b044aa687d77bf7ec9bb5f2dc9bce7b157f7bc011e9",
     ),
     "silence": (
         {"attack": "silence", "variant": "delayed_start", "n": "1024", "s": "1", "trials": "300"},
-        "df60ffb61b245df20262b3b7831c1ec52509120268a1a18f2b488de26ca611fc",
+        "3656493e1190a6cb232b4891698e0e50cc179ff8730d77f993358b906d3aa59e",
     ),
     "multi_rumor": (
         {"attack": "multi_rumor", "n": "256", "s": "0.5", "rumors": "1, 3", "k": "5",
          "trials": "300"},
-        "16c184c162d832536c807f39d8b07b4ba40ad4b5a88754654bf2422b7a0b4c2c",
+        "61348cfdfb043880e728eeee6dc4e3ae59ec284bbd076b463babff582df41520",
     ),
 }
 
