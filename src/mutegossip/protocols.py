@@ -35,7 +35,7 @@ class SequentialRun:
     receivers: list[int]
     n_informed: int
     steps: int
-    decided: bool = False  # the feed stopped the run
+    decided: bool  # the feed stopped the run
 
     def complete(self, config: GossipConfig) -> bool:
         return self.n_informed == config.n

@@ -232,7 +232,7 @@ def test_lumped_hand_off_states_are_valid(monkeypatch, s, variant):
         pass
     assert len(starts) > 1000
     for informed, active, steps in starts:
-        informed = informed.tolist()
+        informed, active = informed.tolist(), active.tolist()
         assert len(set(informed)) == len(informed) and cfg.source in informed
         assert len(set(active)) == len(active) and set(active) <= set(informed)
         assert steps > 0
