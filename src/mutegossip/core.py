@@ -134,24 +134,27 @@ class ExecutionTrace:
         return int(self.senders.size)
 
     def validate(self) -> None:
-        """Replay the informed set and assert trace well-formedness.
+        """Assert trace well-formedness from each node's first-informed step.
 
-        O(len) check: the source sends first, every sender was informed
-        strictly before its sending event, and a complete run informs all
-        n nodes.
+        O(len + n) check: the source sends first, every sender was informed
+        strictly before its sending event (the source from the start, any
+        other node as the receiver of an earlier event), and a complete run
+        informs all n nodes.
         """
         cfg = self.config
-        if len(self) == 0:
+        steps = len(self)
+        if steps == 0:
             raise AssertionError("a run makes at least one tell_gossip call")
         if int(self.senders[0]) != cfg.source:
             raise AssertionError("first event must be sent by the source")
-        informed = bytearray(cfg.n)
-        informed[cfg.source] = 1
-        for snd, rcv in zip(self.senders.tolist(), self.receivers.tolist()):
-            if not informed[snd]:
-                raise AssertionError(f"sender {snd} was not informed at send time")
-            informed[rcv] = 1
-        if self.complete and sum(informed) != cfg.n:
+        at = np.arange(steps)
+        informed_at = np.full(cfg.n, steps)  # first step as a receiver; `steps` if never
+        np.minimum.at(informed_at, self.receivers, at)
+        informed_at[cfg.source] = -1
+        late = np.flatnonzero(informed_at[self.senders] >= at)
+        if late.size:
+            raise AssertionError(f"sender {int(self.senders[late[0]])} was not informed at send time")
+        if self.complete and np.any(informed_at == steps):
             raise AssertionError("complete trace does not inform all nodes")
 
 

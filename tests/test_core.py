@@ -86,6 +86,31 @@ def test_validate_catches_uninformed_sender():
         bad.validate()
 
 
+def test_validate_catches_sender_informed_in_its_own_step():
+    # Node 2 receives at step 1, the step it sends in: it was not informed
+    # before sending.
+    cfg = GossipConfig(n=5, f=1, s=0.0)
+    bad = ExecutionTrace(cfg, senders=[0, 2], receivers=[1, 2], complete=False)
+    with pytest.raises(AssertionError, match="sender 2 was not informed"):
+        bad.validate()
+
+
+def test_validate_names_the_first_uninformed_sender():
+    cfg = GossipConfig(n=6, f=1, s=1.0)
+    bad = ExecutionTrace(cfg, senders=[0, 0, 4, 3, 1], receivers=[1, 3, 4, 2, 5], complete=False)
+    with pytest.raises(AssertionError, match="sender 4 was not informed"):
+        bad.validate()
+
+
+def test_validate_catches_complete_trace_with_uninformed_node():
+    cfg = GossipConfig(n=5, f=1, s=1.0)
+    ok = ExecutionTrace(cfg, senders=[0, 0, 1, 2], receivers=[1, 2, 3, 4], complete=True)
+    ok.validate()
+    bad = ExecutionTrace(cfg, senders=[0, 0, 1, 2], receivers=[1, 2, 3, 3], complete=True)
+    with pytest.raises(AssertionError, match="does not inform all nodes"):
+        bad.validate()
+
+
 def test_validate_catches_wrong_first_sender():
     cfg = GossipConfig(n=5, f=1, s=0.0)
     bad = ExecutionTrace(cfg, senders=[1, 0], receivers=[0, 2], complete=False)

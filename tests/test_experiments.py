@@ -322,11 +322,14 @@ def test_spread_csv_golden_digest(tmp_path):
 
 def test_event_family_golden_counts():
     # The lumped engine path of estimate_events (s > 0), pinned like the
-    # digests above.
+    # digests above.  One stream's two counts can survive a change of draw
+    # order by chance, so three streams are pinned.
     cfg = GossipConfig(n=64, f=6, s=0.3)
     events = [EventSpec.sender_rank_le(0, 3), EventSpec.first_sender_is(1)]
-    res = estimate_events(cfg, events, 2000, spawn_stream(2027, 9))
-    assert [(r.raw_successes, r.incomplete) for r in res] == [(359, 0), (26, 0)]
+    pinned = {9: [(359, 0), (26, 0)], 10: [(330, 0), (22, 0)], 11: [(354, 0), (20, 0)]}
+    for stream, counts in pinned.items():
+        res = estimate_events(cfg, events, 2000, spawn_stream(2027, stream))
+        assert [(r.raw_successes, r.incomplete) for r in res] == counts, stream
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from mutegossip import protocols
 from mutegossip.core import GossipConfig, spawn_stream
 from mutegossip.protocols import run_sync, run_trace
 
@@ -99,6 +100,36 @@ def test_run_trace_golden_digest(name):
         h.update(trace.receivers.tobytes())
         h.update(bytes([trace.complete]))
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("s, variant", [(0.0, "parameterized"), (1.0, "parameterized"), (1.0, "delayed_start")])
+def test_array_replay_matches_the_loop(monkeypatch, s, variant):
+    # At s in {0, 1} a recorded run leaves the per-step loop for the array
+    # replay at its first full-block refill.  With and without that path,
+    # the run and the generator's next draws must be the same bytes.
+    replayable = protocols._replayable
+    entered = []
+
+    def counting(s, active):
+        ok = replayable(s, active)
+        entered.append(ok)
+        return ok
+
+    def run(cfg, seed, array_path):
+        monkeypatch.setattr(protocols, "_replayable", counting if array_path else lambda s, active: False)
+        rng = spawn_stream(seed, 61)
+        r = protocols._sequential_run(cfg, rng)
+        return (np.asarray(r.senders, np.int64).tobytes(), np.asarray(r.receivers, np.int64).tobytes(),
+                r.n_informed, r.steps, rng.random(4).tobytes())
+
+    for n in (2, 3, 4, 5, 8, 64, 300, 1000, 3000):
+        for cap in (None, 1, 7, 300, 1500, 5000):
+            cfg = GossipConfig(n=n, f=0, s=s, variant=variant, step_cap=cap)
+            entered.clear()
+            for seed in range(30):
+                assert run(cfg, seed, False) == run(cfg, seed, True), (n, cap, seed)
+            if n >= 1000 and cap in (None, 1500, 5000):
+                assert sum(entered) == 30, (n, cap)
 
 
 def test_step_cap_flags_incomplete():
