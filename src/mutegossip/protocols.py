@@ -60,6 +60,7 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
     delayed start's forced first mute at step 0.  With `feed`, the sender
     of each observed entry (a curious receiver) is passed to it instead of
     recording the step, and the run stops once it returns True (decided).
+    A recorded run (no `feed`) at s in {0, 1} finishes on `_replay`.
     """
     n = config.n
     s = config.s

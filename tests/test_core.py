@@ -96,8 +96,9 @@ def test_validate_catches_sender_informed_in_its_own_step():
 
 
 def test_validate_names_the_first_uninformed_sender():
+    # Nodes 4 (step 1) and 3 (step 2) both send before they are informed.
     cfg = GossipConfig(n=6, f=1, s=1.0)
-    bad = ExecutionTrace(cfg, senders=[0, 0, 4, 3, 1], receivers=[1, 3, 4, 2, 5], complete=False)
+    bad = ExecutionTrace(cfg, senders=[0, 4, 3, 0], receivers=[1, 2, 4, 3], complete=False)
     with pytest.raises(AssertionError, match="sender 4 was not informed"):
         bad.validate()
 
