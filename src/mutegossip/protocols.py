@@ -152,10 +152,10 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
             break
 
     if feed is None and n_informed < n and step < cap:  # left the loop to replay
-        replay = _replay(rng, config, step, informed, active, active_flag, uniforms[uptr:])
-        senders = np.concatenate((np.array(senders, np.int64), replay[0]))
-        receivers = np.concatenate((np.array(receivers, np.int64), replay[1]))
-        n_informed, step = replay[2], replay[3]
+        rest_s, rest_r, n_informed, step = _replay(rng, config, step, informed, active, active_flag,
+                                                   uniforms[uptr:])
+        senders = np.concatenate((np.array(senders, np.int64), rest_s))
+        receivers = np.concatenate((np.array(receivers, np.int64), rest_r))
 
     return SequentialRun(senders, receivers, n_informed, step, decided)
 
