@@ -493,6 +493,14 @@ GOLDEN_SUMMARIES = {
         GossipConfig(n=128, f=13, s=0.5, step_cap=700), 20,
         "c7b4e5fc2619c44d8af19f36dbabdb7175db506bd6e8ec197690acc79eae006e",
     ),
+    "s1_capped": (  # 14 of 30 runs capped
+        GossipConfig(n=128, f=13, s=1.0, step_cap=600), 30,
+        "ab6a5d52a8555a61286163341bd9c7878856560e511845912f1016be0b05ee39",
+    ),
+    "s01": (
+        GossipConfig(n=128, f=13, s=0.1), 30,
+        "8bd32eefa7035387b6db812397af88e1e99fdce2c4ba8f30b8afd7f9ba9f0001",
+    ),
 }
 
 

@@ -144,6 +144,31 @@ def test_step_cap_flags_incomplete():
 # Synchronous engine
 
 
+# sha256 of the senders, receivers, completion and the three RoundTrace count
+# arrays of 20 run_sync runs at n=64 per case, one fixed stream each.  They
+# pin the round engine's draw order; "s05_capped" caps 7 of its 20 runs.
+GOLDEN_SYNC = {
+    "s01": (0.1, None, "52476a3380253a7b60ad6a2de2792c50e1162b075d374c87d07fd1a3d09bd394"),
+    "s05": (0.5, None, "dc5852b7b0075dcb38a83ff555518f7e06e15663866ba76b84f11902cb544067"),
+    "s1": (1.0, None, "eaa692f2899a2d2d1c268b01c1afcc296ffd36080bff2d14ef7044777cea2b45"),
+    "s05_capped": (0.5, 300, "09a489672761dd8d4aedd1de8ba831a6a3571742ad0f5f79d614d669fa28785b"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_SYNC)
+def test_run_sync_golden_digest(name):
+    s, cap, digest = GOLDEN_SYNC[name]
+    cfg = GossipConfig(n=64, f=6, s=s, step_cap=cap)
+    rng = spawn_stream(53, list(GOLDEN_SYNC).index(name))
+    h = hashlib.sha256()
+    for _ in range(20):
+        trace, rounds = run_sync(cfg, rng)
+        for a in (trace.senders, trace.receivers, rounds.informed, rounds.active, rounds.messages):
+            h.update(a.tobytes())
+        h.update(bytes([trace.complete]))
+    assert h.hexdigest() == digest
+
+
 def test_sync_round_zero_single_message():
     _, rounds = run_sync(GossipConfig(n=64, f=6, s=1.0), spawn_stream(3, 3))
     assert rounds.messages[0] == 1
