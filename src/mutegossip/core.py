@@ -204,7 +204,8 @@ class RoundTrace:
 
     For round t: messages[t] senders (the active set at round start) each
     sent one message; informed[t] and active[t] are the counts after the
-    round's receivers were absorbed.
+    round's receivers were absorbed.  So messages[0] == 1 (the source) and
+    messages[t + 1] == active[t].
     """
 
     informed: np.ndarray
@@ -228,3 +229,7 @@ class RoundTrace:
             raise AssertionError("active set became empty")
         if np.any(self.messages < 1):
             raise AssertionError("a round sent no message")
+        if self.messages[0] != 1:
+            raise AssertionError("the source alone sends in the first round")
+        if np.any(self.messages[1:] != self.active[:-1]):
+            raise AssertionError("a round's senders are not the previous round's active set")

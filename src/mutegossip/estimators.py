@@ -33,7 +33,8 @@ from .adversary import (
     silence_window,
 )
 from .core import GossipConfig, RoundTrace, split_stream
-from .protocols import _sequential_run, run_sync
+from .protocols import _sequential_run, _sync_rounds
+from .protocols import run_sync  # noqa: F401  -- perfbench's traced run wraps estimators.run_sync
 
 Z99 = 2.576  # 99% two-sided normal quantile, as reported alongside estimates
 
@@ -412,10 +413,10 @@ def _coupon_runs_s0(config: GossipConfig, trials: int, rng: np.random.Generator)
 
 
 def _sync_runs(config: GossipConfig, trials: int, rng: np.random.Generator):
-    """(complete, RoundTrace) for each of `trials` synchronous-engine runs."""
+    """(complete, RoundTrace) for each of `trials` synchronous-engine runs:
+    run_sync's rounds and draws, without recording its events."""
     for _ in range(trials):
-        trace, rounds = run_sync(config, rng)
-        yield trace.complete, rounds
+        yield _sync_rounds(config, rng)
 
 
 def estimate_events(
@@ -692,7 +693,8 @@ def estimate_spreading(
 
     At s=0 the runs come from the lumped coupon-collector engine
     (_coupon_runs_s0), which draws the rounds of every run in one call;
-    otherwise from run_sync."""
+    otherwise from the round engine's count-only loop (_sync_rounds, run_sync
+    without its event list: the same draws and the same RoundTrace)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = config.n

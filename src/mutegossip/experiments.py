@@ -405,7 +405,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, jobs: int = 1) -> 
 
     failures = [{"point": p, **failure} for p, (_, failure) in zip(points, results) if failure]
     all_rows = [row for rows, failure in results if not failure for row in rows]
-    _write_csv(out / f"{spec.kind}.csv", _KINDS[spec.kind][0], all_rows)
+    _write_csv(out / f"{spec.kind}.csv", spec.kind, all_rows)
 
     manifest = {
         "name": spec.name,
@@ -437,8 +437,11 @@ def _run_point(spec: ExperimentSpec, point: dict) -> list[list]:
     return _KINDS[spec.kind][1](spec, point, spawn_stream(spec.master_seed, point["g"]))
 
 
-def _write_csv(path: Path, header: str, rows: list[list]) -> None:
-    """Floats (numpy's included) at 10 significant digits, the rest by str."""
-    lines = [header]
-    lines.extend(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, kind: str, rows: list[list]) -> None:
+    """Floats (numpy's included) at 10 significant digits, the rest by str;
+    trace rows, three ints each, go straight through %d."""
+    if kind == "trace":
+        lines = ["%d,%d,%d" % tuple(row) for row in rows]
+    else:
+        lines = [",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    path.write_text("\n".join([_KINDS[kind][0], *lines]) + "\n")

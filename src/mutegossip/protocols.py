@@ -10,7 +10,10 @@ nodes, self included):
              re-informed); the receiver runs standard push.
 * run_sync   round-based version: every node active at round start sends
              once, then flips its stay-active coin; receivers activate for
-             the next round.
+             the next round.  Its loop, _sync_rounds, also runs without
+             recording events for the spreading estimator, which needs only
+             the per-round counts: the same draws, so the same RoundTrace,
+             and at s = 1 (where A is the informed set) no sender list.
 
 Engines are single-threaded and deterministic given their stream; run many
 of them concurrently on disjoint streams.
@@ -253,6 +256,61 @@ def run_trace(config: GossipConfig, rng: np.random.Generator) -> ExecutionTrace:
                           complete=run.complete(config))
 
 
+def _sync_rounds(config: GossipConfig, rng: np.random.Generator, events: list | None = None):
+    """The round engine's loop, shared by run_sync and the spreading estimator.
+
+    Returns (complete, RoundTrace).  With `events`, each round appends its
+    (senders, receivers) arrays to it.  Every round draws its receivers and
+    then its stay coins, one per sender, whatever s.  At s = 1 every sender
+    stays, so A is the informed set: the loop then keeps one mask and, unless
+    recording, never lists the senders.
+    """
+    if config.variant != "parameterized":
+        raise ValueError("the round engine requires variant='parameterized'")
+    n = config.n
+    s = config.s
+    cap = config.max_steps
+    all_stay = s == 1.0
+
+    informed = np.zeros(n, dtype=bool)
+    informed[config.source] = True
+    active = informed if all_stay else informed.copy()
+    informed_per_round: list[int] = []
+    active_per_round: list[int] = []
+    messages_per_round: list[int] = []
+    total_messages = 0
+    n_informed = n_active = 1
+
+    while n_informed < n and total_messages < cap:
+        k = n_active
+        if events is not None or not all_stay:
+            snd = np.flatnonzero(active)
+        rcv = rng.integers(0, n, size=k)
+        coins = rng.random(k)
+
+        if events is not None:
+            events.append((snd, rcv))
+        informed[rcv] = True
+        n_informed = int(np.count_nonzero(informed))
+        if all_stay:
+            n_active = n_informed
+        else:
+            active[snd] = coins < s  # each sender stays with probability s
+            active[rcv] = True
+            n_active = int(np.count_nonzero(active))
+        total_messages += k
+        informed_per_round.append(n_informed)
+        active_per_round.append(n_active)
+        messages_per_round.append(k)
+
+    rounds = RoundTrace(
+        informed=np.array(informed_per_round, dtype=np.int64),
+        active=np.array(active_per_round, dtype=np.int64),
+        messages=np.array(messages_per_round, dtype=np.int64),
+    )
+    return n_informed == n, rounds
+
+
 def run_sync(config: GossipConfig, rng: np.random.Generator) -> tuple[ExecutionTrace, RoundTrace]:
     """Run the round-based engine until all nodes are informed.
 
@@ -260,55 +318,12 @@ def run_sync(config: GossipConfig, rng: np.random.Generator) -> tuple[ExecutionT
     (event order within a round follows ascending node id; ties are broken
     arbitrarily anyway); each sender then independently stays active with
     probability s, and all of the round's receivers are active next round.
-    A node that stays and also receives remains a single entry of A.
+    A node that stays and also receives remains a single entry of A.  The
+    loop is _sync_rounds; this records its events as an ExecutionTrace.
     """
-    if config.variant != "parameterized":
-        raise ValueError("run_sync requires variant='parameterized'")
-    n = config.n
-    s = config.s
-    cap = config.max_steps
-
-    informed = np.zeros(n, dtype=bool)
-    informed[config.source] = True
-    active = np.zeros(n, dtype=bool)
-    active[config.source] = True
-
-    sender_chunks: list[np.ndarray] = []
-    receiver_chunks: list[np.ndarray] = []
-    informed_per_round: list[int] = []
-    active_per_round: list[int] = []
-    messages_per_round: list[int] = []
-    total_messages = 0
-    n_informed = 1
-
-    while n_informed < n and total_messages < cap:
-        snd = np.flatnonzero(active)
-        rcv = rng.integers(0, n, size=snd.size)
-        stay = rng.random(snd.size) < s
-
-        informed[rcv] = True
-        nxt = np.zeros(n, dtype=bool)
-        nxt[rcv] = True
-        nxt[snd[stay]] = True
-        active = nxt
-
-        sender_chunks.append(snd)
-        receiver_chunks.append(rcv)
-        total_messages += snd.size
-        n_informed = int(np.count_nonzero(informed))
-        informed_per_round.append(n_informed)
-        active_per_round.append(int(np.count_nonzero(active)))
-        messages_per_round.append(snd.size)
-
-    trace = ExecutionTrace(
-        config=config,
-        senders=np.concatenate(sender_chunks) if sender_chunks else np.empty(0, np.int64),
-        receivers=np.concatenate(receiver_chunks) if receiver_chunks else np.empty(0, np.int64),
-        complete=n_informed == n,
-    )
-    rounds = RoundTrace(
-        informed=np.array(informed_per_round, dtype=np.int64),
-        active=np.array(active_per_round, dtype=np.int64),
-        messages=np.array(messages_per_round, dtype=np.int64),
-    )
+    events: list[tuple[np.ndarray, np.ndarray]] = []
+    complete, rounds = _sync_rounds(config, rng, events)
+    snd, rcv = zip(*events)
+    trace = ExecutionTrace(config=config, senders=np.concatenate(snd), receivers=np.concatenate(rcv),
+                           complete=complete)
     return trace, rounds

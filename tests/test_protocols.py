@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from mutegossip import protocols
-from mutegossip.core import GossipConfig, spawn_stream
+from mutegossip.core import GossipConfig, RoundTrace, spawn_stream
 from mutegossip.protocols import run_sync, run_trace
 
 
@@ -209,6 +209,49 @@ def test_sync_round_conservation(s):
             assert nxt_set == rcv_set | snd_set
         assert len(nxt_set) == rounds.active[t]
         assert rounds.messages[t + 1] == rounds.active[t]
+
+
+def _state(rng):
+    """The generator's state as plain values (Philox keeps numpy arrays in it)."""
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        return v.tolist() if isinstance(v, np.ndarray) else v
+    return plain(rng.bit_generator.state)
+
+
+def test_sync_rounds_match_run_sync():
+    # The spreading estimator's count-only rounds are run_sync's: the same
+    # RoundTrace, completion and generator state after the run, although at
+    # s = 1 the count-only loop never lists the senders.
+    for n in (2, 3, 64, 1000):
+        for s in (0.05, 0.5, 1.0):
+            for cap in (None, 1, 50):
+                cfg = GossipConfig(n=n, f=0, s=s, step_cap=cap)
+                for seed in range(5):
+                    rng_a, rng_b = spawn_stream(59, seed), spawn_stream(59, seed)
+                    trace, rounds = run_sync(cfg, rng_a)
+                    complete, counts = protocols._sync_rounds(cfg, rng_b)
+                    assert complete == trace.complete, (n, s, cap, seed)
+                    for a, b in ((rounds.informed, counts.informed), (rounds.active, counts.active),
+                                 (rounds.messages, counts.messages)):
+                        assert np.array_equal(a, b), (n, s, cap, seed)
+                    assert _state(rng_a) == _state(rng_b), (n, s, cap, seed)
+                    counts.validate()
+
+
+def test_round_trace_validate_rejects_broken_counts():
+    ok = RoundTrace(informed=[2, 4, 4], active=[2, 3, 1], messages=[1, 2, 3])
+    ok.validate()
+    broken = {
+        "informed count decreased": RoundTrace([2, 4, 3], [2, 3, 1], [1, 2, 3]),
+        "active set became empty": RoundTrace([2, 4, 4], [2, 0, 1], [1, 2, 0]),
+        "source alone": RoundTrace([2, 4, 4], [2, 3, 1], [2, 2, 3]),
+        "previous round's active set": RoundTrace([2, 4, 4], [2, 3, 1], [1, 2, 2]),
+    }
+    for message, rounds in broken.items():
+        with pytest.raises(AssertionError, match=message):
+            rounds.validate()
 
 
 def test_sync_informed_monotone_and_complete():
