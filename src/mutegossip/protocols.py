@@ -266,7 +266,7 @@ def _sync_rounds(config: GossipConfig, rng: np.random.Generator, events: list | 
     recording, never lists the senders.
     """
     if config.variant != "parameterized":
-        raise ValueError("the round engine requires variant='parameterized'")
+        raise ValueError("run_sync requires variant='parameterized'")
     n = config.n
     s = config.s
     cap = config.max_steps
