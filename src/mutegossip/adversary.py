@@ -34,8 +34,8 @@ def observe_timed(trace: ExecutionTrace) -> TimedObservedSequence:
 
 
 class FirstInPrior:
-    """MAP rule: the first observed sender in `prior` (a set, or
-    range(curious_lo) for all non-curious nodes; sorted only to fall back)."""
+    """MAP rule: the first observed sender in `prior` (a set; sorted only to
+    fall back)."""
 
     def __init__(self, prior: Collection[int]):
         self.prior = prior
@@ -110,23 +110,15 @@ class AttackOutcome:
 
     predicted: Optional[int]  # None = abstained
     correct: Optional[bool] = None  # vs the true source, when known
-    rank_of_source: Optional[int] = None  # source's sender rank in the view
 
     @property
     def abstained(self) -> bool:
         return self.predicted is None
 
 
-def _outcome(
-    predicted: Optional[int],
-    true_source: Optional[int],
-    observed: Optional[ObservedSequence],
-) -> AttackOutcome:
+def _outcome(predicted: Optional[int], true_source: Optional[int]) -> AttackOutcome:
     correct = None if (true_source is None or predicted is None) else predicted == true_source
-    rank = None
-    if true_source is not None and observed is not None:
-        rank = observed.sender_rank(true_source)
-    return AttackOutcome(predicted=predicted, correct=correct, rank_of_source=rank)
+    return AttackOutcome(predicted=predicted, correct=correct)
 
 
 def map_attack(
@@ -147,7 +139,7 @@ def map_attack(
     if not prior:
         raise ValueError("prior must be nonempty")
     rule = feed_all(FirstInPrior(prior), observed.senders)
-    return _outcome(rule.predict(rng), true_source, observed)
+    return _outcome(rule.predict(rng), true_source)
 
 
 def multi_rumor_attack(
@@ -166,9 +158,7 @@ def multi_rumor_attack(
     if k < 1:
         raise ValueError("k must be >= 1")
     lead_lists = [feed_all(FirstKDistinct(k), obs.senders).leads for obs in observations]
-    return _outcome(
-        _score_multi_rumor(lead_lists, rng), true_source, observations[0] if observations else None
-    )
+    return _outcome(_score_multi_rumor(lead_lists, rng), true_source)
 
 
 def _score_multi_rumor(lead_lists: Sequence[Sequence[int]], rng: np.random.Generator) -> Optional[int]:
@@ -218,4 +208,4 @@ def silence_attack(
     if r < 1:
         raise ValueError("r must be >= 1")
     prefix = feed_all(ObservedPrefix(r + 1), observed.senders[: r + 1])
-    return _outcome(silence_prediction(prefix.senders), true_source, observed)
+    return _outcome(silence_prediction(prefix.senders), true_source)

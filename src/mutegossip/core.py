@@ -173,12 +173,6 @@ class ObservedSequence:
     def __len__(self) -> int:
         return int(self.senders.size)
 
-    def sender_rank(self, node: int) -> Optional[int]:
-        """Rank (index in this sequence) of `node`'s first appearance as a
-        sender, or None if it never sends to a curious node."""
-        hits = np.flatnonzero(self.senders == node)
-        return int(hits[0]) if hits.size else None
-
 
 @dataclass(frozen=True)
 class TimedObservedSequence:

@@ -118,17 +118,20 @@ class EventSpec:
 # exchangeable within their class, so a run lumps to per-class counts of
 # active, muted and uninformed nodes plus the states of the labelled nodes
 # (strong lumpability; Kemeny & Snell, Finite Markov Chains, 6.3).  The
-# labelled nodes are the source and every observed sender: an unlabelled
-# sender that is observed takes a fresh id, uniform over the unused ids of
-# its class, and keeps it.  A labelled node has sent or is the source, so it
-# is informed.  Many runs ("lanes") advance together on numpy arrays, and
-# Python runs only once per observed entry, to feed the lane's decider.  The
-# last lanes, and lanes with many labels, are un-lumped and end one by one on
-# the per-node engine (protocols._sequential_run): a step there costs about
-# 1 us against 100-150 us for a step of the arrays, and a hand-off about one
-# step of the arrays.  The state is exchangeable within each class, so the
-# hand-off keeps the law: each class's active and muted nodes take distinct
-# ids, uniform over its unlabelled ids.
+# labelled nodes are the source and the observed senders of the classes the
+# lane's rule can tell apart: such a sender, if unlabelled, takes a fresh id,
+# uniform over the unused ids of its class, and keeps it.  An observed sender
+# of another class stays in its class's counts and is not fed, since the rule
+# never looks inside that class; so each rule bounds its lane's labels (MAP
+# 2, FirstKDistinct k + 1, ObservedPrefix its length + 1).  A labelled node
+# has sent or is the source, so it is informed.  Many runs ("lanes") advance
+# together on numpy arrays, and Python runs only once per fed entry.  The
+# last lanes are un-lumped and end one by one on the per-node engine
+# (protocols._sequential_run): a step there costs about 1 us against 100-150
+# us for a step of the arrays, and a hand-off about one step of the arrays.
+# The state is exchangeable within each class, so the hand-off keeps the law:
+# each class's active and muted nodes take distinct ids, uniform over its
+# unlabelled ids.
 #
 # One step of a lane: a uniform sender among the active nodes, laid out as
 # each class's unlabelled active nodes, then the active labelled slots; its
@@ -146,18 +149,22 @@ _LANES = 2048  # lanes stepped together at most; bounds the engine's arrays
 # that is about to end is not handed off, and a long tail is not stepped
 # together for long.
 _TAIL = 256
-_CROWD = 256  # a lane with this many labelled nodes ends alone, which bounds W
 
 
-def _pools(config: GossipConfig, prior_size: Optional[int] = None) -> list[tuple[np.ndarray, bool]]:
-    """The ids of each class of exchangeable nodes, and whether it is curious:
-    the non-curious nodes but the source (with a MAP prior, split into the
-    rest and the last prior_size-1 of them, the prior but its source), then
-    the curious nodes last.  A class may be empty."""
+def _pools(config: GossipConfig, prior_size: Optional[int] = None) -> list[tuple[np.ndarray, bool, bool]]:
+    """The ids of each class of exchangeable nodes, whether it is curious, and
+    whether the rule tells its nodes apart (its observed senders are labelled
+    and fed): the non-curious nodes but the source, then the curious nodes,
+    both told apart.  With a MAP prior, the non-curious nodes but the source
+    split into the rest and the last prior_size-1 of them (the prior but its
+    source), and only the latter are told apart: FirstInPrior decides at the
+    first observed source or prior member.  A class may be empty."""
     others = np.delete(np.arange(config.curious_lo), config.source)
-    split = [] if prior_size is None else [others.size - prior_size + 1]
-    noncurious = [(ids, False) for ids in np.split(others, split)]
-    return noncurious + [(np.arange(config.curious_lo, config.n), True)]
+    curious = np.arange(config.curious_lo, config.n)
+    if prior_size is None:
+        return [(others, False, True), (curious, True, True)]
+    rest, prior = np.split(others, [others.size - prior_size + 1])
+    return [(rest, False, False), (prior, False, True), (curious, True, False)]
 
 
 def _count_moves(K: int) -> np.ndarray:
@@ -187,18 +194,20 @@ def _count_moves(K: int) -> np.ndarray:
 def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Generator, pools):
     """One run of `config` per decider, stepped in lockstep with up to _LANES
     others, its nodes lumped into the classes `pools` (from _pools).  Each
-    decider is fed the senders of its run's observed entries until it is
-    decided, the run informs every node, or it hits the step cap.  Yields
+    decider is fed the senders of its run's observed entries that it tells
+    apart (the source and its told-apart classes) until it is decided, the
+    run informs every node, or it hits the step cap.  Yields
     (index of the decider in `deciders`, decider, capped) as runs end.
     """
     n, s, cap = config.n, config.s, config.max_steps
     delayed = config.variant == "delayed_start"
     K, W = len(pools), 8
-    ids = [pool for pool, _ in pools]
+    ids = [pool for pool, _, _ in pools]
     sizes = np.array([pool.size for pool in ids])
     flat_ids = np.concatenate(ids)
     first_id = np.cumsum(sizes) - sizes
-    curious = np.array([cur for _, cur in pools])
+    curious = np.array([cur for _, cur, _ in pools])
+    fed = np.array([tell for _, _, tell in pools] + [True])  # by sender class; K: labelled
     moves = _count_moves(K)
     observed_block = np.concatenate([[False], np.repeat(curious, 3)])
     NLAB, ON, LEFT, STEPS = 0, 3 * K + 1, 3 * K + 2, 3 * K + 3
@@ -325,10 +334,10 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
             woken = lr[~lab_on[lr, r[lr]]]
             activate(woken, r[woken])
 
-        # Observed senders: a labelled one by its id; an unlabelled one takes
-        # the next slot and a fresh id, uniform over its class's ids and
-        # redrawn while the lane uses it.
-        ob = np.flatnonzero(obs & alive)
+        # Fed senders: a labelled one by its id; an unlabelled one takes the
+        # next slot and a fresh id, uniform over its class's ids and redrawn
+        # while the lane uses it.
+        ob = np.flatnonzero(obs & alive & fed[cs])
         decided = np.zeros(L, bool)
         if ob.size:
             c = cs[ob]
@@ -362,9 +371,6 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
         alive &= ~ended
         for row in np.flatnonzero(ended).tolist():
             yield keys[row], decs[row], bool(not decided[row] and st[LEFT, row] > 0)
-        for row in np.flatnonzero(alive & (st[NLAB] >= _CROWD)).tolist():
-            alive[row] = False
-            yield alone(row)
 
 
 def _first_observed_senders_s0(
@@ -609,17 +615,14 @@ def estimate_attack_precision(
 # Each attack's trials on the lumped engine: (prediction or None to abstain,
 # step-capped runs) per trial, in the order the trials end.
 def _map_runs(config, attack, trials, rng):
-    """A sized prior is the source plus the last prior_size-1 other non-curious
-    ids: those nodes are exchangeable, so which of them form the prior does not
-    change the law of the attack's success."""
-    size = attack.prior_size
-    if size is None:
-        pools, prior = _pools(config), range(config.curious_lo)
-    else:
-        if not 1 <= size <= config.curious_lo:
-            raise ValueError(f"prior size must be in [1, {config.curious_lo}]")
-        pools = _pools(config, size)
-        prior = frozenset(pools[1][0].tolist()) | {config.source}
+    """The prior is the source plus the last prior_size-1 other non-curious ids
+    (all of them if prior_size is None): those nodes are exchangeable, so which
+    of them form the prior does not change the law of the attack's success."""
+    size = config.curious_lo if attack.prior_size is None else attack.prior_size
+    if not 1 <= size <= config.curious_lo:
+        raise ValueError(f"prior size must be in [1, {config.curious_lo}]")
+    pools = _pools(config, size)
+    prior = frozenset(pools[1][0].tolist()) | {config.source}
     rules = (FirstInPrior(prior) for _ in range(trials))
     for _, rule, capped in _lumped_views(config, rules, rng, pools):
         yield rule.predict(rng), capped

@@ -260,10 +260,10 @@ def _sync_rounds(config: GossipConfig, rng: np.random.Generator, events: list | 
     """The round engine's loop, shared by run_sync and the spreading estimator.
 
     Returns (complete, RoundTrace).  With `events`, each round appends its
-    (senders, receivers) arrays to it.  Every round draws its receivers and
-    then its stay coins, one per sender, whatever s.  At s = 1 every sender
-    stays, so A is the informed set: the loop then keeps one mask and, unless
-    recording, never lists the senders.
+    (senders, receivers) arrays to it.  Every round draws its receivers and,
+    for s < 1, then its stay coins, one per sender.  At s = 1 every sender
+    stays, so A is the informed set: the loop then draws no coins, keeps one
+    mask and, unless recording, never lists the senders.
     """
     if config.variant != "parameterized":
         raise ValueError("run_sync requires variant='parameterized'")
@@ -286,7 +286,6 @@ def _sync_rounds(config: GossipConfig, rng: np.random.Generator, events: list | 
         if events is not None or not all_stay:
             snd = np.flatnonzero(active)
         rcv = rng.integers(0, n, size=k)
-        coins = rng.random(k)
 
         if events is not None:
             events.append((snd, rcv))
@@ -295,7 +294,7 @@ def _sync_rounds(config: GossipConfig, rng: np.random.Generator, events: list | 
         if all_stay:
             n_active = n_informed
         else:
-            active[snd] = coins < s  # each sender stays with probability s
+            active[snd] = rng.random(k) < s  # each sender stays with probability s
             active[rcv] = True
             n_active = int(np.count_nonzero(active))
         total_messages += k

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 from collections import Counter
@@ -9,7 +10,9 @@ from scipy import stats
 
 from mutegossip import estimators
 from mutegossip.adversary import (
+    FirstInPrior,
     ObservedPrefix,
+    feed_all,
     map_attack,
     multi_rumor_attack,
     observe,
@@ -148,13 +151,31 @@ def test_first_observed_senders_s0_match_engine(n, f, step_cap):
 # The lumped engine against the exact law and the per-node engine
 
 
-def _engine_path(monkeypatch, path):
-    """Run every lane of _lumped_views in lockstep, or in lockstep until it
-    holds one label (after its first step) or three labels and then alone,
-    un-lumped, on the per-node engine."""
-    monkeypatch.setattr(estimators, "_TAIL", 0)
-    if path != "lockstep":
-        monkeypatch.setattr(estimators, "_CROWD", 1 if path == "lone" else 3)
+def _views(monkeypatch, path, cfg, deciders, rng, pools):
+    """_lumped_views's results on one path of the engine.  "lockstep" steps
+    every lane in lockstep to its end.  "lone" and "crowded" make one call per
+    decider or per four deciders: the tail rule then hands each call's running
+    lanes to the per-node engine, un-lumped, after one lockstep step, or after
+    up to four with some lanes holding labels."""
+    if path == "lockstep":
+        monkeypatch.setattr(estimators, "_TAIL", 0)
+        return _lumped_views(cfg, deciders, rng, pools)
+    size = 1 if path == "lone" else 4
+    monkeypatch.setattr(estimators, "_TAIL", size)
+    # Every call builds its own engine: share one move table per class count.
+    monkeypatch.setattr(estimators, "_count_moves", functools.cache(estimators._count_moves))
+    deciders = list(deciders)
+    return (out for i in range(0, len(deciders), size)
+            for out in _lumped_views(cfg, deciders[i : i + size], rng, pools))
+
+
+@functools.cache
+def _exact_views(n, s, variant):
+    """The observed-sender sequences of length <= 3 at f=1, and the
+    probability that a complete run observes each one."""
+    cfg = GossipConfig(n=n, f=1, s=s, variant=variant)
+    seqs = [obs for length in range(4) for obs in product(range(n), repeat=length)]
+    return seqs, np.array([float(sequence_probability(cfg, obs)) for obs in seqs])
 
 
 @pytest.mark.parametrize("path", ["lockstep", "lone", "crowded"])
@@ -162,36 +183,52 @@ def _engine_path(monkeypatch, path):
                                            (2, 0.5, "parameterized"), (3, 1.0, "parameterized"),
                                            (4, 1.0, "delayed_start")])
 def test_lumped_views_match_exact_law(monkeypatch, path, k, s, variant):
-    # Complete observed-sender sequences of the lumped engine at f=1 against
-    # exact.sequence_probability: chi-square goodness of fit over the
-    # sequences of length <= 3 (those expected < 5 times pooled) and one cell
-    # for every longer sequence.  Two inputs: n=4 in the two classes of the
-    # events and the silence and multi-rumor attacks, and n=5 in the three
-    # of a MAP prior of size 2 ({1, 2}, {3} and the curious node 4), where
-    # un-lumping must give each class's nodes distinct unlabelled ids.
-    _engine_path(monkeypatch, path)
-    trials = 20_000 if path == "lockstep" else 10_000
+    # The lumped engine at f=1 against exact.sequence_probability, on two
+    # inputs.  At n=4, in the two classes of the events and the silence and
+    # multi-rumor attacks, every observed sender is fed: chi-square goodness
+    # of fit of the complete sequences over those of length <= 3 (those
+    # expected < 5 times pooled) and one cell for every longer sequence.  At
+    # n=5, in the three classes of a MAP prior of size 2 ({1, 2}, {3} and the
+    # curious node 4), only the source and node 3 are fed: FirstInPrior's
+    # outcome (0, 3 or none) must be as likely as the views of length <= 3
+    # that give it, at most that plus the mass of the longer views.
+    trials = 20_000 if path == "lockstep" else 4_000
     stream = 3 * k + ["lockstep", "lone", "crowded"].index(path)
-    for seed, n, prior_size in ((24, 4, None), (31, 5, 2)):
-        cfg = GossipConfig(n=n, f=1, s=s, variant=variant)
-        seqs = [obs for length in range(4) for obs in product(range(n), repeat=length)]
-        p = np.array([float(sequence_probability(cfg, obs)) for obs in seqs])
-        cell = {obs: i for i, obs in enumerate(seqs)}
-        counts = np.zeros(len(seqs) + 1)
-        prefixes = (ObservedPrefix(10**9) for _ in range(trials))
-        pools = _pools(cfg, prior_size)
-        for _, prefix, capped in _lumped_views(cfg, prefixes, spawn_stream(seed, stream), pools):
-            assert not capped
-            counts[cell.get(tuple(prefix.senders), len(seqs))] += 1
-        assert not counts[:-1][p == 0].any()  # no impossible sequence
-        expected = np.append(p, 1.0 - p.sum()) * trials
-        big = expected >= 5
-        pooled = (expected > 0) & ~big
-        observed = np.append(counts[big], counts[pooled].sum())
-        expected = np.append(expected[big], expected[pooled].sum())
-        if not pooled.any():
-            observed, expected = observed[:-1], expected[:-1]
-        assert stats.chisquare(observed, expected).pvalue > 1e-3, n
+    cfg = GossipConfig(n=4, f=1, s=s, variant=variant)
+    seqs, p = _exact_views(4, s, variant)
+    cell = {obs: i for i, obs in enumerate(seqs)}
+    counts = np.zeros(len(seqs) + 1)
+    prefixes = (ObservedPrefix(10**9) for _ in range(trials))
+    for _, prefix, capped in _views(monkeypatch, path, cfg, prefixes, spawn_stream(24, stream), _pools(cfg)):
+        assert not capped
+        counts[cell.get(tuple(prefix.senders), len(seqs))] += 1
+    assert not counts[:-1][p == 0].any()  # no impossible sequence
+    expected = np.append(p, 1.0 - p.sum()) * trials
+    big = expected >= 5
+    pooled = (expected > 0) & ~big
+    observed = np.append(counts[big], counts[pooled].sum())
+    expected = np.append(expected[big], expected[pooled].sum())
+    if not pooled.any():
+        observed, expected = observed[:-1], expected[:-1]
+    assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+    cfg = GossipConfig(n=5, f=1, s=s, variant=variant)
+    pools = _pools(cfg, 2)
+    prior = frozenset(pools[1][0].tolist()) | {cfg.source}
+    seqs, p = _exact_views(5, s, variant)
+    law = Counter()
+    for obs, q in zip(seqs, p):
+        law[feed_all(FirstInPrior(prior), obs).found] += q
+    rules = (FirstInPrior(prior) for _ in range(trials))
+    found = Counter()
+    for _, rule, capped in _views(monkeypatch, path, cfg, rules, spawn_stream(31, stream), pools):
+        assert not capped
+        found[rule.found] += 1
+    assert set(found) <= {*prior, None}
+    slack, half = 1.0 - p.sum(), 2.0 / math.sqrt(trials)  # 4 standard errors at most
+    for outcome in (*sorted(prior), None):
+        share = found[outcome] / trials
+        assert law[outcome] - half <= share <= law[outcome] + slack + half, (outcome, share, law[outcome])
 
 
 def _two_sample_p(a: Counter, b: Counter) -> float:
@@ -213,27 +250,31 @@ def _sender_class(cfg, node):
                                         (1.0, "delayed_start")])
 def test_lumped_hand_off_states_are_valid(monkeypatch, s, variant):
     # Every un-lumped state that a lane hands to the per-node engine holds
-    # distinct informed ids, the source among them, and distinct active ids
-    # among those.  (At n <= 5 the exact-law test above barely sees a drawn
-    # id that repeats a labelled one.)
+    # distinct informed ids, the source and the senders fed so far among
+    # them, and distinct active ids among those.  On MAP's pools of a prior
+    # of size 4, where only the source and the prior's class are fed.  (At
+    # n <= 5 the exact-law test above barely sees a drawn id that repeats a
+    # labelled one.)
     cfg = GossipConfig(n=12, f=3, s=s, variant=variant)
     pools = _pools(cfg, 4)
-    _engine_path(monkeypatch, "crowded")
+    prior = set(pools[1][0].tolist()) | {cfg.source}
     starts = []
 
     def record(config, rng, start, feed):
-        starts.append(start)
+        starts.append((start, list(feed.__self__.senders)))
         return sequential_run(config, rng, start, feed)
 
     sequential_run = estimators._sequential_run
     monkeypatch.setattr(estimators, "_sequential_run", record)
     prefixes = [ObservedPrefix(10**9) for _ in range(3000)]
-    for _ in _lumped_views(cfg, prefixes, spawn_stream(32, int(10 * s)), pools):
+    for _ in _views(monkeypatch, "crowded", cfg, prefixes, spawn_stream(32, int(10 * s)), pools):
         pass
     assert len(starts) > 1000
-    for informed, active, steps in starts:
+    assert sum(bool(fed) for _, fed in starts) > 100  # hand-offs holding labelled observed senders
+    for (informed, active, steps), fed in starts:
         informed, active = informed.tolist(), active.tolist()
         assert len(set(informed)) == len(informed) and cfg.source in informed
+        assert set(fed) <= prior & set(informed)
         assert len(set(active)) == len(active) and set(active) <= set(informed)
         assert steps > 0
 
@@ -271,17 +312,16 @@ def test_lumped_first_senders_match_per_node_engine(n, s, variant, cap):
 def test_lumped_source_sends_match_per_node_engine(monkeypatch, s):
     # How often the source is an observed sender in a complete run, which
     # follows how long it stays active: the lumped engine in lockstep and
-    # alone against observe() on run_trace.  (The view's length does not
+    # handed off four lanes a call against observe() on run_trace.  (The view's length does not
     # depend on s: every step's receiver is uniform whoever sends.)
     cfg = GossipConfig(n=16, f=2, s=s)
     rng = spawn_stream(29, int(10 * s))
     per_node = Counter(min(observe(run_trace(cfg, rng)).senders.tolist().count(cfg.source), 5)
                        for _ in range(10_000))
-    for i, path in enumerate(("lockstep", "lone")):
-        _engine_path(monkeypatch, path)
-        prefixes = (ObservedPrefix(10**9) for _ in range(20_000))
-        lumped = Counter(min(prefix.senders.count(cfg.source), 5) for _, prefix, _ in
-                         _lumped_views(cfg, prefixes, spawn_stream(30, 10 * int(10 * s) + i), _pools(cfg)))
+    for i, (path, trials) in enumerate((("lockstep", 20_000), ("crowded", 10_000))):
+        prefixes = (ObservedPrefix(10**9) for _ in range(trials))
+        views = _views(monkeypatch, path, cfg, prefixes, spawn_stream(30, 10 * int(10 * s) + i), _pools(cfg))
+        lumped = Counter(min(prefix.senders.count(cfg.source), 5) for _, prefix, _ in views)
         assert _two_sample_p(lumped, per_node) > 1e-3, path
 
 
@@ -493,9 +533,9 @@ GOLDEN_SUMMARIES = {
         GossipConfig(n=128, f=13, s=0.5, step_cap=700), 20,
         "c7b4e5fc2619c44d8af19f36dbabdb7175db506bd6e8ec197690acc79eae006e",
     ),
-    "s1_capped": (  # 14 of 30 runs capped
+    "s1_capped": (  # 18 of 30 runs capped
         GossipConfig(n=128, f=13, s=1.0, step_cap=600), 30,
-        "ab6a5d52a8555a61286163341bd9c7878856560e511845912f1016be0b05ee39",
+        "3d8555e6495e6695943c31a98380bf703a32cf84cca1b8e083814f6971b40f4b",
     ),
     "s01": (
         GossipConfig(n=128, f=13, s=0.1), 30,

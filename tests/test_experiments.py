@@ -275,12 +275,12 @@ def test_readme_csv_header_matches_run_experiment(tmp_path, kind):
 GOLDEN_ATTACKS = {
     "map": (
         {"attack": "map", "n": "1024", "s": "0, 0.5", "prior_size": "all, 10", "trials": "200"},
-        "3de133172b3f3f3d04c0d4d31578ed7b676db9f9f93a5b0b72bee37ab23be7ad",
+        "b6e138c5f3880a04dcbc401169dd29d527eb1d98f9c070bc29f02996dc10c3db",
     ),
     "map_capped": (
         {"attack": "map", "n": "256", "s": "0.5", "prior_size": "all, 10", "step_cap": "40",
          "trials": "300"},
-        "27732575be10f47477fd6b044aa687d77bf7ec9bb5f2dc9bce7b157f7bc011e9",
+        "60fc9e3f4ab8d2d41f550eb2a3bf89f8b54405e06892e15acb00bc1fd05c58cc",
     ),
     "silence": (
         {"attack": "silence", "variant": "delayed_start", "n": "1024", "s": "1", "trials": "300"},
@@ -308,7 +308,7 @@ def test_attack_csv_golden_digest(tmp_path, name):
 # (s=0 points take the lumped coupon-collector engine instead).
 GOLDEN_SPREAD = (
     {"n": "128, 512", "s": "0.5, 1", "trials": "20"},
-    "70df3c152cb4bb0f7f336a42310d9fddc8d2d83ccc892fdee810646018f9dc4e",
+    "1b2d00da6692184d31ccd28ff94f9e79d228ebaa53af4151fdaf621b72af22fc",
 )
 
 

@@ -150,7 +150,7 @@ def test_step_cap_flags_incomplete():
 GOLDEN_SYNC = {
     "s01": (0.1, None, "52476a3380253a7b60ad6a2de2792c50e1162b075d374c87d07fd1a3d09bd394"),
     "s05": (0.5, None, "dc5852b7b0075dcb38a83ff555518f7e06e15663866ba76b84f11902cb544067"),
-    "s1": (1.0, None, "eaa692f2899a2d2d1c268b01c1afcc296ffd36080bff2d14ef7044777cea2b45"),
+    "s1": (1.0, None, "0d4c18db223068a2922a642c29d4b3f8cdb1542f6b2bcc1a82fea8115e63d579"),
     "s05_capped": (0.5, 300, "09a489672761dd8d4aedd1de8ba831a6a3571742ad0f5f79d614d669fa28785b"),
 }
 
@@ -238,6 +238,21 @@ def test_sync_rounds_match_run_sync():
                         assert np.array_equal(a, b), (n, s, cap, seed)
                     assert _state(rng_a) == _state(rng_b), (n, s, cap, seed)
                     counts.validate()
+
+
+def test_run_sync_s1_draws_only_receivers():
+    # At s=1 no sender mutes, so a round draws its receivers and no stay
+    # coins: recorded or count-only, runs leave the generator where drawing
+    # rng.integers(0, n, size=k) per round of k messages leaves it.
+    cfg = GossipConfig(n=256, f=25, s=1.0)
+    rng, receivers_only = spawn_stream(54, 0), spawn_stream(54, 0)
+    trace, rounds = run_sync(cfg, rng)
+    drawn = [receivers_only.integers(0, cfg.n, size=k) for k in rounds.messages.tolist()]
+    assert np.array_equal(np.concatenate(drawn), trace.receivers)
+    _, rounds = protocols._sync_rounds(cfg, rng)
+    for k in rounds.messages.tolist():
+        receivers_only.integers(0, cfg.n, size=k)
+    assert _state(rng) == _state(receivers_only)
 
 
 def test_round_trace_validate_rejects_broken_counts():
