@@ -189,9 +189,9 @@ def test_lumped_views_match_exact_law(monkeypatch, path, k, s, variant):
     # of fit of the complete sequences over those of length <= 3 (those
     # expected < 5 times pooled) and one cell for every longer sequence.  At
     # n=5, in the three classes of a MAP prior of size 2 ({1, 2}, {3} and the
-    # curious node 4), only the source and node 3 are fed: FirstInPrior's
-    # outcome (0, 3 or none) must be as likely as the views of length <= 3
-    # that give it, at most that plus the mass of the longer views.
+    # curious node 4), only the source and node 3 are fed: the share of each
+    # outcome of FirstInPrior (0, 3 or none) must lie between the mass of the
+    # views of length <= 3 that give it and that plus the longer views' mass.
     trials = 20_000 if path == "lockstep" else 4_000
     stream = 3 * k + ["lockstep", "lone", "crowded"].index(path)
     cfg = GossipConfig(n=4, f=1, s=s, variant=variant)
@@ -251,10 +251,10 @@ def _sender_class(cfg, node):
 def test_lumped_hand_off_states_are_valid(monkeypatch, s, variant):
     # Every un-lumped state that a lane hands to the per-node engine holds
     # distinct informed ids, the source and the senders fed so far among
-    # them, and distinct active ids among those.  On MAP's pools of a prior
-    # of size 4, where only the source and the prior's class are fed.  (At
-    # n <= 5 the exact-law test above barely sees a drawn id that repeats a
-    # labelled one.)
+    # them, and distinct active ids among those.  The pools are MAP's for a
+    # prior of size 4, so only the source and the prior's class are fed.
+    # (At n <= 5 the exact-law test above barely sees a drawn id that
+    # repeats a labelled one.)
     cfg = GossipConfig(n=12, f=3, s=s, variant=variant)
     pools = _pools(cfg, 4)
     prior = set(pools[1][0].tolist()) | {cfg.source}
@@ -270,7 +270,8 @@ def test_lumped_hand_off_states_are_valid(monkeypatch, s, variant):
     for _ in _views(monkeypatch, "crowded", cfg, prefixes, spawn_stream(32, int(10 * s)), pools):
         pass
     assert len(starts) > 1000
-    assert sum(bool(fed) for _, fed in starts) > 100  # hand-offs holding labelled observed senders
+    # Hand-offs holding a labelled observed sender drawn from the prior's class.
+    assert sum(bool(set(fed) - {cfg.source}) for _, fed in starts) > 100
     for (informed, active, steps), fed in starts:
         informed, active = informed.tolist(), active.tolist()
         assert len(set(informed)) == len(informed) and cfg.source in informed
@@ -312,8 +313,9 @@ def test_lumped_first_senders_match_per_node_engine(n, s, variant, cap):
 def test_lumped_source_sends_match_per_node_engine(monkeypatch, s):
     # How often the source is an observed sender in a complete run, which
     # follows how long it stays active: the lumped engine in lockstep and
-    # handed off four lanes a call against observe() on run_trace.  (The view's length does not
-    # depend on s: every step's receiver is uniform whoever sends.)
+    # handed off four lanes a call, against observe() on run_trace.  (The
+    # view's length does not depend on s: every step's receiver is uniform
+    # whoever sends.)
     cfg = GossipConfig(n=16, f=2, s=s)
     rng = spawn_stream(29, int(10 * s))
     per_node = Counter(min(observe(run_trace(cfg, rng)).senders.tolist().count(cfg.source), 5)
