@@ -18,6 +18,7 @@ Estimation honesty rules baked in:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
@@ -126,12 +127,12 @@ class EventSpec:
 # 2, FirstKDistinct k + 1, ObservedPrefix its length + 1).  A labelled node
 # has sent or is the source, so it is informed.  Many runs ("lanes") advance
 # together on numpy arrays, and Python runs only once per fed entry.  The
-# last lanes are un-lumped and end one by one on the per-node engine
-# (protocols._sequential_run): a step there costs about 1 us against 100-150
-# us for a step of the arrays, and a hand-off about one step of the arrays.
-# The state is exchangeable within each class, so the hand-off keeps the law:
-# each class's active and muted nodes take distinct ids, uniform over its
-# unlabelled ids.
+# last lanes, and lanes with many labels (a large r or k), are un-lumped
+# and end one by one on the per-node engine (protocols._sequential_run): a
+# step there costs about 1 us against 100-150 us for a step of the arrays,
+# and a hand-off about one step of the arrays.  The state is exchangeable
+# within each class, so the hand-off keeps the law: each class's active and
+# muted nodes take distinct ids, uniform over its unlabelled ids.
 #
 # One step of a lane: a uniform sender among the active nodes, laid out as
 # each class's unlabelled active nodes, then the active labelled slots; its
@@ -149,6 +150,11 @@ _LANES = 2048  # lanes stepped together at most; bounds the engine's arrays
 # that is about to end is not handed off, and a long tail is not stepped
 # together for long.
 _TAIL = 256
+# A lane with this many labelled nodes ends alone, which bounds W.  MAP lanes
+# hold at most 2 labels, but silence and multi-rumor lanes hold up to r + 1
+# or k + 1, and a spec bounds neither: the (lanes, W) arrays, and the clash
+# check that reads them, would grow with r or k.
+_CROWD = 256
 
 
 def _pools(config: GossipConfig, prior_size: Optional[int] = None) -> list[tuple[np.ndarray, bool, bool]]:
@@ -167,6 +173,7 @@ def _pools(config: GossipConfig, prior_size: Optional[int] = None) -> list[tuple
     return [(rest, False, False), (prior, False, True), (curious, True, False)]
 
 
+@functools.cache
 def _count_moves(K: int) -> np.ndarray:
     """The change of a lane's counts for each step outcome, one column per
     ((sender class * 2 + mute) * (3K+1) + receiver block) * 2 + self-send.
@@ -371,6 +378,9 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
         alive &= ~ended
         for row in np.flatnonzero(ended).tolist():
             yield keys[row], decs[row], bool(not decided[row] and st[LEFT, row] > 0)
+        for row in np.flatnonzero(alive & (st[NLAB] >= _CROWD)).tolist():
+            alive[row] = False
+            yield alone(row)
 
 
 def _first_observed_senders_s0(

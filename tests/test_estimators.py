@@ -162,8 +162,6 @@ def _views(monkeypatch, path, cfg, deciders, rng, pools):
         return _lumped_views(cfg, deciders, rng, pools)
     size = 1 if path == "lone" else 4
     monkeypatch.setattr(estimators, "_TAIL", size)
-    # Every call builds its own engine: share one move table per class count.
-    monkeypatch.setattr(estimators, "_count_moves", functools.cache(estimators._count_moves))
     deciders = list(deciders)
     return (out for i in range(0, len(deciders), size)
             for out in _lumped_views(cfg, deciders[i : i + size], rng, pools))
@@ -178,30 +176,18 @@ def _exact_views(n, s, variant):
     return seqs, np.array([float(sequence_probability(cfg, obs)) for obs in seqs])
 
 
-@pytest.mark.parametrize("path", ["lockstep", "lone", "crowded"])
-@pytest.mark.parametrize("k, s, variant", [(0, 0.0, "parameterized"), (1, 1 / 3, "parameterized"),
-                                           (2, 0.5, "parameterized"), (3, 1.0, "parameterized"),
-                                           (4, 1.0, "delayed_start")])
-def test_lumped_views_match_exact_law(monkeypatch, path, k, s, variant):
-    # The lumped engine at f=1 against exact.sequence_probability, on two
-    # inputs.  At n=4, in the two classes of the events and the silence and
-    # multi-rumor attacks, every observed sender is fed: chi-square goodness
-    # of fit of the complete sequences over those of length <= 3 (those
-    # expected < 5 times pooled) and one cell for every longer sequence.  At
-    # n=5, in the three classes of a MAP prior of size 2 ({1, 2}, {3} and the
-    # curious node 4), only the source and node 3 are fed: the share of each
-    # outcome of FirstInPrior (0, 3 or none) must lie between the mass of the
-    # views of length <= 3 that give it and that plus the longer views' mass.
-    trials = 20_000 if path == "lockstep" else 4_000
-    stream = 3 * k + ["lockstep", "lone", "crowded"].index(path)
-    cfg = GossipConfig(n=4, f=1, s=s, variant=variant)
-    seqs, p = _exact_views(4, s, variant)
+def _assert_sequence_law(views, cfg, trials):
+    """Chi-square goodness of fit of the complete observed-sender sequences
+    fed to ObservedPrefix deciders against exact.sequence_probability, over
+    the sequences of length <= 3 (those expected < 5 times pooled) and one
+    cell for every longer sequence."""
+    seqs, p = _exact_views(cfg.n, cfg.s, cfg.variant)
     cell = {obs: i for i, obs in enumerate(seqs)}
     counts = np.zeros(len(seqs) + 1)
-    prefixes = (ObservedPrefix(10**9) for _ in range(trials))
-    for _, prefix, capped in _views(monkeypatch, path, cfg, prefixes, spawn_stream(24, stream), _pools(cfg)):
+    for _, prefix, capped in views:
         assert not capped
         counts[cell.get(tuple(prefix.senders), len(seqs))] += 1
+    assert counts.sum() == trials
     assert not counts[:-1][p == 0].any()  # no impossible sequence
     expected = np.append(p, 1.0 - p.sum()) * trials
     big = expected >= 5
@@ -210,10 +196,37 @@ def test_lumped_views_match_exact_law(monkeypatch, path, k, s, variant):
     expected = np.append(expected[big], expected[pooled].sum())
     if not pooled.any():
         observed, expected = observed[:-1], expected[:-1]
-    assert stats.chisquare(observed, expected).pvalue > 1e-3
+    assert stats.chisquare(observed, expected).pvalue > 1e-3, cfg.n
+
+
+@pytest.mark.parametrize("path", ["lockstep", "lone", "crowded"])
+@pytest.mark.parametrize("k, s, variant", [(0, 0.0, "parameterized"), (1, 1 / 3, "parameterized"),
+                                           (2, 0.5, "parameterized"), (3, 1.0, "parameterized"),
+                                           (4, 1.0, "delayed_start")])
+def test_lumped_views_match_exact_law(monkeypatch, path, k, s, variant):
+    # The lumped engine at f=1 against exact.sequence_probability.  The
+    # complete observed-sender sequences, with every observed sender fed, on
+    # two inputs: n=4 in the two classes of the events and the silence and
+    # multi-rumor attacks, and n=5 in the three of a MAP prior of size 2
+    # ({1, 2}, {3} and the curious node 4), where un-lumping must give each
+    # class's nodes distinct unlabelled ids.  Then FirstInPrior on MAP's own
+    # pools at n=5, where only the source and node 3 are fed: the share of
+    # each outcome (0, 3 or none) must lie between the mass of the views of
+    # length <= 3 that give it and that plus the longer views' mass.
+    trials = 20_000 if path == "lockstep" else 10_000
+    stream = 3 * k + ["lockstep", "lone", "crowded"].index(path)
+    cfg = GossipConfig(n=4, f=1, s=s, variant=variant)
+    prefixes = (ObservedPrefix(10**9) for _ in range(trials))
+    _assert_sequence_law(_views(monkeypatch, path, cfg, prefixes, spawn_stream(24, stream), _pools(cfg)),
+                         cfg, trials)
 
     cfg = GossipConfig(n=5, f=1, s=s, variant=variant)
     pools = _pools(cfg, 2)
+    all_fed = [(ids, cur, True) for ids, cur, _ in pools]
+    prefixes = (ObservedPrefix(10**9) for _ in range(trials))
+    _assert_sequence_law(_views(monkeypatch, path, cfg, prefixes, spawn_stream(31, stream), all_fed),
+                         cfg, trials)
+
     prior = frozenset(pools[1][0].tolist()) | {cfg.source}
     seqs, p = _exact_views(5, s, variant)
     law = Counter()
@@ -221,7 +234,7 @@ def test_lumped_views_match_exact_law(monkeypatch, path, k, s, variant):
         law[feed_all(FirstInPrior(prior), obs).found] += q
     rules = (FirstInPrior(prior) for _ in range(trials))
     found = Counter()
-    for _, rule, capped in _views(monkeypatch, path, cfg, rules, spawn_stream(31, stream), pools):
+    for _, rule, capped in _views(monkeypatch, path, cfg, rules, spawn_stream(33, stream), pools):
         assert not capped
         found[rule.found] += 1
     assert set(found) <= {*prior, None}
@@ -280,6 +293,27 @@ def test_lumped_hand_off_states_are_valid(monkeypatch, s, variant):
         assert steps > 0
 
 
+def test_lumped_crowded_lanes_end_alone(monkeypatch):
+    # A rule that tells every sender apart labels each new observed sender.
+    # A lane hands itself to the per-node engine on the step its labels reach
+    # _CROWD, which bounds the width of the label arrays, and its run goes on
+    # there to the end.
+    cfg = GossipConfig(n=2048, f=1024, s=1.0)
+    monkeypatch.setattr(estimators, "_TAIL", 0)
+    labels = []
+
+    def record(config, rng, start, feed):
+        labels.append(len(set(feed.__self__.senders) | {cfg.source}))
+        return sequential_run(config, rng, start, feed)
+
+    sequential_run = estimators._sequential_run
+    monkeypatch.setattr(estimators, "_sequential_run", record)
+    prefixes = [ObservedPrefix(10**9) for _ in range(8)]
+    for _, prefix, capped in _lumped_views(cfg, prefixes, spawn_stream(34, 0), _pools(cfg)):
+        assert not capped and len(set(prefix.senders)) > estimators._CROWD
+    assert labels == [estimators._CROWD] * 8
+
+
 # (n, s, variant, step cap): the cap bounds the per-node engine's runs and
 # applies to both engines, so capped runs are compared too.
 FIRST_SENDER_CASES = [
@@ -320,8 +354,8 @@ def test_lumped_source_sends_match_per_node_engine(monkeypatch, s):
     rng = spawn_stream(29, int(10 * s))
     per_node = Counter(min(observe(run_trace(cfg, rng)).senders.tolist().count(cfg.source), 5)
                        for _ in range(10_000))
-    for i, (path, trials) in enumerate((("lockstep", 20_000), ("crowded", 10_000))):
-        prefixes = (ObservedPrefix(10**9) for _ in range(trials))
+    for i, path in enumerate(("lockstep", "crowded")):
+        prefixes = (ObservedPrefix(10**9) for _ in range(20_000))
         views = _views(monkeypatch, path, cfg, prefixes, spawn_stream(30, 10 * int(10 * s) + i), _pools(cfg))
         lumped = Counter(min(prefix.senders.count(cfg.source), 5) for _, prefix, _ in views)
         assert _two_sample_p(lumped, per_node) > 1e-3, path
