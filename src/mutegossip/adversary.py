@@ -4,8 +4,11 @@ The adversary monitors the curious nodes: its entire view of a run is the
 relative-order subsequence of events whose receiver is curious.  Each
 attack rule is an online decider whose `feed(sender)` returns True once the
 rule is decided: offline attacks feed it a whole view, estimators feed it a
-running engine and stop there.  Attacks take an explicit random stream for
-tie-breaking, so they are safe to run concurrently on disjoint streams.
+running engine and stop there.  Its `tells_apart` is how many of the first
+senders fed to it the rule must know by id: a later sender that is none of
+those may be fed to it as -1, as the estimators' engine does.  Attacks take
+an explicit random stream for tie-breaking, so they are safe to run
+concurrently on disjoint streams.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ class FirstInPrior:
     """MAP rule: the first observed sender in `prior` (a set; sorted only to
     fall back)."""
 
+    tells_apart = math.inf
+
     def __init__(self, prior: Collection[int]):
         self.prior = prior
         self.found: Optional[int] = None
@@ -60,6 +65,8 @@ class FirstKDistinct:
     """Multi-rumor rule: the first k distinct observed senders, in order of
     first appearance (fewer if the view runs out)."""
 
+    tells_apart = math.inf
+
     def __init__(self, k: int):
         self.k = k
         self.leads: list[int] = []
@@ -75,7 +82,9 @@ class FirstKDistinct:
 
 class ObservedPrefix:
     """The first `length` observed senders (fewer if the view runs out), on
-    which the silence rule and the untimed events are decided."""
+    which the untimed events are decided."""
+
+    tells_apart = math.inf
 
     def __init__(self, length: int):
         self.length = length
@@ -84,6 +93,31 @@ class ObservedPrefix:
     def feed(self, sender: int) -> bool:
         self.senders.append(sender)
         return len(self.senders) >= self.length
+
+
+class FirstGoesQuiet:
+    """Silence rule: the first observed sender x, unless x reappears among
+    the next r entries.  Decided at that repeat (abstain) or after r further
+    entries (predict x); a shorter view predicts x, an empty one abstains.
+    Of a later sender, the rule needs to know only whether it is x."""
+
+    tells_apart = 1
+
+    def __init__(self, r: int):
+        self.left = r
+        self.first: Optional[int] = None
+        self.repeated = False
+
+    def feed(self, sender: int) -> bool:
+        if self.first is None:
+            self.first = sender
+            return False
+        self.left -= 1
+        self.repeated = sender == self.first
+        return self.repeated or not self.left
+
+    def predict(self) -> Optional[int]:
+        return None if self.repeated else self.first
 
 
 def feed_all(decider, senders: Sequence[int]):
@@ -183,16 +217,6 @@ def silence_window(n: int) -> int:
     return int(math.ceil(math.log(n) ** 2))
 
 
-def silence_prediction(prefix: Sequence[int]) -> Optional[int]:
-    """Silence rule on the first r+1 observed senders: the first sender if
-    it does not reappear among the other r, else None (abstain; also on an
-    empty view)."""
-    if not prefix:
-        return None
-    x = prefix[0]
-    return None if x in prefix[1:] else x
-
-
 def silence_attack(
     observed: ObservedSequence,
     r: int,
@@ -207,5 +231,4 @@ def silence_attack(
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    prefix = feed_all(ObservedPrefix(r + 1), observed.senders[: r + 1])
-    return _outcome(silence_prediction(prefix.senders), true_source)
+    return _outcome(feed_all(FirstGoesQuiet(r), observed.senders).predict(), true_source)

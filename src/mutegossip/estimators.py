@@ -26,11 +26,11 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .adversary import (
+    FirstGoesQuiet,
     FirstInPrior,
     FirstKDistinct,
     ObservedPrefix,
     _score_multi_rumor,
-    silence_prediction,
     silence_window,
 )
 from .core import GossipConfig, RoundTrace, split_stream
@@ -119,18 +119,21 @@ class EventSpec:
 # exchangeable within their class, so a run lumps to per-class counts of
 # active, muted and uninformed nodes plus the states of the labelled nodes
 # (strong lumpability; Kemeny & Snell, Finite Markov Chains, 6.3).  The
-# labelled nodes are the source and the observed senders of the classes the
-# lane's rule can tell apart: such a sender, if unlabelled, takes a fresh id,
-# uniform over the unused ids of its class, and keeps it.  An observed sender
-# of another class stays in its class's counts and is not fed, since the rule
-# never looks inside that class; so each rule bounds its lane's labels (MAP
-# 2, FirstKDistinct k + 1, ObservedPrefix its length + 1).  A labelled node
+# labelled nodes are the source and the observed senders that the lane's rule
+# tells apart: such a sender, if unlabelled, takes a fresh id, uniform over
+# the unused ids of its class, and keeps it.  An observed sender of a class
+# the rule never looks inside stays in its class's counts and is not fed; one
+# that the rule needs to know only as "none of the labelled nodes" (it comes
+# after the decider's first tells_apart fed senders) stays there too and is
+# fed as -1.  So each rule bounds its lane's labels, whatever its parameter:
+# MAP 2, silence 2 (FirstGoesQuiet labels only its first sender),
+# FirstKDistinct k + 1 and ObservedPrefix its length + 1.  A labelled node
 # has sent or is the source, so it is informed.  Many runs ("lanes") advance
 # together on numpy arrays, and Python runs only once per fed entry.  The
-# last lanes, and lanes with many labels (a large r or k), are un-lumped
-# and end one by one on the per-node engine (protocols._sequential_run): a
-# step there costs about 1 us against 100-150 us for a step of the arrays,
-# and a hand-off about one step of the arrays.  The state is exchangeable
+# last lanes, and lanes with many labels (a large k or event horizon), are
+# un-lumped and end one by one on the per-node engine
+# (protocols._sequential_run): a step there costs about 1 us against 100-150
+# us for a step of the arrays, and a hand-off about one step of the arrays.  The state is exchangeable
 # within each class, so the hand-off keeps the law: each class's active and
 # muted nodes take distinct ids, uniform over its unlabelled ids.
 #
@@ -150,10 +153,11 @@ _LANES = 2048  # lanes stepped together at most; bounds the engine's arrays
 # that is about to end is not handed off, and a long tail is not stepped
 # together for long.
 _TAIL = 256
-# A lane with this many labelled nodes ends alone, which bounds W.  MAP lanes
-# hold at most 2 labels, but silence and multi-rumor lanes hold up to r + 1
-# or k + 1, and a spec bounds neither: the (lanes, W) arrays, and the clash
-# check that reads them, would grow with r or k.
+# A lane with this many labelled nodes ends alone, which bounds W.  MAP and
+# silence lanes hold at most 2 labels, but multi-rumor lanes hold up to k + 1
+# and event lanes their horizon + 1, and a spec bounds neither: the (lanes, W)
+# arrays, and the clash check that reads them, would grow with k or the
+# horizon.
 _CROWD = 256
 
 
@@ -227,20 +231,23 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
     tail = 0
 
     # Per lane (column): its counts; its decider, the decider's feed and its
-    # index.  Per lane and labelled slot (L, W): id (-1 if unused), active, and
-    # the active slots as a swap-remove list.
+    # index; how many more fed senders the decider tells apart.  Per lane and
+    # labelled slot (L, W): id (-1 if unused), active, and the active slots as
+    # a swap-remove list.
     st = np.zeros((3 * K + 4, 0), np.int64)
     decs: list = []
     feeds: list = []
     keys: list[int] = []
     slot_t = np.int16 if n < 2**15 else np.int32  # holds any id and any slot
     # The deciders of all lanes keep what they are fed: on small graphs they
-    # share one int object per id instead of one per entry.
-    names = list(range(n)) if n <= 2**16 else range(n)
+    # share one int object per id instead of one per entry.  names[x + 1] is
+    # x, for -1 too.
+    names = list(range(-1, n)) if n <= 2**16 else range(-1, n)
     lab_id = np.zeros((0, W), slot_t)
     lab_on = np.zeros((0, W), bool)
     on_list = np.zeros((0, W), slot_t)
     alive = np.zeros(0, bool)
+    tells = np.zeros(0)
 
     def activate(rows, slots):
         on = st[ON, rows]
@@ -273,7 +280,7 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
             keep = alive.tolist()
             decs, feeds, keys = ([x for x, k in zip(xs, keep) if k] for xs in (decs, feeds, keys))
             st = st[:, alive]
-            lab_id, lab_on, on_list = (x[alive] for x in (lab_id, lab_on, on_list))
+            lab_id, lab_on, on_list, tells = (x[alive] for x in (lab_id, lab_on, on_list, tells))
             alive = alive[alive]
         if admit:
             for index, decider in pending:
@@ -291,6 +298,7 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
                 lab_id = np.vstack([lab_id, np.where(first_slot, config.source, -1).astype(slot_t)])
                 lab_on = np.vstack([lab_on, first_slot])
                 on_list = np.vstack([on_list, np.zeros((m, W), slot_t)])
+                tells = np.concatenate([tells, [d.tells_apart for d in decs[alive.size :]]])
                 alive = np.concatenate([alive, np.ones(m, bool)])
                 n_alive += m
         if exhausted and n_alive <= _TAIL:
@@ -341,14 +349,19 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
             woken = lr[~lab_on[lr, r[lr]]]
             activate(woken, r[woken])
 
-        # Fed senders: a labelled one by its id; an unlabelled one takes the
-        # next slot and a fresh id, uniform over its class's ids and redrawn
-        # while the lane uses it.
+        # Fed senders: a labelled one by its id; an unlabelled one, if it is
+        # among the first tells_apart senders fed to the lane's decider, takes
+        # the next slot and a fresh id, uniform over its class's ids and
+        # redrawn while the lane uses it, and otherwise stays in its class's
+        # counts and is fed as -1.
         ob = np.flatnonzero(obs & alive & fed[cs])
         decided = np.zeros(L, bool)
         if ob.size:
             c = cs[ob]
-            ou, cu = ob[c < K], c[c < K]
+            told = tells[ob] > 0
+            tells[ob] -= 1
+            unlabelled = c < K
+            ou, cu = ob[unlabelled & told], c[unlabelled & told]
             if ou.size:
                 slot = st[NLAB, ou]
                 if slot.max() >= W:
@@ -370,8 +383,8 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
                     fresh[clash] = flat_ids[first_id[cc] + (rng.random(clash.size) * sizes[cc]).astype(np.int64)]
                     clash = clash[(used[clash] == fresh[clash, None]).any(1)]
                 lab_id[ou, slot] = fresh
-            done = [row for row, sender in zip(ob.tolist(), lab_id[ob, sender_slot[ob]].tolist())
-                    if feeds[row](names[sender])]
+            sent = np.where(unlabelled & ~told, -1, lab_id[ob, sender_slot[ob]])
+            done = [row for row, sender in zip(ob.tolist(), (sent + 1).tolist()) if feeds[row](names[sender])]
             decided[done] = True
 
         ended = alive & (decided | (st[LEFT] == 0) | (st[STEPS] >= cap))
@@ -657,9 +670,9 @@ def _silence_runs(config, attack, trials, rng):
     r = attack.r if attack.r is not None else silence_window(config.n)
     if r < 1:
         raise ValueError("r must be >= 1")
-    prefixes = (ObservedPrefix(r + 1) for _ in range(trials))
-    for _, prefix, capped in _lumped_views(config, prefixes, rng, _pools(config)):
-        yield silence_prediction(prefix.senders), capped
+    rules = (FirstGoesQuiet(r) for _ in range(trials))
+    for _, rule, capped in _lumped_views(config, rules, rng, _pools(config)):
+        yield rule.predict(), capped
 
 
 _ATTACK_RUNS = {

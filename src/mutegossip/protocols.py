@@ -280,23 +280,23 @@ def _sync_rounds(config: GossipConfig, rng: np.random.Generator, events: list | 
     messages_per_round: list[int] = []
     total_messages = 0
     n_informed = n_active = 1
+    listed = events is not None or not all_stay
+    snd = np.flatnonzero(active)  # the next round's senders, when listed
 
     while n_informed < n and total_messages < cap:
         k = n_active
-        if events is not None or not all_stay:
-            snd = np.flatnonzero(active)
         rcv = rng.integers(0, n, size=k)
 
         if events is not None:
             events.append((snd, rcv))
         informed[rcv] = True
         n_informed = int(np.count_nonzero(informed))
-        if all_stay:
-            n_active = n_informed
-        else:
+        if not all_stay:
             active[snd] = rng.random(k) < s  # each sender stays with probability s
             active[rcv] = True
-            n_active = int(np.count_nonzero(active))
+        if listed:
+            snd = np.flatnonzero(active)
+        n_active = n_informed if all_stay else snd.size
         total_messages += k
         informed_per_round.append(n_informed)
         active_per_round.append(n_active)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mutegossip.adversary import (
+    FirstGoesQuiet,
     FirstKDistinct,
     feed_all,
     map_attack,
@@ -179,6 +181,25 @@ def test_silence_attack_abstains_on_reappearance():
 
 def test_silence_attack_abstains_on_empty():
     assert silence_attack(_obs([]), r=3).abstained
+
+
+@given(view=st.lists(st.integers(0, 5), max_size=12), r=st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_silence_attack_predicts_first_sender_absent_from_window(view, r):
+    # x = entry 0 is predicted exactly when x is absent from entries 1..r.
+    out = silence_attack(_obs(view), r=r)
+    quiet = bool(view) and view[0] not in view[1 : r + 1]
+    assert out.predicted == (view[0] if quiet else None)
+
+
+def test_first_goes_quiet_stops_at_first_repeat():
+    # Decided at the first repeat of x, or after r entries that follow x.
+    rule = FirstGoesQuiet(3)
+    assert [rule.feed(x) for x in (4, 9)] == [False, False]
+    assert rule.feed(4) and rule.predict() is None
+    rule = FirstGoesQuiet(2)
+    assert [rule.feed(x) for x in (4, -1, -1)] == [False, False, True]
+    assert rule.predict() == 4
 
 
 def test_silence_window_default():

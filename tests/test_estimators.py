@@ -10,6 +10,7 @@ from scipy import stats
 
 from mutegossip import estimators
 from mutegossip.adversary import (
+    FirstGoesQuiet,
     FirstInPrior,
     ObservedPrefix,
     feed_all,
@@ -209,10 +210,13 @@ def test_lumped_views_match_exact_law(monkeypatch, path, k, s, variant):
     # two inputs: n=4 in the two classes of the events and the silence and
     # multi-rumor attacks, and n=5 in the three of a MAP prior of size 2
     # ({1, 2}, {3} and the curious node 4), where un-lumping must give each
-    # class's nodes distinct unlabelled ids.  Then FirstInPrior on MAP's own
-    # pools at n=5, where only the source and node 3 are fed: the share of
-    # each outcome (0, 3 or none) must lie between the mass of the views of
-    # length <= 3 that give it and that plus the longer views' mass.
+    # class's nodes distinct unlabelled ids.  Then the outcomes of two rules
+    # whose lanes label only some senders: FirstInPrior on MAP's own pools at
+    # n=5, where only the source and node 3 are fed, and FirstGoesQuiet with
+    # r=1 and r=2 at n=4 and n=5, which labels only its first sender and
+    # feeds any later unlabelled one as -1.  The share of each outcome (a
+    # node or none) must lie between the mass of the views of length <= 3
+    # that give it and that plus the longer views' mass.
     trials = 20_000 if path == "lockstep" else 10_000
     stream = 3 * k + ["lockstep", "lone", "crowded"].index(path)
     cfg = GossipConfig(n=4, f=1, s=s, variant=variant)
@@ -228,18 +232,61 @@ def test_lumped_views_match_exact_law(monkeypatch, path, k, s, variant):
                          cfg, trials)
 
     prior = frozenset(pools[1][0].tolist()) | {cfg.source}
-    seqs, p = _exact_views(5, s, variant)
+    rules = _ended(_views(monkeypatch, path, cfg, (FirstInPrior(prior) for _ in range(trials)),
+                          spawn_stream(33, stream), pools))
+    found = [rule.found for rule in rules]
+    assert set(found) <= {*prior, None}
+    _assert_outcome_law(found, cfg, lambda obs: feed_all(FirstInPrior(prior), obs).found)
+
+    # One FirstGoesQuiet(2) lane per trial gives r=2's outcome, and r=1's from
+    # the first two entries it was fed: an r=1 lane is fed the same entries,
+    # since a lane's steps depend on its rule only through tells_apart (the
+    # same for every r) until the rule is decided.
+    for n in (4, 5):
+        cfg = GossipConfig(n=n, f=1, s=s, variant=variant)
+        rules = _ended(_views(monkeypatch, path, cfg, (_Fed(2) for _ in range(trials)),
+                              spawn_stream(35, 2 * stream + n - 4), _pools(cfg)))
+        for r in (1, 2):
+            def outcome(fed, r=r):
+                return feed_all(FirstGoesQuiet(r), fed).predict()
+
+            _assert_outcome_law([outcome(rule.fed) for rule in rules], cfg, outcome)
+
+
+class _Fed(FirstGoesQuiet):
+    """The silence rule, keeping every sender it is fed."""
+
+    def __init__(self, r):
+        super().__init__(r)
+        self.fed = []
+
+    def feed(self, sender):
+        self.fed.append(sender)
+        return super().feed(sender)
+
+
+def _ended(views):
+    """The deciders of `views`, none of whose runs may be step-capped."""
+    rules = []
+    for _, rule, capped in views:
+        assert not capped
+        rules.append(rule)
+    return rules
+
+
+def _assert_outcome_law(found, cfg, outcome_of):
+    """The share of each outcome (a node or None) in `found`, one per trial,
+    against the mass of the complete views of length <= 3 whose outcome_of
+    it is, with the longer views' mass as upward slack and 4 standard errors
+    either way."""
+    seqs, p = _exact_views(cfg.n, cfg.s, cfg.variant)
     law = Counter()
     for obs, q in zip(seqs, p):
-        law[feed_all(FirstInPrior(prior), obs).found] += q
-    rules = (FirstInPrior(prior) for _ in range(trials))
-    found = Counter()
-    for _, rule, capped in _views(monkeypatch, path, cfg, rules, spawn_stream(33, stream), pools):
-        assert not capped
-        found[rule.found] += 1
-    assert set(found) <= {*prior, None}
+        law[outcome_of(obs)] += q
+    trials, found = len(found), Counter(found)
+    assert set(found) <= {*range(cfg.n), None}
     slack, half = 1.0 - p.sum(), 2.0 / math.sqrt(trials)  # 4 standard errors at most
-    for outcome in (*sorted(prior), None):
+    for outcome in (*range(cfg.n), None):
         share = found[outcome] / trials
         assert law[outcome] - half <= share <= law[outcome] + slack + half, (outcome, share, law[outcome])
 
@@ -312,6 +359,30 @@ def test_lumped_crowded_lanes_end_alone(monkeypatch):
     for _, prefix, capped in _lumped_views(cfg, prefixes, spawn_stream(34, 0), _pools(cfg)):
         assert not capped and len(set(prefix.senders)) > estimators._CROWD
     assert labels == [estimators._CROWD] * 8
+
+
+def test_lumped_silence_lanes_hold_two_labels(monkeypatch):
+    # FirstGoesQuiet tells only its first sender x apart, so its lane labels
+    # x and the source alone and feeds every other sender as -1, whatever r
+    # is: no lane reaches _CROWD and is handed off, though some are fed far
+    # more entries, and each ends decided (x repeats or r entries follow it)
+    # or with every node informed.
+    cfg = GossipConfig(n=2048, f=1024, s=1.0)
+    monkeypatch.setattr(estimators, "_TAIL", 0)
+    handed_off = []
+
+    def record(config, rng, start, feed):
+        handed_off.append(start)
+        return sequential_run(config, rng, start, feed)
+
+    sequential_run = estimators._sequential_run
+    monkeypatch.setattr(estimators, "_sequential_run", record)
+    rules = [_Fed(10**4) for _ in range(64)]
+    ended = _ended(_lumped_views(cfg, rules, spawn_stream(36, 0), _pools(cfg)))
+    assert not handed_off and len(ended) == len(rules)
+    for rule in ended:
+        assert set(rule.fed) <= {rule.first, cfg.source, -1}
+    assert max(len(rule.fed) for rule in rules) > 2 * estimators._CROWD
 
 
 # (n, s, variant, step cap): the cap bounds the per-node engine's runs and

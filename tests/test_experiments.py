@@ -284,7 +284,7 @@ GOLDEN_ATTACKS = {
     ),
     "silence": (
         {"attack": "silence", "variant": "delayed_start", "n": "1024", "s": "1", "trials": "300"},
-        "3656493e1190a6cb232b4891698e0e50cc179ff8730d77f993358b906d3aa59e",
+        "16a72be334ab649ca7449b109c75c9750fe610f8ce39628aec51a0f1becc6717",
     ),
     "multi_rumor": (
         {"attack": "multi_rumor", "n": "256", "s": "0.5", "rumors": "1, 3", "k": "5",
