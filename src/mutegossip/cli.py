@@ -5,10 +5,10 @@ Usage:
                [key=value ...]
 
 where <kind> is one of: trace, spread, attack, validate, bounds.  Settings
-come from the optional spec file, overlaid with any key=value arguments.
-The GOSSIP_SEED environment variable overrides the spec's master_seed; an
-explicit --seed overrides both.  `bounds` additionally prints its table as
-aligned text.
+come from the optional spec file, overlaid with any key=value arguments and
+then validated once against experiments.KEYS, which scopes each key to every
+kind, one kind or one attack.  GOSSIP_SEED overrides the spec's master_seed;
+an explicit --seed overrides both.  `bounds` also prints its table as text.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .experiments import KINDS, SpecError, build_spec, parse_spec, run_experiment
+from .experiments import KINDS, SpecError, build_spec, read_spec, run_experiment
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -26,23 +26,19 @@ def main(argv: list[str] | None = None) -> int:
         prog="gossip-sim",
         description="Muting-gossip simulator: spreading, attacks, and privacy bounds.",
     )
-    sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
-        p = sub.add_parser(kind, help=f"run a {kind} experiment")
-        p.add_argument("--spec", type=Path, default=None, help="spec file (key=value or JSON)")
-        p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="worker pool size for grid points (default: cores)")
-        p.add_argument("--seed", type=int, default=None, help="override master_seed")
-        p.add_argument("overrides", nargs="*", metavar="key=value",
-                       help="spec overrides, e.g. 'n = 4096' as n=4096")
-    args = parser.parse_args(argv)
+    parser.add_argument("kind", choices=KINDS, help="the experiment kind")
+    parser.add_argument("--spec", type=Path, default=None, help="spec file (key=value or JSON)")
+    parser.add_argument("--out", type=Path, default=None, help="output directory")
+    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                        help="worker pool size for grid points (default: cores)")
+    parser.add_argument("--seed", type=int, default=None, help="override master_seed")
+    parser.add_argument("overrides", nargs="*", metavar="key=value",
+                        help="spec overrides, e.g. 'n = 4096' as n=4096")
+    # Intermixed: parse_args leaves `overrides` empty when an option follows <kind>.
+    args = parser.parse_intermixed_args(argv)
 
     try:
-        items: dict = {}
-        if args.spec is not None:
-            spec = parse_spec(args.spec)
-            items = {k: (v, None) for k, v in _spec_items(spec)}
+        items = read_spec(args.spec) if args.spec is not None else {}
         items.setdefault("name", (args.kind, None))
         items["kind"] = (args.kind, None)
         given: dict = {}  # key=value arguments override the file's keys
@@ -69,15 +65,6 @@ def main(argv: list[str] | None = None) -> int:
         _print_table(out / "bounds.csv")
     print(f"wrote {out}/ (exit {status})")
     return status
-
-
-def _spec_items(spec) -> list[tuple[str, str]]:
-    """Flatten a parsed spec back to overridable key=value text items."""
-    out = []
-    for line in spec.frozen_text().splitlines():
-        key, _, value = line.partition(" = ")
-        out.append((key, value))
-    return out
 
 
 def _print_table(csv_path: Path) -> None:

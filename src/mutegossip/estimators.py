@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -239,10 +239,6 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
     feeds: list = []
     keys: list[int] = []
     slot_t = np.int16 if n < 2**15 else np.int32  # holds any id and any slot
-    # The deciders of all lanes keep what they are fed: on small graphs they
-    # share one int object per id instead of one per entry.  names[x + 1] is
-    # x, for -1 too.
-    names = list(range(-1, n)) if n <= 2**16 else range(-1, n)
     lab_id = np.zeros((0, W), slot_t)
     lab_on = np.zeros((0, W), bool)
     on_list = np.zeros((0, W), slot_t)
@@ -384,7 +380,7 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
                     clash = clash[(used[clash] == fresh[clash, None]).any(1)]
                 lab_id[ou, slot] = fresh
             sent = np.where(unlabelled & ~told, -1, lab_id[ob, sender_slot[ob]])
-            done = [row for row, sender in zip(ob.tolist(), (sent + 1).tolist()) if feeds[row](names[sender])]
+            done = [row for row, sender in zip(ob.tolist(), sent.tolist()) if feeds[row](sender)]
             decided[done] = True
 
         ended = alive & (decided | (st[LEFT] == 0) | (st[STEPS] >= cap))
@@ -439,13 +435,6 @@ def _coupon_runs_s0(config: GossipConfig, trials: int, rng: np.random.Generator)
         held[0] -= 1  # the second node is informed *in* round waits[0]
         one = np.broadcast_to(np.int64(1), (rounds,))
         yield True, RoundTrace(np.repeat(counts, held), one, one)
-
-
-def _sync_runs(config: GossipConfig, trials: int, rng: np.random.Generator):
-    """(complete, RoundTrace) for each of `trials` synchronous-engine runs:
-    run_sync's rounds and draws, without recording its events."""
-    for _ in range(trials):
-        yield _sync_rounds(config, rng)
 
 
 def estimate_events(
@@ -539,13 +528,7 @@ def estimate_dp_gap(
 
     The two configurations must be identical except for their source.
     """
-    if (config_i.n, config_i.f, config_i.s, config_i.variant, config_i.step_cap) != (
-        config_j.n,
-        config_j.f,
-        config_j.s,
-        config_j.variant,
-        config_j.step_cap,
-    ):
+    if replace(config_i, source=config_j.source) != config_j:
         raise ValueError("configs must differ only in their source")
     if config_i.source == config_j.source:
         raise ValueError("sources must differ")
@@ -724,8 +707,11 @@ def estimate_spreading(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = config.n
-    engine = _coupon_runs_s0 if config.s == 0.0 else _sync_runs
-    runs = [rounds for complete, rounds in engine(config, trials, rng) if complete]
+    if config.s == 0.0:
+        outcomes = _coupon_runs_s0(config, trials, rng)
+    else:
+        outcomes = (_sync_rounds(config, rng) for _ in range(trials))
+    runs = [rounds for complete, rounds in outcomes if complete]
     if not runs:
         raise RuntimeError("every run hit the step cap; raise step_cap")
     late = (rounds.active[rounds.informed > 0.99 * n] for rounds in runs)

@@ -7,17 +7,17 @@ lexicographic order over the declared lists, and grid point g draws all of
 its randomness from the stream (master_seed, g), so results are
 byte-for-byte reproducible regardless of worker count or scheduling.
 
-Three tables describe what a spec can say and what a run writes:
+Two tables describe what a spec can say and what a run writes:
 
-  KEYS         each spec key's parser, bounds, the word standing for None
-               (`all`, `auto`) and whether it is a comma list, in the order
-               frozen_text() echoes them.  ExperimentSpec.keys() names the
-               keys one spec uses; build_spec rejects any other.
-  ATTACK_KEYS  each attack's own keys; the first is its grid list and fills
-               attack.csv's `param` column.
-  _KINDS       each kind's CSV header (<kind>.csv, fixed column order,
-               floats with 10 significant digits; README lists the same
-               headers) and the function giving one grid point's rows.
+  KEYS    each spec key's parser, bounds, the word standing for None (`all`,
+          `auto`), whether it is a comma list, and its scope: every kind,
+          one kind, or one attack, whose keys are its estimator spec's fields
+          (the first is its grid list and attack.csv's `param`).  In the
+          order frozen_text() echoes them; ExperimentSpec.keys() names the
+          keys one spec uses and build_spec rejects any other.
+  _KINDS  each kind's CSV header (<kind>.csv, fixed column order, floats
+          with 10 significant digits; README lists the same headers) and the
+          function giving one grid point's rows.
 """
 
 from __future__ import annotations
@@ -58,13 +58,10 @@ from .estimators import (
 )
 from .protocols import run_trace
 
-# The keys each attack reads besides the common ones.  The first is the
-# attack's grid list; its keys are the fields of the estimator's attack spec.
-ATTACK_KEYS = {"map": ("prior_size",), "multi_rumor": ("rumors", "k"), "silence": ("r",)}
-ATTACKS = tuple(ATTACK_KEYS)
 _ATTACK_SPECS = {
     "map": MapAttackSpec, "multi_rumor": MultiRumorAttackSpec, "silence": SilenceAttackSpec
 }
+ATTACKS = tuple(_ATTACK_SPECS)
 QUANTITIES = ("first_sender_source", "first_sender_other", "event_f", "strong_first_disclosure")
 
 
@@ -99,27 +96,19 @@ class ExperimentSpec:
     step_cap: Optional[int] = None
     source: int = 0
 
-    def _own_keys(self) -> tuple[str, ...]:
-        """The keys only this kind (and attack) reads; the first is a grid list."""
-        if self.kind == "attack":
-            return ATTACK_KEYS[self.attack]
-        return ("quantity",) if self.kind == "validate" else ()
-
     def keys(self) -> tuple[str, ...]:
-        """The keys this spec uses, in frozen_text order: the common keys,
-        plus `attack` and the attack's own keys for kind=attack, and
-        `quantity` for kind=validate."""
-        own = self._own_keys() + (("attack",) if self.kind == "attack" else ())
-        return tuple(k for k in KEYS if k in own or k not in _SCOPED_KEYS)
+        """The keys this spec uses, in frozen_text order: those of every
+        kind, and those scoped to its kind or its attack."""
+        return tuple(k for k, rule in KEYS.items() if rule.scope in (None, self.kind, self.attack))
 
     def grid(self) -> list[dict]:
         """Expand the parameter grid, lexicographic over the declared lists:
-        n, s, f_over_n, then the attack's grid list or the quantities."""
-        own = self._own_keys()
+        n, s, f_over_n, then the first scoped list key, if any."""
+        own = next((k for k in self.keys() if KEYS[k].scope and KEYS[k].many), None)
         points = []
         for n, s, fon in itertools.product(self.n, self.s, self.f_over_n):
             base = {"n": n, "s": s, "f": round(fon * n)}
-            points += [{**base, own[0]: v} for v in getattr(self, own[0])] if own else [base]
+            points += [{**base, own: v} for v in getattr(self, own)] if own else [base]
         for g, p in enumerate(points):
             p["g"] = g
         return points
@@ -169,7 +158,7 @@ def _spread_rows(spec: ExperimentSpec, point: dict, rng) -> list[list]:
 
 def _attack_rows(spec: ExperimentSpec, point: dict, rng) -> list[list]:
     n, s, f = point["n"], point["s"], point["f"]
-    keys = ATTACK_KEYS[spec.attack]
+    keys = [k for k, rule in KEYS.items() if rule.scope == spec.attack]
     attack = _ATTACK_SPECS[spec.attack](**{k: point.get(k, getattr(spec, k)) for k in keys})
     param = point[keys[0]]
     if param is None:  # what None stands for: all n - f non-curious nodes, the default window
@@ -243,6 +232,7 @@ class Key(NamedTuple):
     hi: Optional[float] = None
     none: Optional[str] = None  # the word that stands for None
     choices: tuple = ()
+    scope: Optional[str] = None  # the kind or attack that reads it; None: every kind
 
     def show(self, v) -> str:
         if v is None:
@@ -261,20 +251,25 @@ KEYS = {
     "f_over_n": Key(float, many=True, lo=0.0, hi=1.0),
     "variant": Key(str, choices=VARIANTS),
     "source": Key(int, lo=0),
-    "attack": Key(str, choices=ATTACKS),
-    "prior_size": Key(int, many=True, lo=1, none="all"),
-    "rumors": Key(int, many=True, lo=1),
-    "k": Key(int, lo=1),
-    "r": Key(int, many=True, lo=1, none="auto"),
-    "quantity": Key(str, many=True, choices=QUANTITIES),
+    "attack": Key(str, choices=ATTACKS, scope="attack"),
+    "prior_size": Key(int, many=True, lo=1, none="all", scope="map"),
+    "rumors": Key(int, many=True, lo=1, scope="multi_rumor"),
+    "k": Key(int, lo=1, scope="multi_rumor"),
+    "r": Key(int, many=True, lo=1, none="auto", scope="silence"),
+    "quantity": Key(str, many=True, choices=QUANTITIES, scope="validate"),
     "step_cap": Key(int, lo=1),
 }
-# Keys that only some kinds or attacks use; every other key applies to all.
-_SCOPED_KEYS = {"attack", "quantity", *itertools.chain(*ATTACK_KEYS.values())}
 
 
 def parse_spec(path: str | Path) -> ExperimentSpec:
     """Parse and validate a spec file (flat key=value text, or JSON)."""
+    return build_spec(read_spec(path))
+
+
+def read_spec(path: str | Path) -> dict:
+    """A spec file's keys as {key: (value, line)}, unvalidated: flat
+    key=value text, or a JSON object (whose keys have line None).  A key
+    given twice is an error."""
     path = Path(path)
     text = path.read_text()
     if path.suffix == ".json" or text.lstrip().startswith("{"):
@@ -282,20 +277,19 @@ def parse_spec(path: str | Path) -> ExperimentSpec:
             raw = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:
             raise SpecError("<json>", f"invalid JSON: {e}") from e
-        items = {str(k): (v, None) for k, v in raw.items()}
-    else:
-        items = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise SpecError("<line>", f"expected key = value, got {stripped!r}", lineno)
-            key, _, value = (part.strip() for part in stripped.partition("="))
-            if key in items:
-                raise SpecError(key, f"given twice, first on line {items[key][1]}", lineno)
-            items[key] = (value, lineno)
-    return build_spec(items)
+        return {str(k): (v, None) for k, v in raw.items()}
+    items = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise SpecError("<line>", f"expected key = value, got {stripped!r}", lineno)
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key in items:
+            raise SpecError(key, f"given twice, first on line {items[key][1]}", lineno)
+        items[key] = (value, lineno)
+    return items
 
 
 def _unique_keys(pairs: list[tuple]) -> dict:

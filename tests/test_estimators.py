@@ -152,20 +152,26 @@ def test_first_observed_senders_s0_match_engine(n, f, step_cap):
 # The lumped engine against the exact law and the per-node engine
 
 
-def _views(monkeypatch, path, cfg, deciders, rng, pools):
-    """_lumped_views's results on one path of the engine.  "lockstep" steps
-    every lane in lockstep to its end.  "lone" and "crowded" make one call per
-    decider or per four deciders: the tail rule then hands each call's running
-    lanes to the per-node engine, un-lumped, after one lockstep step, or after
-    up to four with some lanes holding labels."""
-    if path == "lockstep":
-        monkeypatch.setattr(estimators, "_TAIL", 0)
-        return _lumped_views(cfg, deciders, rng, pools)
-    size = 1 if path == "lone" else 4
-    monkeypatch.setattr(estimators, "_TAIL", size)
-    deciders = list(deciders)
-    return (out for i in range(0, len(deciders), size)
-            for out in _lumped_views(cfg, deciders[i : i + size], rng, pools))
+def _views(monkeypatch, path, cfg, deciders, rng, pools, floor=1000):
+    """_lumped_views's results on one path of the engine, from one call with
+    no tail rule.  "lockstep" steps every lane in lockstep to its end and
+    hands none off.  The crowd rule hands a lane to the per-node engine,
+    un-lumped: with _CROWD = 1 ("lone") after its first lockstep step, and
+    with _CROWD = 2 ("crowded") once it holds a label besides the source.
+    These two paths must hand off at least `floor` lanes."""
+    monkeypatch.setattr(estimators, "_TAIL", 0)
+    if path != "lockstep":
+        monkeypatch.setattr(estimators, "_CROWD", 1 if path == "lone" else 2)
+    run, hand_offs = estimators._sequential_run, []
+
+    def count(*args):
+        hand_offs.append(1)
+        return run(*args)
+
+    monkeypatch.setattr(estimators, "_sequential_run", count)
+    yield from _lumped_views(cfg, deciders, rng, pools)
+    monkeypatch.setattr(estimators, "_sequential_run", run)
+    assert not hand_offs if path == "lockstep" else len(hand_offs) >= floor, (path, len(hand_offs))
 
 
 @functools.cache
@@ -232,8 +238,10 @@ def test_lumped_views_match_exact_law(monkeypatch, path, k, s, variant):
                          cfg, trials)
 
     prior = frozenset(pools[1][0].tolist()) | {cfg.source}
+    # A FirstInPrior lane on these pools is decided when it would take a
+    # second label, so only "lone" hands it off.
     rules = _ended(_views(monkeypatch, path, cfg, (FirstInPrior(prior) for _ in range(trials)),
-                          spawn_stream(33, stream), pools))
+                          spawn_stream(33, stream), pools, floor=1000 if path == "lone" else 0))
     found = [rule.found for rule in rules]
     assert set(found) <= {*prior, None}
     _assert_outcome_law(found, cfg, lambda obs: feed_all(FirstInPrior(prior), obs).found)
@@ -418,7 +426,7 @@ def test_lumped_first_senders_match_per_node_engine(n, s, variant, cap):
 def test_lumped_source_sends_match_per_node_engine(monkeypatch, s):
     # How often the source is an observed sender in a complete run, which
     # follows how long it stays active: the lumped engine in lockstep and
-    # handed off four lanes a call, against observe() on run_trace.  (The
+    # handed off at its second label, against observe() on run_trace.  (The
     # view's length does not depend on s: every step's receiver is uniform
     # whoever sends.)
     cfg = GossipConfig(n=16, f=2, s=s)

@@ -14,8 +14,11 @@ from mutegossip.experiments import (
     SpecError,
     build_spec,
     parse_spec,
+    read_spec,
     run_experiment,
 )
+
+PRESETS = Path(__file__).resolve().parents[1] / "presets"
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -374,13 +377,69 @@ def test_cli_rejects_duplicate_override(tmp_path, capsys):
 
 
 def test_cli_override_replaces_spec_key(tmp_path):
-    spec = write(tmp_path, "name = o\nkind = spread\nn = 64\ns = 1\ntrials = 2\n")
+    # The arguments are overlaid on the file's keys before any is validated,
+    # so an argument also replaces a file value that would not pass.
+    spec = write(tmp_path, "name = o\nkind = spread\nn = 64\ns = 1\ntrials = none\n")
     out = tmp_path / "o"
-    assert main(["spread", "--spec", str(spec), "--out", str(out), "n=32"]) == 0
-    assert "n = 32\n" in (out / "spec.cfg").read_text()
+    assert main(["spread", "--spec", str(spec), "--out", str(out), "n=32", "trials=2"]) == 0
+    text = (out / "spec.cfg").read_text()
+    assert "n = 32\n" in text and "trials = 2\n" in text
 
 
 def test_cli_rejects_bad_override(tmp_path, capsys):
     status = main(["spread", "--out", str(tmp_path / "x"), "s=1.5"])
     assert status == 2
     assert "'s'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "preset",
+    ["trace_demo", "spread_desk", "attack_silence_muting_desk", "validate_eventf_desk",
+     "bounds_table", "json"],
+)
+def test_cli_writes_what_run_experiment_writes(tmp_path, monkeypatch, preset):
+    # gossip-sim <kind> --spec FILE key=value writes the bytes run_experiment
+    # writes for the file's items with the same key replaced; "json" is a
+    # JSON spec file with list and number values.
+    monkeypatch.delenv("GOSSIP_SEED", raising=False)
+    if preset == "json":
+        payload = {"name": "j", "kind": "spread", "n": [64, 128], "s": [0.5, 1], "master_seed": 5}
+        path = write(tmp_path, json.dumps(payload), "exp.json")
+    else:
+        path = PRESETS / f"{preset}.cfg"
+    items = read_spec(path)
+    kind = items["kind"][0]
+    cli, lib = tmp_path / "cli", tmp_path / "lib"
+    assert main([kind, "--spec", str(path), "--out", str(cli), "--jobs", "1", "trials=20"]) == 0
+    items["trials"] = ("20", None)
+    assert run_experiment(build_spec(items), lib) == 0
+    for name in (f"{kind}.csv", "spec.cfg"):
+        assert (cli / name).read_bytes() == (lib / name).read_bytes(), name
+
+
+def test_cli_error_keeps_the_file_line(tmp_path, capsys):
+    # attack=silence leaves the file's prior_size unused; the error names the
+    # line it is on in the file.
+    path = PRESETS / "attack_prior_desk.cfg"
+    lines = path.read_text().splitlines()
+    line = next(i for i, text in enumerate(lines, start=1) if text.startswith("prior_size"))
+    status = main(["attack", "--spec", str(path), "--out", str(tmp_path / "x"), "attack=silence"])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert f"spec key 'prior_size' (line {line}): not used by kind=attack, attack=silence" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_options_before_or_after_kind(tmp_path):
+    # Options may come before <kind>, between it and the key=value arguments,
+    # or among them.
+    orders = [
+        ["--seed", "3", "--jobs", "1", "validate", "n=200", "s=0", "trials=500"],
+        ["validate", "--seed", "3", "--jobs", "1", "n=200", "s=0", "trials=500"],
+        ["validate", "n=200", "--seed", "3", "s=0", "--jobs", "1", "trials=500"],
+    ]
+    outs = [tmp_path / str(i) for i in range(len(orders))]
+    for argv, out in zip(orders, outs):
+        assert main(argv + ["--out", str(out), "quantity=first_sender_source"]) == 0
+    csvs = {(out / "validate.csv").read_bytes() for out in outs}
+    assert len(csvs) == 1 and b"first_sender_source" in csvs.pop()
