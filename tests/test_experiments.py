@@ -323,6 +323,17 @@ def test_spread_csv_golden_digest(tmp_path):
     assert hashlib.sha256((tmp_path / "spread.csv").read_bytes()).hexdigest() == digest
 
 
+def test_trace_csv_golden_digest(tmp_path):
+    # trace_demo's preset at n = 16384 (162,854 rows), pinned like the
+    # digests above: the engine's long-run path and the trace row writer.
+    items = read_spec(PRESETS / "trace_demo.cfg")
+    items["n"] = ("16384", None)
+    assert run_experiment(build_spec(items), tmp_path) == 0
+    digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
+    assert digest == (
+        "e0fac7b6a6230155f352fcecd688388c9fdd25fe6f868ea83e126b1de768acdb")
+
+
 def test_event_family_golden_counts():
     # The lumped engine path of estimate_events (s > 0), pinned like the
     # digests above.  One stream's two counts can survive a change of draw

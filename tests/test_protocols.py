@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from mutegossip import protocols
+from mutegossip.adversary import FirstGoesQuiet
 from mutegossip.core import GossipConfig, RoundTrace, spawn_stream
 from mutegossip.protocols import run_sync, run_trace
 
@@ -132,6 +133,68 @@ def test_array_replay_matches_the_loop(monkeypatch, s, variant):
                 assert sum(entered) == 30, (n, cap)
 
 
+# sha256 of run_trace runs at n=4096 and of the generator's next draws,
+# rng.random(4) after each run.  The caps stop a run inside the loop's
+# 1024- and 4096-entry receiver blocks, where the loop cuts its chunks.
+GOLDEN_TRACE_STATES = {
+    "s01_cap1000": (0.1, 1000, "5147c3b3d289d043c7852e204bc23e2a13c5bb86f99caea7628d3cbd3c9b65b4"),
+    "s01_cap5000": (0.1, 5000, "b257fabab41c2d03a829488e189f8bd2d74dbfb4d3819bbdb28765bcd4d85f8f"),
+    "s05_cap1000": (0.5, 1000, "2a19fe031b4ff32ee95e2b98444732b4d32a602b3b841c8a4b6a9e28c0c3588c"),
+    "s05_cap5000": (0.5, 5000, "705122b1fed3d55bd185f2b7f8f0a8bbe893310bb1f66ce15e979bbb7da46923"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_TRACE_STATES)
+def test_run_trace_golden_state(name):
+    s, cap, digest = GOLDEN_TRACE_STATES[name]
+    cfg = GossipConfig(n=4096, f=409, s=s, step_cap=cap)
+    rng = spawn_stream(67, list(GOLDEN_TRACE_STATES).index(name))
+    h = hashlib.sha256()
+    for _ in range(3):
+        trace = run_trace(cfg, rng)
+        assert len(trace) == cap
+        for a in (trace.senders, trace.receivers, rng.random(4)):
+            h.update(a.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_run_trace_golden_sweep():
+    # Small n and caps at, before and after the loop's block edges (256 and
+    # 256 + 1024 receivers), at every s regime, pinned as one digest of the
+    # runs and the generator's next draws.
+    rng = spawn_stream(67, 99)
+    h = hashlib.sha256()
+    for n in (2, 3, 5, 300, 1000):
+        for s, variant in ((0.0, "parameterized"), (0.1, "parameterized"), (0.5, "parameterized"),
+                           (0.9, "parameterized"), (1.0, "parameterized"), (1.0, "delayed_start")):
+            for cap in (None, 1, 2, 255, 256, 257, 1279, 1280, 1281):
+                trace = run_trace(GossipConfig(n=n, f=0, s=s, variant=variant, step_cap=cap), rng)
+                for a in (trace.senders, trace.receivers, rng.random(4)):
+                    h.update(a.tobytes())
+    assert h.hexdigest() == "5c73e3456d9bdba6a71383c85827ef291e3f1d5ba4c9917b86f836e948162add"
+
+
+def test_fed_run_golden_state():
+    # A hand-off: the loop continues a run from a given state and feeds the
+    # senders of curious receivers to a silence rule, which decides inside
+    # the loop's 1024- or 4096-entry blocks.  Pinned: where each run stops,
+    # its counts and the generator's next draws.
+    cfg = GossipConfig(n=4096, f=409, s=0.3)
+    rng = spawn_stream(71, 0)
+    h = hashlib.sha256()
+    stops = []
+    for r in (30, 60, 120, 240):
+        for _ in range(4):
+            informed = rng.choice(cfg.curious_lo, 50, replace=False)
+            start = (informed, informed[:20], 40)
+            run = protocols._sequential_run(cfg, rng, start, FirstGoesQuiet(r).feed)
+            stops.append((run.steps, run.decided, run.n_informed))
+            h.update(rng.random(4).tobytes())
+    h.update(repr(stops).encode())
+    assert sum(1300 < steps < 5000 and decided for steps, decided, _ in stops) >= 4
+    assert h.hexdigest() == "17d1a3aca26ea1f804865468953d0889f5b0886ae8b2751c26b89bac5ac938d1"
+
+
 def test_step_cap_flags_incomplete():
     cfg = GossipConfig(n=64, f=6, s=1.0, step_cap=5)
     trace = run_trace(cfg, spawn_stream(2, 2))
@@ -166,6 +229,35 @@ def test_run_sync_golden_digest(name):
         for a in (trace.senders, trace.receivers, rounds.informed, rounds.active, rounds.messages):
             h.update(a.tobytes())
         h.update(bytes([trace.complete]))
+    assert h.hexdigest() == digest
+
+
+# sha256 of run_sync runs at s = 0 and at small s, where most rounds have a
+# single sender, with rng.random(4) drawn after each run: the outputs of
+# GOLDEN_SYNC plus the generator's state.  "s0_capped" stops inside every run.
+GOLDEN_SYNC_STATES = {
+    "s0": (64, 0.0, None, "09cb12fdd48a24da60c2794eba1dd78c1032f287b3eaa67531d9687d5fb9bdda"),
+    "s0_capped": (64, 0.0, 100, "6aa01c6a6e8bc945ffee1bce95281a39713e7b00594742618ded984f407d09b0"),
+    "s005": (256, 0.05, None, "5070fab78468066c7573e7467d82deaa7d330745a2462b3329a68e738430c819"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_SYNC_STATES)
+def test_run_sync_golden_state(name):
+    n, s, cap, digest = GOLDEN_SYNC_STATES[name]
+    cfg = GossipConfig(n=n, f=n // 10, s=s, step_cap=cap)
+    rng = spawn_stream(73, list(GOLDEN_SYNC_STATES).index(name))
+    h = hashlib.sha256()
+    lone = crowded = 0
+    for _ in range(20):
+        trace, rounds = run_sync(cfg, rng)
+        lone += int(np.count_nonzero(rounds.messages[1:] == 1))
+        crowded += int(np.count_nonzero(rounds.messages > 1))
+        for a in (trace.senders, trace.receivers, rounds.informed, rounds.active, rounds.messages,
+                  rng.random(4)):
+            h.update(a.tobytes())
+        h.update(bytes([trace.complete]))
+    assert lone > 0 and (crowded > 0) == (s > 0)
     assert h.hexdigest() == digest
 
 
