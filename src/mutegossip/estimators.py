@@ -132,10 +132,12 @@ class EventSpec:
 # together on numpy arrays, and Python runs only once per fed entry.  The
 # last lanes, and lanes with many labels (a large k or event horizon), are
 # un-lumped and end one by one on the per-node engine
-# (protocols._sequential_run): a step there costs about 1 us against 100-150
-# us for a step of the arrays, and a hand-off about one step of the arrays.  The state is exchangeable
-# within each class, so the hand-off keeps the law: each class's active and
-# muted nodes take distinct ids, uniform over its unlabelled ids.
+# (protocols._sequential_run): a step there costs 0.4-0.9 us (n = 4096-65536)
+# against 170-190 us for a step of the arrays with 500-800 live lanes
+# (n = 65536), in process time on a 2-core Xeon VM, and a hand-off about one
+# step of the arrays.  The state is exchangeable within each class, so the
+# hand-off keeps the law: each class's active and muted nodes take distinct
+# ids, uniform over its unlabelled ids.
 #
 # One step of a lane: a uniform sender among the active nodes, laid out as
 # each class's unlabelled active nodes, then the active labelled slots; its

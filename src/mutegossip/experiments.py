@@ -143,9 +143,9 @@ def _fmt(x: float) -> str:
 # Rows of one grid point, per kind
 
 
-def _trace_rows(spec: ExperimentSpec, point: dict, rng) -> list[list]:
+def _trace_rows(spec: ExperimentSpec, point: dict, rng) -> list[tuple]:
     trace = run_trace(spec.config(point), rng)
-    return np.column_stack((np.arange(len(trace)), trace.senders, trace.receivers)).tolist()
+    return list(zip(range(len(trace)), trace.senders.tolist(), trace.receivers.tolist()))
 
 
 def _spread_rows(spec: ExperimentSpec, point: dict, rng) -> list[list]:
@@ -235,9 +235,14 @@ class Key(NamedTuple):
     scope: Optional[str] = None  # the kind or attack that reads it; None: every kind
 
     def show(self, v) -> str:
+        """The echo of a value: a float at 10 significant digits when that
+        reads back as the same float, else in full, so spec.cfg runs as run."""
         if v is None:
             return self.none
-        return _fmt(v) if self.parse is float else str(v)
+        if self.parse is not float:
+            return str(v)
+        short = _fmt(v)
+        return short if float(short) == v else repr(v)
 
 
 # Every spec key, in the order frozen_text() echoes them.
@@ -431,11 +436,11 @@ def _run_point(spec: ExperimentSpec, point: dict) -> list[list]:
     return _KINDS[spec.kind][1](spec, point, spawn_stream(spec.master_seed, point["g"]))
 
 
-def _write_csv(path: Path, kind: str, rows: list[list]) -> None:
+def _write_csv(path: Path, kind: str, rows: list) -> None:
     """Floats (numpy's included) at 10 significant digits, the rest by str;
     trace rows, three ints each, go straight through %d."""
     if kind == "trace":
-        lines = ["%d,%d,%d" % tuple(row) for row in rows]
+        lines = ["%d,%d,%d" % row for row in rows]
     else:
         lines = [",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
     path.write_text("\n".join([_KINDS[kind][0], *lines]) + "\n")

@@ -14,18 +14,24 @@ nodes, self included):
              recording events for the spreading estimator, which needs only
              the per-round counts: the same draws, so the same RoundTrace,
              and at s = 1 (where A is the informed set) no sender list.
+             A round with one sender (every round at s = 0) draws scalars
+             from the same stream and touches no n-long mask scan, so it
+             costs O(1); rounds with more senders work on dense masks.
 
 Engines are single-threaded and deterministic given their stream; run many
 of them concurrently on disjoint streams.
 
-run_trace's loop draws receivers and uniforms in blocks.  At s = 0 and s = 1
-(delayed start included) a run that is still going at its first full-size
-block leaves the per-step loop and replays its remaining steps on arrays,
-one chunk between buffer refills at a time: no sender ever mutes at s = 1,
-so A is the known list followed by each new receiver in order of first
-appearance, and at s = 0 A is the previous receiver alone.  The replay makes
-the loop's rng calls in the loop's order and sizes, so its output and the
-generator's state after the run are the loop's, byte for byte.
+run_trace's loop draws receivers and uniforms in blocks and runs in chunks:
+a chunk is the steps up to the next refill of either buffer, so its steps
+check no buffer, its receivers are unboxed at once, and they are recorded
+as slices of the receiver block.  At s = 0 and s = 1 (delayed start
+included) a run that is still going at its first full-size block leaves the
+per-step loop and replays its remaining steps on arrays, one chunk at a
+time: no sender ever mutes at s = 1, so A is the known list followed by
+each new receiver in order of first appearance, and at s = 0 A is the
+previous receiver alone.  The replay makes the loop's rng calls in the
+loop's order and sizes, so its output and the generator's state after the
+run are the loop's, byte for byte.
 """
 
 from __future__ import annotations
@@ -43,8 +49,8 @@ _BLOCK = 4096
 class SequentialRun:
     """Raw output of the sequential engine loop."""
 
-    senders: list[int] | np.ndarray
-    receivers: list[int] | np.ndarray
+    senders: np.ndarray
+    receivers: np.ndarray
     n_informed: int
     steps: int
     decided: bool  # the feed stopped the run
@@ -81,15 +87,15 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
     active_flag = bytearray(flags)
     active = np.asarray(active_ids).tolist()
     senders: list[int] = []
-    receivers: list[int] = []
+    receivers: list[np.ndarray] = []  # slices of the receiver blocks
     decided = False
 
-    # Block-drawn randomness, unboxed to plain Python scalars: receivers come
-    # from an integer block; sender picks (only needed while |A| > 1) and
-    # stay/mute coins (only needed for 0 < s < 1) from a float block.
-    # Blocks start small and grow to _BLOCK; their sizes fix the draw order.
+    # Block-drawn randomness: receivers come from an integer block; sender
+    # picks (only needed while |A| > 1) and stay/mute coins (only needed for
+    # 0 < s < 1) from a float block, unboxed to plain Python floats.  Blocks
+    # start small and grow to _BLOCK; their sizes fix the draw order.
     block = 256
-    targets = rng.integers(0, n, size=block).tolist()
+    targets = rng.integers(0, n, size=block)
     tptr = 0
     tlen = block
     uniforms = rng.random(block).tolist()
@@ -104,7 +110,7 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
             block = min(block * 4, _BLOCK)
             if block == _BLOCK and feed is None and _replayable(s, active):
                 break
-            targets = rng.integers(0, n, size=block).tolist()
+            targets = rng.integers(0, n, size=block)
             tptr = 0
             tlen = block
         if uptr + 2 > ulen:
@@ -112,53 +118,63 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
             uptr = 0
             ulen = block
 
-        la = len(active)
-        if la == 1:
-            k = 0
-        else:
-            k = int(uniforms[uptr] * la)
-            uptr += 1
-            if k == la:  # guard against float round-up at the interval edge
-                k = la - 1
-        i = active[k]
+        # A chunk runs up to the next refill: a step takes one receiver and
+        # at most two uniforms, so no buffer runs out inside it.
+        first = step
+        for j in targets[tptr:tptr + min(tlen - tptr, (ulen - uptr) // 2, cap - step)].tolist():
+            la = len(active)
+            if la == 1:
+                k = 0
+            else:
+                k = int(uniforms[uptr] * la)
+                uptr += 1
+                if k == la:  # guard against float round-up at the interval edge
+                    k = la - 1
+            i = active[k]
 
-        if always_mute:
-            mute = True
-        elif use_coin:
-            mute = uniforms[uptr] >= stay_p
-            uptr += 1
-        else:
-            mute = False
-        if delayed and step == 0:
-            mute = True  # the source's single send, then permanent silence
-        if mute:  # swap-remove the sender from A
-            last = active.pop()
-            if k < la - 1:
-                active[k] = last
-            active_flag[i] = 0
+            if always_mute:
+                mute = True
+            elif use_coin:
+                mute = uniforms[uptr] >= stay_p
+                uptr += 1
+            else:
+                mute = False
+            if delayed and step == 0:
+                mute = True  # the source's single send, then permanent silence
+            if mute:  # swap-remove the sender from A
+                last = active.pop()
+                if k < la - 1:
+                    active[k] = last
+                active_flag[i] = 0
 
-        j = targets[tptr]
-        tptr += 1
-        if not informed[j]:
-            informed[j] = 1
-            n_informed += 1
-        if not active_flag[j]:
-            active_flag[j] = 1
-            active.append(j)
+            if not informed[j]:
+                informed[j] = 1
+                n_informed += 1
+            if not active_flag[j]:
+                active_flag[j] = 1
+                active.append(j)
 
-        step += 1
+            step += 1
+            if feed is None:
+                senders.append(i)
+            elif j >= curious_lo and feed(i):
+                decided = True
+                break
+            if n_informed == n:
+                break
         if feed is None:
-            senders.append(i)
-            receivers.append(j)
-        elif j >= curious_lo and feed(i):
-            decided = True
+            receivers.append(targets[tptr:tptr + step - first])
+        tptr += step - first
+        if decided:
             break
 
+    senders = np.array(senders, np.int64)
     if feed is None and n_informed < n and step < cap:  # left the loop to replay
         rest_s, rest_r, n_informed, step = _replay(rng, config, step, informed, active, active_flag,
                                                    uniforms[uptr:])
-        senders = np.concatenate((np.array(senders, np.int64), rest_s))
-        receivers = np.concatenate((np.array(receivers, np.int64), rest_r))
+        senders = np.concatenate((senders, rest_s))
+        receivers.append(rest_r)
+    receivers = np.concatenate(receivers) if receivers else senders[:0]
 
     return SequentialRun(senders, receivers, n_informed, step, decided)
 
@@ -247,9 +263,11 @@ def run_trace(config: GossipConfig, rng: np.random.Generator) -> ExecutionTrace:
     re-activates only by receiving the rumor.  The loop exits once every
     node is informed.
 
-    At s in {0, 1}, a run longer than 1,280 steps (256 + 1024 receivers,
-    the loop's first two blocks) finishes as an exact array replay of the
-    loop (see the module docstring), ~12x faster at n = 2^16.
+    The loop runs in chunks between buffer refills (see the module
+    docstring).  At s in {0, 1}, a run longer than 1,280 steps (256 + 1024
+    receivers, the loop's first two blocks) finishes as an exact array
+    replay of the loop, 8-11x faster than the loop at n = 2^16 (process
+    time on a 2-core Xeon VM).
     """
     run = _sequential_run(config, rng)
     return ExecutionTrace(config=config, senders=run.senders, receivers=run.receivers,
@@ -261,9 +279,11 @@ def _sync_rounds(config: GossipConfig, rng: np.random.Generator, events: list | 
 
     Returns (complete, RoundTrace).  With `events`, each round appends its
     (senders, receivers) arrays to it.  Every round draws its receivers and,
-    for s < 1, then its stay coins, one per sender.  At s = 1 every sender
-    stays, so A is the informed set: the loop then draws no coins, keeps one
-    mask and, unless recording, never lists the senders.
+    for s < 1, then its stay coins, one per sender; a round with one sender
+    draws them as scalars, which gives the same values and leaves the
+    generator in the same state.  At s = 1 every sender stays, so A is the
+    informed set: the loop then draws no coins, keeps one mask and, unless
+    recording, lists the senders only after a round with one sender.
     """
     if config.variant != "parameterized":
         raise ValueError("run_sync requires variant='parameterized'")
@@ -285,18 +305,32 @@ def _sync_rounds(config: GossipConfig, rng: np.random.Generator, events: list | 
 
     while n_informed < n and total_messages < cap:
         k = n_active
-        rcv = rng.integers(0, n, size=k)
-
-        if events is not None:
-            events.append((snd, rcv))
-        informed[rcv] = True
-        n_informed = int(np.count_nonzero(informed))
-        if not all_stay:
-            active[snd] = rng.random(k) < s  # each sender stays with probability s
-            active[rcv] = True
-        if listed:
-            snd = np.flatnonzero(active)
-        n_active = n_informed if all_stay else snd.size
+        if k == 1:  # every round at s = 0: scalar draws (the same stream), no n-long scan
+            i, j = int(snd[0]), int(rng.integers(0, n))
+            rcv = np.array((j,))
+            if events is not None:
+                events.append((snd, rcv))
+            if not informed[j]:
+                informed[j] = True
+                n_informed += 1
+            stay = all_stay or rng.random() < s
+            if not all_stay:
+                active[i] = stay
+                active[j] = True
+            snd = np.array((min(i, j), max(i, j))) if stay and i != j else rcv
+            n_active = snd.size
+        else:
+            rcv = rng.integers(0, n, size=k)
+            if events is not None:
+                events.append((snd, rcv))
+            informed[rcv] = True
+            n_informed = int(np.count_nonzero(informed))
+            if not all_stay:
+                active[snd] = rng.random(k) < s  # each sender stays with probability s
+                active[rcv] = True
+            if listed:
+                snd = np.flatnonzero(active)
+            n_active = n_informed if all_stay else snd.size
         total_messages += k
         informed_per_round.append(n_informed)
         active_per_round.append(n_active)

@@ -121,6 +121,17 @@ def test_parse_twice_is_byte_identical(tmp_path):
     assert a == b
 
 
+def test_frozen_text_keeps_every_digit_of_a_float(tmp_path):
+    # spec.cfg must run the s the spec ran: a float that 10 significant
+    # digits would round is echoed in full and reads back equal.
+    spec = parse_spec(write(tmp_path, BASE.replace("s = 0.1", "s = 0.12345678901234, 0.5")))
+    text = spec.frozen_text()
+    assert "s = 0.12345678901234, 0.5\n" in text
+    again = parse_spec(write(tmp_path, text, "again.cfg"))
+    assert again.s == spec.s == (0.12345678901234, 0.5)
+    assert again.frozen_text() == text
+
+
 def test_grid_expansion_is_lexicographic():
     spec = build_spec(
         {
