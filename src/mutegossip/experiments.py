@@ -235,8 +235,9 @@ class Key(NamedTuple):
     scope: Optional[str] = None  # the kind or attack that reads it; None: every kind
 
     def show(self, v) -> str:
-        """The echo of a value: a float at 10 significant digits when that
-        reads back as the same float, else in full, so spec.cfg runs as run."""
+        """The echo of a value.  A float takes 10 significant digits when
+        they read back as the same float, else all of its digits, so that
+        spec.cfg holds the value the run used."""
         if v is None:
             return self.none
         if self.parse is not float:

@@ -162,9 +162,10 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
                 break
             if n_informed == n:
                 break
+        done = step - first
         if feed is None:
-            receivers.append(targets[tptr:tptr + step - first])
-        tptr += step - first
+            receivers.append(targets[tptr:tptr + done])
+        tptr += done
         if decided:
             break
 
