@@ -34,7 +34,6 @@ from .core import (
     GossipConfig,
     ObservedSequence,
     RoundTrace,
-    TimedObservedSequence,
     default_step_cap,
     spawn_stream,
     split_stream,
@@ -69,7 +68,6 @@ __all__ = [
     "RoundTrace",
     "SilenceAttackSpec",
     "SpreadingSummary",
-    "TimedObservedSequence",
     "default_step_cap",
     "estimate_attack_precision",
     "estimate_dp_gap",

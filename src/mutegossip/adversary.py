@@ -19,7 +19,7 @@ from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import ExecutionTrace, ObservedSequence, TimedObservedSequence
+from .core import ExecutionTrace, ObservedSequence
 
 
 def observe(trace: ExecutionTrace) -> ObservedSequence:
@@ -29,11 +29,11 @@ def observe(trace: ExecutionTrace) -> ObservedSequence:
     return ObservedSequence(trace.senders[mask], trace.receivers[mask])
 
 
-def observe_timed(trace: ExecutionTrace) -> TimedObservedSequence:
+def observe_timed(trace: ExecutionTrace) -> ObservedSequence:
     """Strong-adversary view: same subsequence, each entry carrying its
-    global event index."""
+    global event index in `times`."""
     mask = trace.receivers >= trace.config.curious_lo
-    return TimedObservedSequence(np.flatnonzero(mask), trace.senders[mask], trace.receivers[mask])
+    return ObservedSequence(trace.senders[mask], trace.receivers[mask], np.flatnonzero(mask))
 
 
 class FirstInPrior:

@@ -40,11 +40,14 @@ class PrivacyReport:
         return 1.0 / (1.0 + self.c)
 
 
-def _check_fn(f: int, n: int) -> None:
+def _check_fn(f: int, n: int, s: float = 0.0) -> None:
+    """Reject n < 2, f outside [0, n-2] and s outside [0, 1]."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if not 0 <= f <= n - 2:
         raise ValueError(f"f must be in [0, n-2], got f={f}, n={n}")
+    if not 0.0 <= s <= 1.0:
+        raise ValueError("s must be in [0, 1]")
 
 
 def optimal_delta(epsilon: float, f: int, n: int) -> float:
@@ -77,9 +80,7 @@ def param_delta_exact(s: float, f: int, n: int) -> float:
     i.e. 1 - (1-s)(1-f/n) / (1 - s(1-f/n)) in closed form.  Degenerates to
     1 at s=1 (standard push admits no nontrivial delta) and to f/n at s=0.
     """
-    _check_fn(f, n)
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("s must be in [0, 1]")
+    _check_fn(f, n, s)
     if s == 1.0:
         return 1.0
     q = 1.0 - f / n
@@ -89,9 +90,7 @@ def param_delta_exact(s: float, f: int, n: int) -> float:
 def param_delta_bound(s: float, f: int, n: int, r: int = 1) -> float:
     """Truncation upper bound on param_delta_exact:
     1 - (1 - s^r) (1 - f/n)^r.  At r=1 this is s + (1-s) f/n."""
-    _check_fn(f, n)
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("s must be in [0, 1]")
+    _check_fn(f, n, s)
     if r < 1:
         raise ValueError("r must be >= 1")
     return 1.0 - (1.0 - s**r) * (1.0 - f / n) ** r
@@ -100,9 +99,7 @@ def param_delta_bound(s: float, f: int, n: int, r: int = 1) -> float:
 def param_c(s: float, f: int, n: int) -> float:
     """Prediction-uncertainty constant certified for the muting protocol:
     (1 - (f+1)/n) (1 - s).  Vanishes at s=1."""
-    _check_fn(f, n)
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("s must be in [0, 1]")
+    _check_fn(f, n, s)
     return (1.0 - (f + 1) / n) * (1.0 - s)
 
 
@@ -133,8 +130,7 @@ def strong_adversary_bounds(f: int, n: int) -> PrivacyReport:
 def spreading_round_bound(n: int, s: float, c_coeff: float = 1.0) -> float:
     """Rounds for the synchronous engine to send c_coeff * n * ln(n)
     messages (with high probability, n large): 6 * c_coeff * ln(n) / s."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    _check_fn(0, n)
     if s <= 0.0:
         raise ValueError("s must be > 0")
     if c_coeff < 1.0:
@@ -161,10 +157,7 @@ class MeanDynamics:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        if not 0.0 <= self.s <= 1.0:
-            raise ValueError("s must be in [0, 1]")
+        _check_fn(0, self.n, self.s)  # the mean map has no f
 
     def untouched_prob(self, alpha: float) -> float:
         """p_u(alpha) = (1 - 1/n)^(alpha n)."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -435,8 +435,7 @@ def _coupon_runs_s0(config: GossipConfig, trials: int, rng: np.random.Generator)
             continue
         held[:-1] = w
         held[0] -= 1  # the second node is informed *in* round waits[0]
-        one = np.broadcast_to(np.int64(1), (rounds,))
-        yield True, RoundTrace(np.repeat(counts, held), one, one)
+        yield True, RoundTrace(np.repeat(counts, held), np.broadcast_to(np.int64(1), (rounds,)))
 
 
 def estimate_events(
@@ -542,6 +541,10 @@ def estimate_dp_gap(
 
 # ---------------------------------------------------------------------------
 # Attack precision
+#
+# Each attack spec resolves its parameter (attack.csv's `param`) and runs its
+# trials on the lumped engine: runs() yields (prediction or None to abstain,
+# step-capped runs) per trial, in the order the trials end.
 
 
 @dataclass(frozen=True)
@@ -550,6 +553,23 @@ class MapAttackSpec:
     otherwise the prior is the source plus prior_size-1 random others."""
 
     prior_size: Optional[int] = None
+
+    def param(self, config: GossipConfig) -> int:
+        """The prior's size: all n - f non-curious nodes if prior_size is None."""
+        return config.curious_lo if self.prior_size is None else self.prior_size
+
+    def runs(self, config: GossipConfig, trials: int, rng: np.random.Generator):
+        """The prior is the source plus the last size-1 other non-curious ids:
+        those nodes are exchangeable, so which of them form the prior does not
+        change the law of the attack's success."""
+        size = self.param(config)
+        if not 1 <= size <= config.curious_lo:
+            raise ValueError(f"prior size must be in [1, {config.curious_lo}]")
+        pools = _pools(config, size)
+        prior = frozenset(pools[1][0].tolist()) | {config.source}
+        rules = (FirstInPrior(prior) for _ in range(trials))
+        for _, rule, capped in _lumped_views(config, rules, rng, pools):
+            yield rule.predict(rng), capped
 
 
 @dataclass(frozen=True)
@@ -560,6 +580,23 @@ class MultiRumorAttackSpec:
     rumors: int
     k: int = 10
 
+    def param(self, config: GossipConfig) -> int:
+        return self.rumors
+
+    def runs(self, config: GossipConfig, trials: int, rng: np.random.Generator):
+        if self.rumors < 1 or self.k < 1:
+            raise ValueError("rumors and k must be >= 1")
+        rules = (FirstKDistinct(self.k) for _ in range(trials * self.rumors))
+        waiting: dict[int, list] = {}  # trial -> [rumors still running, capped, lead lists]
+        for index, rule, capped in _lumped_views(config, rules, rng, _pools(config)):
+            trial = waiting.setdefault(index // self.rumors, [self.rumors, 0, [None] * self.rumors])
+            trial[0] -= 1
+            trial[1] += capped
+            trial[2][index % self.rumors] = rule.leads
+            if not trial[0]:
+                del waiting[index // self.rumors]
+                yield _score_multi_rumor(trial[2], rng), trial[1]
+
 
 @dataclass(frozen=True)
 class SilenceAttackSpec:
@@ -567,8 +604,17 @@ class SilenceAttackSpec:
 
     r: Optional[int] = None
 
+    def param(self, config: GossipConfig) -> int:
+        """The window: silence_window(n) if r is None."""
+        return silence_window(config.n) if self.r is None else self.r
 
-AttackSpec = Union[MapAttackSpec, MultiRumorAttackSpec, SilenceAttackSpec]
+    def runs(self, config: GossipConfig, trials: int, rng: np.random.Generator):
+        r = self.param(config)
+        if r < 1:
+            raise ValueError("r must be >= 1")
+        rules = (FirstGoesQuiet(r) for _ in range(trials))
+        for _, rule, capped in _lumped_views(config, rules, rng, _pools(config)):
+            yield rule.predict(), capped
 
 
 @dataclass(frozen=True)
@@ -578,7 +624,6 @@ class AttackPrecisionResult:
 
     precision: EstimateResult
     n_abstained: int
-    n_correct: int
 
     @property
     def abstain_rate(self) -> float:
@@ -589,25 +634,22 @@ class AttackPrecisionResult:
         predicted = self.precision.trials - self.n_abstained
         if predicted == 0:
             return None
-        return EstimateResult.from_counts(self.n_correct, predicted)
+        return EstimateResult.from_counts(self.precision.raw_successes, predicted)
 
 
 def estimate_attack_precision(
     config: GossipConfig,
-    attack: AttackSpec,
+    attack: MapAttackSpec | MultiRumorAttackSpec | SilenceAttackSpec,
     trials: int,
     rng: np.random.Generator,
 ) -> AttackPrecisionResult:
     """Fraction of runs whose attack prediction equals the true source."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    runs = _ATTACK_RUNS.get(type(attack))
-    if runs is None:
-        raise TypeError(f"unknown attack spec: {attack!r}")
     correct = 0
     abstained = 0
     incomplete = 0
-    for predicted, capped in runs(config, attack, trials, rng):
+    for predicted, capped in attack.runs(config, trials, rng):
         incomplete += capped
         if predicted is None:
             abstained += 1
@@ -616,55 +658,7 @@ def estimate_attack_precision(
     return AttackPrecisionResult(
         precision=EstimateResult.from_counts(correct, trials, incomplete),
         n_abstained=abstained,
-        n_correct=correct,
     )
-
-
-# Each attack's trials on the lumped engine: (prediction or None to abstain,
-# step-capped runs) per trial, in the order the trials end.
-def _map_runs(config, attack, trials, rng):
-    """The prior is the source plus the last prior_size-1 other non-curious ids
-    (all of them if prior_size is None): those nodes are exchangeable, so which
-    of them form the prior does not change the law of the attack's success."""
-    size = config.curious_lo if attack.prior_size is None else attack.prior_size
-    if not 1 <= size <= config.curious_lo:
-        raise ValueError(f"prior size must be in [1, {config.curious_lo}]")
-    pools = _pools(config, size)
-    prior = frozenset(pools[1][0].tolist()) | {config.source}
-    rules = (FirstInPrior(prior) for _ in range(trials))
-    for _, rule, capped in _lumped_views(config, rules, rng, pools):
-        yield rule.predict(rng), capped
-
-
-def _multi_rumor_runs(config, attack, trials, rng):
-    if attack.rumors < 1 or attack.k < 1:
-        raise ValueError("rumors and k must be >= 1")
-    rules = (FirstKDistinct(attack.k) for _ in range(trials * attack.rumors))
-    waiting: dict[int, list] = {}  # trial -> [rumors still running, capped, lead lists]
-    for index, rule, capped in _lumped_views(config, rules, rng, _pools(config)):
-        trial = waiting.setdefault(index // attack.rumors, [attack.rumors, 0, [None] * attack.rumors])
-        trial[0] -= 1
-        trial[1] += capped
-        trial[2][index % attack.rumors] = rule.leads
-        if not trial[0]:
-            del waiting[index // attack.rumors]
-            yield _score_multi_rumor(trial[2], rng), trial[1]
-
-
-def _silence_runs(config, attack, trials, rng):
-    r = attack.r if attack.r is not None else silence_window(config.n)
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    rules = (FirstGoesQuiet(r) for _ in range(trials))
-    for _, rule, capped in _lumped_views(config, rules, rng, _pools(config)):
-        yield rule.predict(), capped
-
-
-_ATTACK_RUNS = {
-    MapAttackSpec: _map_runs,
-    MultiRumorAttackSpec: _multi_rumor_runs,
-    SilenceAttackSpec: _silence_runs,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ Two tables describe what a spec can say and what a run writes:
   KEYS    each spec key's parser, bounds, the word standing for None (`all`,
           `auto`), whether it is a comma list, and its scope: every kind,
           one kind, or one attack, whose keys are its estimator spec's fields
-          (the first is its grid list and attack.csv's `param`).  In the
-          order frozen_text() echoes them; ExperimentSpec.keys() names the
-          keys one spec uses and build_spec rejects any other.
+          (the first is its grid list; the spec's param() resolves it to
+          attack.csv's `param`).  In the order frozen_text() echoes them;
+          ExperimentSpec.keys() names the keys one spec uses and build_spec
+          rejects any other.
   _KINDS  each kind's CSV header (<kind>.csv, fixed column order, floats
           with 10 significant digits; README lists the same headers) and the
           function giving one grid point's rows.
@@ -36,7 +37,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .adversary import silence_window
 from .bounds import (
     optimal_c,
     optimal_delta,
@@ -160,13 +160,12 @@ def _attack_rows(spec: ExperimentSpec, point: dict, rng) -> list[list]:
     n, s, f = point["n"], point["s"], point["f"]
     keys = [k for k, rule in KEYS.items() if rule.scope == spec.attack]
     attack = _ATTACK_SPECS[spec.attack](**{k: point.get(k, getattr(spec, k)) for k in keys})
-    param = point[keys[0]]
-    if param is None:  # what None stands for: all n - f non-curious nodes, the default window
-        param = n - f if spec.attack == "map" else silence_window(n)
-    res = estimate_attack_precision(spec.config(point), attack, spec.trials, rng)
+    cfg = spec.config(point)
+    res = estimate_attack_precision(cfg, attack, spec.trials, rng)
     p = res.precision
     return [
-        [n, s, f, spec.attack, param, spec.trials, p.estimate, p.ci_half_width, res.abstain_rate]
+        [n, s, f, spec.attack, attack.param(cfg), spec.trials, p.estimate, p.ci_half_width,
+         res.abstain_rate]
     ]
 
 
@@ -277,12 +276,17 @@ def read_spec(path: str | Path) -> dict:
     key=value text, or a JSON object (whose keys have line None).  A key
     given twice is an error."""
     path = Path(path)
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise SpecError("<file>", f"cannot read {path}: {e}") from e
     if path.suffix == ".json" or text.lstrip().startswith("{"):
         try:
             raw = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:
             raise SpecError("<json>", f"invalid JSON: {e}") from e
+        if not isinstance(raw, dict):
+            raise SpecError("<json>", f"expected a JSON object, got {type(raw).__name__}")
         return {str(k): (v, None) for k, v in raw.items()}
     items = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -398,7 +402,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, jobs: int = 1) -> 
     t0 = time.perf_counter()
     # Both branches return the results in grid order.
     if jobs > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
             results = list(pool.map(_point_worker, [(spec, p) for p in points]))
     else:
         results = [_point_worker((spec, p)) for p in points]

@@ -298,7 +298,6 @@ def _sync_rounds(config: GossipConfig, rng: np.random.Generator, events: list | 
     active = informed if all_stay else informed.copy()
     informed_per_round: list[int] = []
     active_per_round: list[int] = []
-    messages_per_round: list[int] = []
     total_messages = 0
     n_informed = n_active = 1
     listed = events is not None or not all_stay
@@ -335,14 +334,8 @@ def _sync_rounds(config: GossipConfig, rng: np.random.Generator, events: list | 
         total_messages += k
         informed_per_round.append(n_informed)
         active_per_round.append(n_active)
-        messages_per_round.append(k)
 
-    rounds = RoundTrace(
-        informed=np.array(informed_per_round, dtype=np.int64),
-        active=np.array(active_per_round, dtype=np.int64),
-        messages=np.array(messages_per_round, dtype=np.int64),
-    )
-    return n_informed == n, rounds
+    return n_informed == n, RoundTrace(informed_per_round, active_per_round)
 
 
 def run_sync(config: GossipConfig, rng: np.random.Generator) -> tuple[ExecutionTrace, RoundTrace]:

@@ -73,6 +73,7 @@ def test_observe_timed_matches_untimed():
     plain = observe(trace)
     assert np.array_equal(timed.senders, plain.senders)
     assert np.array_equal(timed.receivers, plain.receivers)
+    assert plain.times is None
 
 
 def test_observe_timed_first_event_index_zero():

@@ -482,8 +482,9 @@ def test_lumped_attack_outcomes_match_per_node_engine(name):
     index = [case[0] for case in ATTACK_CASES].index(name)
     _, cfg, attack, runs = ATTACK_CASES[index]
     res = estimate_attack_precision(cfg, attack, 6000, spawn_stream(27, index))
-    lumped = Counter({True: res.n_correct, "abstain": res.n_abstained,
-                      False: 6000 - res.n_correct - res.n_abstained})
+    correct = res.precision.raw_successes
+    lumped = Counter({True: correct, "abstain": res.n_abstained,
+                      False: 6000 - correct - res.n_abstained})
     rng = spawn_stream(28, index)
     per_node = Counter(_outcome(_per_node_outcome(cfg, attack, rng), cfg.source) for _ in range(runs))
     assert _two_sample_p(lumped, per_node) > 1e-3
@@ -590,6 +591,17 @@ def test_silence_attack_counts_abstentions_as_failures():
     given = res.precision_given_prediction.estimate
     assert total_rate <= given  # headline precision pays for abstentions
     assert abs(res.abstain_rate - res.n_abstained / 2000) < 1e-12
+
+
+def test_attack_spec_param_resolves_its_default():
+    # attack.csv's `param`: None stands for all n - f non-curious nodes (MAP)
+    # and for the default window (silence).
+    cfg = GossipConfig(n=1024, f=102, s=1.0)
+    assert MapAttackSpec().param(cfg) == 922
+    assert MapAttackSpec(prior_size=10).param(cfg) == 10
+    assert SilenceAttackSpec().param(cfg) == silence_window(1024) == 49
+    assert SilenceAttackSpec(r=7).param(cfg) == 7
+    assert MultiRumorAttackSpec(rumors=5, k=3).param(cfg) == 5
 
 
 # ---------------------------------------------------------------------------

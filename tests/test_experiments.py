@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from mutegossip.experiments import (
 )
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -250,6 +253,34 @@ def test_run_experiment_keeps_partial_results(tmp_path, monkeypatch):
     assert len(rows) == 1 + 3  # the surviving grid point's rows
 
 
+def test_run_experiment_pool_no_larger_than_grid(tmp_path, monkeypatch):
+    # A pool forks all of its workers at the first submit, so a 3-point grid
+    # asks for 3 workers whatever --jobs says.  The fake pool starts none.
+    import mutegossip.experiments as ex
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", FakePool)
+    spec = build_spec(
+        {"name": ("pool", None), "kind": ("bounds", None), "n": ("100, 200, 300", None)}
+    )
+    assert run_experiment(spec, tmp_path / "out", jobs=64) == 0
+    assert sizes == [3]
+
+
 def test_trace_dump_schema(tmp_path):
     spec = build_spec(
         {"name": ("t", None), "kind": ("trace", None), "n": ("32", None), "s": ("0", None)}
@@ -450,6 +481,41 @@ def test_cli_error_keeps_the_file_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"spec key 'prior_size' (line {line}): not used by kind=attack, attack=silence" in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "undecodable", "json_list"])
+def test_cli_rejects_an_unusable_spec_file(tmp_path, capsys, case):
+    path = tmp_path / "exp.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "undecodable":
+        path.write_bytes(b"name = \xff\xfe\n")
+    elif case == "json_list":
+        path.write_text("[1, 2]")
+    status = main(["spread", "--spec", str(path), "--out", str(tmp_path / "x")])
+    assert status == 2
+    assert capsys.readouterr().err.startswith("error: spec key '<")
+    assert not (tmp_path / "x").exists()
+
+
+def test_perfbench_names_and_presets_still_match(monkeypatch):
+    # The benchmark wraps functions of experiments and estimators by module
+    # attribute and refuses a preset whose echo changed since its reference
+    # was recorded: either shows here first.
+    loader = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(loader)
+    monkeypatch.setitem(sys.modules, loader.name, tracing)  # its dataclasses look it up
+    loader.loader.exec_module(tracing)
+    import mutegossip.experiments as ex
+
+    plain = ex.estimate_attack_precision
+    with tracing.patched(tracing.Tracer()):
+        assert ex.estimate_attack_precision is not plain
+    assert ex.estimate_attack_precision is plain
+    known = json.loads((PERFBENCH / "reference.json").read_text())["presets"]
+    for name, digest in known.items():
+        text = parse_spec(PRESETS / f"{name}.cfg").frozen_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
 def test_cli_options_before_or_after_kind(tmp_path):

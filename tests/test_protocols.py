@@ -348,13 +348,13 @@ def test_run_sync_s1_draws_only_receivers():
 
 
 def test_round_trace_validate_rejects_broken_counts():
-    ok = RoundTrace(informed=[2, 4, 4], active=[2, 3, 1], messages=[1, 2, 3])
+    ok = RoundTrace(informed=[2, 4, 4], active=[2, 3, 1])
     ok.validate()
+    assert ok.messages.tolist() == [1, 2, 3]
     broken = {
-        "informed count decreased": RoundTrace([2, 4, 3], [2, 3, 1], [1, 2, 3]),
-        "active set became empty": RoundTrace([2, 4, 4], [2, 0, 1], [1, 2, 0]),
-        "source alone": RoundTrace([2, 4, 4], [2, 3, 1], [2, 2, 3]),
-        "previous round's active set": RoundTrace([2, 4, 4], [2, 3, 1], [1, 2, 2]),
+        "informed count decreased": RoundTrace([2, 4, 3], [2, 3, 1]),
+        "active set became empty": RoundTrace([2, 4, 4], [2, 0, 1]),
+        "more nodes active than informed": RoundTrace([2, 4, 4], [2, 5, 1]),
     }
     for message, rounds in broken.items():
         with pytest.raises(AssertionError, match=message):
