@@ -147,7 +147,7 @@ class EventSpec:
 # unlabelled sender holds the first place of its class's active block, which
 # tells a send to itself apart.  A lane's counts are the rows of
 # _lumped_views' state: labelled nodes, then per class active, muted and
-# uninformed nodes, then active labelled nodes, uninformed nodes and steps.
+# uninformed nodes, then active labelled nodes and steps.
 
 _LANES = 2048  # lanes stepped together at most; bounds the engine's arrays
 # Once no run waits and at most _TAIL lanes are left, they step together
@@ -187,7 +187,7 @@ def _count_moves(K: int) -> np.ndarray:
     and block 1+3c+b is class c's active (b=0), muted (1) or uninformed (2)
     nodes."""
     blocks = 3 * K + 1
-    moves = np.zeros((3 * K + 4, (K + 1) * 2 * blocks * 2), np.int64)
+    moves = np.zeros((3 * K + 3, (K + 1) * 2 * blocks * 2), np.int64)
     for col, move in enumerate(moves.T):
         rest, self_send = divmod(col, 2)
         rest, block = divmod(rest, blocks)
@@ -200,7 +200,6 @@ def _count_moves(K: int) -> np.ndarray:
         if block and b:  # a muted or uninformed receiver becomes active
             move[1 + 3 * c] += 1
             move[1 + 3 * c + b] -= 1
-            move[-2] -= b == 2  # uninformed nodes
     return moves
 
 
@@ -223,26 +222,23 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
     fed = np.array([tell for _, _, tell in pools] + [True])  # by sender class; K: labelled
     moves = _count_moves(K)
     observed_block = np.concatenate([[False], np.repeat(curious, 3)])
-    NLAB, ON, LEFT, STEPS = 0, 3 * K + 1, 3 * K + 2, 3 * K + 3
+    NLAB, ON, STEPS = 0, 3 * K + 1, 3 * K + 2
     A = 1 + 3 * np.arange(K)
-    source_lane = np.zeros(3 * K + 4, np.int64)  # slot 0 is the source: informed, active
-    source_lane[[NLAB, ON, LEFT]] = 1, 1, sizes.sum()
+    source_lane = np.zeros(3 * K + 3, np.int64)  # slot 0 is the source: informed, active
+    source_lane[[NLAB, ON]] = 1, 1
     source_lane[A + 2] = sizes
     pending = enumerate(deciders)
     exhausted = False
     tail = 0
 
-    # Per lane (column): its counts; its decider, the decider's feed and its
-    # index; how many more fed senders the decider tells apart.  Per lane and
-    # labelled slot (L, W): id (-1 if unused), active, and the active slots as
-    # a swap-remove list.
-    st = np.zeros((3 * K + 4, 0), np.int64)
-    decs: list = []
-    feeds: list = []
-    keys: list[int] = []
+    # Per lane (column): its counts; (its index in `deciders`, its decider);
+    # how many more fed senders the decider tells apart.  Per lane and
+    # labelled slot (L, W): id (-1 if unused), and the active slots as a
+    # swap-remove list, whose first st[ON] entries are the active ones.
+    st = np.zeros((3 * K + 3, 0), np.int64)
+    lanes: list[tuple] = []
     slot_t = np.int16 if n < 2**15 else np.int32  # holds any id and any slot
     lab_id = np.zeros((0, W), slot_t)
-    lab_on = np.zeros((0, W), bool)
     on_list = np.zeros((0, W), slot_t)
     alive = np.zeros(0, bool)
     tells = np.zeros(0)
@@ -251,7 +247,6 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
         on = st[ON, rows]
         on_list[rows, on] = slots
         st[ON, rows] = on + 1
-        lab_on[rows, slots] = True
 
     def alone(row):
         # Un-lump the lane: its labelled nodes keep their ids, each class's
@@ -261,42 +256,40 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
         labels = lab_id[row, : counts[NLAB]].astype(np.int64)
         free = np.ones(n, bool)
         free[labels] = False
-        informed, active = [labels], [labels[lab_on[row, : labels.size]]]
+        # The active labels in slot order, as the per-node engine's A list.
+        informed, active = [labels], [labels[np.sort(on_list[row, : counts[ON]])]]
         for pool, a, m in zip(ids, counts[1:ON:3], counts[2:ON:3]):
             if a + m:
                 drawn = rng.choice(pool[free[pool]], a + m, replace=False)
                 informed.append(drawn)
                 active.append(drawn[:a])
         start = np.concatenate(informed), np.concatenate(active), counts[STEPS]
-        run = _sequential_run(config, rng, start, feeds[row])
-        return keys[row], decs[row], not run.decided and not run.complete(config)
+        index, decider = lanes[row]
+        run = _sequential_run(config, rng, start, decider.feed)
+        return index, decider, not run.decided and not run.complete(config)
 
     while True:
         n_alive = int(np.count_nonzero(alive))
         admit = not exhausted and 2 * n_alive <= _LANES
         if n_alive < alive.size and (admit or 4 * n_alive < 3 * alive.size):
-            keep = alive.tolist()
-            decs, feeds, keys = ([x for x, k in zip(xs, keep) if k] for xs in (decs, feeds, keys))
+            lanes = [lane for lane, keep in zip(lanes, alive.tolist()) if keep]
             st = st[:, alive]
-            lab_id, lab_on, on_list, tells = (x[alive] for x in (lab_id, lab_on, on_list, tells))
+            lab_id, on_list, tells = (x[alive] for x in (lab_id, on_list, tells))
             alive = alive[alive]
         if admit:
-            for index, decider in pending:
-                decs.append(decider)
-                feeds.append(decider.feed)
-                keys.append(index)
-                if len(decs) == n_alive + _LANES // 2:
+            for lane in pending:
+                lanes.append(lane)
+                if len(lanes) == n_alive + _LANES // 2:
                     break
             else:
                 exhausted = True
-            m = len(decs) - alive.size
+            m = len(lanes) - alive.size
             if m:
                 first_slot = np.tile(np.arange(W) == 0, (m, 1))
                 st = np.hstack([st, np.repeat(source_lane[:, None], m, axis=1)])
                 lab_id = np.vstack([lab_id, np.where(first_slot, config.source, -1).astype(slot_t)])
-                lab_on = np.vstack([lab_on, first_slot])
                 on_list = np.vstack([on_list, np.zeros((m, W), slot_t)])
-                tells = np.concatenate([tells, [d.tells_apart for d in decs[alive.size :]]])
+                tells = np.concatenate([tells, [d.tells_apart for _, d in lanes[alive.size :]]])
                 alive = np.concatenate([alive, np.ones(m, bool)])
                 n_alive += m
         if exhausted and n_alive <= _TAIL:
@@ -313,7 +306,7 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
             cum_active.append(cum_active[-1] + st[A[c]])
         unl = cum_active[-1]
         total = unl + st[ON]
-        k = np.minimum((u[0] * total).astype(np.int64), total - 1)
+        k = (u[0] * total).astype(np.int64)
         cs = np.zeros(L, np.int64)  # the sender's class; K if labelled
         for bound in cum_active:
             cs += k >= bound
@@ -340,11 +333,11 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
             on = st[ON, lm] - 1
             on_list[lm, k[lm] - unl[lm]] = on_list[lm, on]
             st[ON, lm] = on
-            lab_on[lm, sender_slot[lm]] = False
         lr = np.flatnonzero(block == 0)
         if lr.size:
             obs[lr] = lab_id[lr, r[lr]] >= config.curious_lo
-            woken = lr[~lab_on[lr, r[lr]]]
+            on = (on_list[lr] == r[lr, None]) & (np.arange(W) < st[ON, lr, None])
+            woken = lr[~on.any(1)]
             activate(woken, r[woken])
 
         # Fed senders: a labelled one by its id; an unlabelled one, if it is
@@ -364,7 +357,7 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
                 slot = st[NLAB, ou]
                 if slot.max() >= W:
                     grow = ((0, 0), (0, W))
-                    lab_on, on_list = (np.pad(x, grow) for x in (lab_on, on_list))
+                    on_list = np.pad(on_list, grow)
                     lab_id = np.pad(lab_id, grow, constant_values=-1)
                     W *= 2
                 awake = ~mute[ou] | self_send[ou]
@@ -382,13 +375,14 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
                     clash = clash[(used[clash] == fresh[clash, None]).any(1)]
                 lab_id[ou, slot] = fresh
             sent = np.where(unlabelled & ~told, -1, lab_id[ob, sender_slot[ob]])
-            done = [row for row, sender in zip(ob.tolist(), sent.tolist()) if feeds[row](sender)]
+            done = [row for row, sender in zip(ob.tolist(), sent.tolist()) if lanes[row][1].feed(sender)]
             decided[done] = True
 
-        ended = alive & (decided | (st[LEFT] == 0) | (st[STEPS] >= cap))
+        left = st[A + 2].sum(0)  # uninformed nodes
+        ended = alive & (decided | (left == 0) | (st[STEPS] >= cap))
         alive &= ~ended
         for row in np.flatnonzero(ended).tolist():
-            yield keys[row], decs[row], bool(not decided[row] and st[LEFT, row] > 0)
+            yield *lanes[row], bool(not decided[row] and left[row] > 0)
         for row in np.flatnonzero(alive & (st[NLAB] >= _CROWD)).tolist():
             alive[row] = False
             yield alone(row)
@@ -465,7 +459,7 @@ def estimate_events(
 
     horizon = max(e.horizon for e in events)
 
-    if config.s == 0.0 and config.variant == "parameterized" and horizon == 1:
+    if config.s == 0.0 and horizon == 1:
         # Horizon-1 events all reduce to "the first observed sender is node".
         first, capped = _first_observed_senders_s0(config, trials, rng)
         counts = np.bincount(first[first >= 0], minlength=config.n)
@@ -675,7 +669,6 @@ class SpreadingSummary:
     the informed fraction exceeds 0.99, summarized by its median.
     """
 
-    config: GossipConfig
     informed_med: np.ndarray
     informed_p10: np.ndarray
     informed_p90: np.ndarray
@@ -715,7 +708,6 @@ def estimate_spreading(
     inf_p10, inf_med, inf_p90 = _bands([rounds.informed for rounds in runs], n)
     act_p10, act_med, act_p90 = _bands([rounds.active for rounds in runs], n)
     return SpreadingSummary(
-        config=config,
         informed_med=inf_med,
         informed_p10=inf_p10,
         informed_p90=inf_p90,

@@ -62,7 +62,13 @@ _ATTACK_SPECS = {
     "map": MapAttackSpec, "multi_rumor": MultiRumorAttackSpec, "silence": SilenceAttackSpec
 }
 ATTACKS = tuple(_ATTACK_SPECS)
-QUANTITIES = ("first_sender_source", "first_sender_other", "event_f", "strong_first_disclosure")
+# Each validate quantity, and whether it has a closed form at a given s.
+QUANTITIES = {
+    "first_sender_source": lambda s: s == 0.0,
+    "first_sender_other": lambda s: s == 0.0,
+    "event_f": lambda s: 0.0 < s < 1.0,
+    "strong_first_disclosure": lambda s: True,
+}
 
 
 class SpecError(ValueError):
@@ -92,7 +98,7 @@ class ExperimentSpec:
     rumors: tuple[int, ...] = (10,)
     k: int = 10
     r: tuple[Optional[int], ...] = (None,)  # None = ceil(ln(n)^2)
-    quantity: tuple[str, ...] = QUANTITIES
+    quantity: tuple[Optional[str], ...] = (None,)  # None = each with a closed form at s
     step_cap: Optional[int] = None
     source: int = 0
 
@@ -171,23 +177,26 @@ def _attack_rows(spec: ExperimentSpec, point: dict, rng) -> list[list]:
 
 def _validate_rows(spec: ExperimentSpec, point: dict, rng) -> list[list]:
     n, s, f = point["n"], point["s"], point["f"]
-    q = point["quantity"]
     cfg = spec.config(point)
-    if q == "first_sender_source":
-        closed = (f + 1) / n
-        res = estimate_event(cfg, EventSpec.first_sender_is(cfg.source), spec.trials, rng)
-    elif q == "first_sender_other":
-        closed = 1 / n
-        other = next(j for j in range(cfg.curious_lo) if j != cfg.source)
-        res = estimate_event(cfg, EventSpec.first_sender_is(other), spec.trials, rng)
-    elif q == "event_f":
-        closed = source_disclosure_prob(s, f, n)
-        res = estimate_source_disclosure(s, f, n, spec.trials, rng)
-    else:  # strong_first_disclosure
-        closed = f / n
-        res = estimate_event(cfg, EventSpec.timed_first_disclosure(), spec.trials, rng)
-    ok = abs(res.estimate - closed) <= 3.0 * res.ci_half_width
-    return [[q, s, f, n, closed, res.estimate, res.ci_half_width, spec.trials, str(ok).lower()]]
+    auto = [q for q, closed_at in QUANTITIES.items() if closed_at(s)]
+    rows = []
+    for q in auto if point["quantity"] is None else [point["quantity"]]:
+        if q == "first_sender_source":
+            closed = (f + 1) / n
+            res = estimate_event(cfg, EventSpec.first_sender_is(cfg.source), spec.trials, rng)
+        elif q == "first_sender_other":
+            closed = 1 / n
+            other = next(j for j in range(cfg.curious_lo) if j != cfg.source)
+            res = estimate_event(cfg, EventSpec.first_sender_is(other), spec.trials, rng)
+        elif q == "event_f":
+            closed = source_disclosure_prob(s, f, n)
+            res = estimate_source_disclosure(s, f, n, spec.trials, rng)
+        else:  # strong_first_disclosure
+            closed = f / n
+            res = estimate_event(cfg, EventSpec.timed_first_disclosure(), spec.trials, rng)
+        ok = abs(res.estimate - closed) <= 3.0 * res.ci_half_width
+        rows.append([q, s, f, n, closed, res.estimate, res.ci_half_width, spec.trials, str(ok).lower()])
+    return rows
 
 
 def _bounds_rows(spec: ExperimentSpec, point: dict, rng) -> list[list]:
@@ -261,7 +270,7 @@ KEYS = {
     "rumors": Key(int, many=True, lo=1, scope="multi_rumor"),
     "k": Key(int, lo=1, scope="multi_rumor"),
     "r": Key(int, many=True, lo=1, none="auto", scope="silence"),
-    "quantity": Key(str, many=True, choices=QUANTITIES, scope="validate"),
+    "quantity": Key(str, many=True, none="auto", choices=tuple(QUANTITIES), scope="validate"),
     "step_cap": Key(int, lo=1),
 }
 
@@ -375,10 +384,8 @@ def _validate_grid(spec: ExperimentSpec) -> None:
         except ValueError as e:
             raise SpecError("grid", f"point {point} is invalid: {e}") from e
         q = point.get("quantity")
-        if q in ("first_sender_source", "first_sender_other") and point["s"] != 0.0:
-            raise SpecError("quantity", f"{q} has a closed form only at s=0")
-        if q == "event_f" and not 0.0 < point["s"] < 1.0:
-            raise SpecError("quantity", "event_f needs 0 < s < 1")
+        if q is not None and not QUANTITIES[q](point["s"]):
+            raise SpecError("quantity", f"{q} has no closed form at s={point['s']}")
         ps = point.get("prior_size")
         if ps is not None and ps > point["n"] - point["f"]:
             raise SpecError("prior_size", f"prior larger than the non-curious set at {point}")

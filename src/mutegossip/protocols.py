@@ -78,13 +78,10 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
     delayed = config.variant == "delayed_start"
 
     informed_ids, active_ids, step = start or ([config.source], [config.source], 0)
-    flags = np.zeros(n, np.uint8)
-    flags[informed_ids] = 1
-    informed = bytearray(flags)
+    informed, active_flag = bytearray(n), bytearray(n)
+    np.frombuffer(informed, np.uint8)[informed_ids] = 1
+    np.frombuffer(active_flag, np.uint8)[active_ids] = 1
     n_informed = len(informed_ids)
-    flags[:] = 0
-    flags[active_ids] = 1
-    active_flag = bytearray(flags)
     active = np.asarray(active_ids).tolist()
     senders: list[int] = []
     receivers: list[np.ndarray] = []  # slices of the receiver blocks
@@ -103,7 +100,6 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
     ulen = block
     use_coin = 0.0 < s < 1.0
     always_mute = s == 0.0
-    stay_p = s
 
     while n_informed < n and step < cap:
         if tptr == tlen:
@@ -126,16 +122,16 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
             if la == 1:
                 k = 0
             else:
+                # No round-up: a uniform u <= 1 - 2**-53 and 1 <= m < 2**53
+                # give int(u * m) < m, here and in every u * m draw of both engines.
                 k = int(uniforms[uptr] * la)
                 uptr += 1
-                if k == la:  # guard against float round-up at the interval edge
-                    k = la - 1
             i = active[k]
 
             if always_mute:
                 mute = True
             elif use_coin:
-                mute = uniforms[uptr] >= stay_p
+                mute = uniforms[uptr] >= s
                 uptr += 1
             else:
                 mute = False
@@ -238,9 +234,7 @@ def _replay(rng, config, step, informed, active, active_flag, uniforms):
             added = rcv[new]
             order[la:la + added.size] = added
             held = la + np.cumsum(new) - new  # |A| when each step picks its sender
-            k = (u[uptr:uptr + size] * held).astype(np.int64)
-            np.minimum(k, held - 1, out=k)  # float round-up at the interval edge
-            out_s.append(order[k])
+            out_s.append(order[(u[uptr:uptr + size] * held).astype(np.int64)])
             act[added] = True
             la += added.size
             uptr += size

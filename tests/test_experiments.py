@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import importlib
 import importlib.util
 import json
 import math
@@ -499,9 +501,26 @@ def test_cli_rejects_an_unusable_spec_file(tmp_path, capsys, case):
 
 
 def test_perfbench_names_and_presets_still_match(monkeypatch):
-    # The benchmark wraps functions of experiments and estimators by module
-    # attribute and refuses a preset whose echo changed since its reference
-    # was recorded: either shows here first.
+    # The benchmark reads mutegossip names by module attribute, wraps
+    # functions of experiments and estimators, and refuses a preset whose
+    # echo changed since its reference was recorded: each shows here first.
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {}  # local name -> what a mutegossip import binds to it
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mutegossip":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    if not hasattr(module, alias.name):  # a submodule the package does not import
+                        importlib.import_module(f"{node.module}.{alias.name}")
+                    bound[alias.asname or alias.name] = getattr(module, alias.name)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "mutegossip":
+                        bound[alias.asname or alias.name] = importlib.import_module(alias.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound:
+                assert hasattr(bound[node.value.id], node.attr), f"{path.name}: {node.value.id}.{node.attr}"
     loader = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(loader)
     monkeypatch.setitem(sys.modules, loader.name, tracing)  # its dataclasses look it up
@@ -516,6 +535,23 @@ def test_perfbench_names_and_presets_still_match(monkeypatch):
     for name, digest in known.items():
         text = parse_spec(PRESETS / f"{name}.cfg").frozen_text()
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("s, rows", [("0", 3), ("0.3", 2), ("1", 1)])
+def test_cli_validate_auto_runs_each_closed_form(tmp_path, s, rows):
+    # With no quantity, a point runs each quantity that has a closed form at
+    # its s, in QUANTITIES order.
+    out = tmp_path / "v"
+    assert main(["validate", "--out", str(out), "--jobs", "1", "n=200", f"s={s}", "trials=500"]) == 0
+    lines = (out / "validate.csv").read_text().splitlines()
+    assert len(lines) == 1 + rows
+    assert lines[-1].startswith("strong_first_disclosure,")
+    assert "quantity = auto" in (out / "spec.cfg").read_text()
+
+
+def test_cli_validate_rejects_a_quantity_without_closed_form(tmp_path, capsys):
+    assert main(["validate", "--out", str(tmp_path / "v"), "quantity=event_f", "s=0"]) == 2
+    assert "'quantity'" in capsys.readouterr().err
 
 
 def test_cli_options_before_or_after_kind(tmp_path):

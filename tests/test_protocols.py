@@ -415,3 +415,18 @@ def test_delayed_start_source_silent_until_reinformed():
 def test_engine_variant_guards():
     with pytest.raises(ValueError):
         run_sync(GossipConfig(n=8, f=1, s=1.0, variant="delayed_start"), spawn_stream(0, 0))
+
+
+def test_uniform_index_never_rounds_up_to_m():
+    # The engines draw an index in [0, m) as int(u * m) with no guard: u from
+    # rng.random() is at most 1 - 2**-53, and for an integer 1 <= m < 2**53
+    # the product then rounds to a double below m.
+    u = np.nextafter(1.0, 0.0)
+    ms = np.concatenate([
+        np.arange(1, 2**20 + 1),
+        2 ** np.arange(53),
+        np.random.default_rng(53).integers(1, 2**53, size=100_000),
+    ])
+    assert ((u * ms).astype(np.int64) < ms).all()
+    uf = float(u)
+    assert all(int(uf * m) < m for m in ms.tolist())
