@@ -24,6 +24,7 @@ import numpy as np
 VARIANTS = ("parameterized", "delayed_start")
 
 _MASK64 = (1 << 64) - 1
+_CHECK_STEPS = 1 << 16  # steps per block of ExecutionTrace.validate
 
 
 def spawn_stream(master_seed: int, stream_index: int) -> np.random.Generator:
@@ -136,10 +137,11 @@ class ExecutionTrace:
     def validate(self) -> None:
         """Assert trace well-formedness from each node's first-informed step.
 
-        O(len + n) check: the source sends first, every sender was informed
-        strictly before its sending event (the source from the start, any
-        other node as the receiver of an earlier event), and a complete run
-        informs all n nodes.
+        O(len + n) check, in blocks of _CHECK_STEPS steps: every id lies in
+        [0, n), the source sends first, every sender was informed strictly
+        before its sending event (the source from the start, any other node
+        as the receiver of an earlier event), and a complete run informs all
+        n nodes.  Each failure names the first step at fault.
         """
         cfg = self.config
         steps = len(self)
@@ -147,13 +149,25 @@ class ExecutionTrace:
             raise AssertionError("a run makes at least one tell_gossip call")
         if int(self.senders[0]) != cfg.source:
             raise AssertionError("first event must be sent by the source")
-        at = np.arange(steps)
         informed_at = np.full(cfg.n, steps)  # first step as a receiver; `steps` if never
-        np.minimum.at(informed_at, self.receivers, at)
         informed_at[cfg.source] = -1
-        late = np.flatnonzero(informed_at[self.senders] >= at)
-        if late.size:
-            raise AssertionError(f"sender {int(self.senders[late[0]])} was not informed at send time")
+        for lo in range(0, steps, _CHECK_STEPS):
+            snd = self.senders[lo:lo + _CHECK_STEPS]
+            rcv = self.receivers[lo:lo + _CHECK_STEPS]
+            bad = np.flatnonzero((snd < 0) | (snd >= cfg.n) | (rcv < 0) | (rcv >= cfg.n))
+            if bad.size:
+                t = lo + int(bad[0])
+                raise AssertionError(f"step {t} has a node id outside [0, {cfg.n}): "
+                                     f"{int(self.senders[t])} -> {int(self.receivers[t])}")
+            at = np.arange(lo, lo + snd.size)
+            # Later blocks' receivers are not yet applied: their steps exceed
+            # every step checked here, so they would change no verdict.
+            np.minimum.at(informed_at, rcv, at)
+            late = np.flatnonzero(informed_at[snd] >= at)
+            if late.size:
+                t = lo + int(late[0])
+                raise AssertionError(f"sender {int(self.senders[t])} was not informed at send time "
+                                     f"(step {t})")
         if self.complete and np.any(informed_at == steps):
             raise AssertionError("complete trace does not inform all nodes")
 

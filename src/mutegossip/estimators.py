@@ -658,6 +658,8 @@ def estimate_attack_precision(
 # ---------------------------------------------------------------------------
 # Spreading statistics
 
+_BAND_ROUNDS = 1 << 14  # rounds per block of _bands' percentile matrix
+
 
 @dataclass(frozen=True)
 class SpreadingSummary:
@@ -724,10 +726,18 @@ def estimate_spreading(
 
 def _bands(curves: list[np.ndarray], n: int) -> np.ndarray:
     """The 10th, 50th and 90th percentiles per round of int count curves, as
-    fractions of n; each curve holds its last value after it ends."""
-    mat = np.empty((len(curves), max(c.size for c in curves)))
-    for row, c in zip(mat, curves):
-        row[: c.size] = c
-        row[c.size :] = c[-1]
-    mat /= n
-    return np.percentile(mat, [10, 50, 90], axis=0, overwrite_input=True)
+    fractions of n; each curve holds its last value after it ends.  A round's
+    percentiles read only its own column, so they are computed over blocks of
+    _BAND_ROUNDS rounds, one (runs x block) matrix at a time."""
+    longest = max(c.size for c in curves)
+    out = np.empty((3, longest))
+    mat = np.empty((len(curves), min(longest, _BAND_ROUNDS)))
+    for lo in range(0, longest, _BAND_ROUNDS):
+        block = mat[:, : min(longest - lo, _BAND_ROUNDS)]
+        for row, c in zip(block, curves):
+            part = c[lo : lo + block.shape[1]]
+            row[: part.size] = part
+            row[part.size :] = c[-1]
+        block /= n
+        out[:, lo : lo + block.shape[1]] = np.percentile(block, [10, 50, 90], axis=0, overwrite_input=True)
+    return out

@@ -18,7 +18,8 @@ Two tables describe what a spec can say and what a run writes:
           rejects any other.
   _KINDS  each kind's CSV header (<kind>.csv, fixed column order, floats
           with 10 significant digits; README lists the same headers) and the
-          function giving one grid point's rows.
+          function giving one grid point's rows, as CSV text in blocks of
+          at most _ROWS lines.  _write_csv streams the blocks to disk.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -141,41 +143,57 @@ class ExperimentSpec:
         return "\n".join(lines) + "\n"
 
 
+_ROWS = 2048  # CSV lines per text block
+
+
 def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
+def _lines(rows: Iterable[list]) -> str:
+    """CSV lines: floats (numpy's included) at 10 significant digits, the
+    rest by str."""
+    return "".join(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+                   for row in rows)
+
+
 # ---------------------------------------------------------------------------
-# Rows of one grid point, per kind
+# Rows of one grid point, per kind, as CSV text blocks
 
 
-def _trace_rows(spec: ExperimentSpec, point: dict, rng) -> list[tuple]:
+def _trace_rows(spec: ExperimentSpec, point: dict, rng) -> Iterator[str]:
+    """Three ints per row, formatted a block at a time through %d."""
     trace = run_trace(spec.config(point), rng)
-    return list(zip(range(len(trace)), trace.senders.tolist(), trace.receivers.tolist()))
+    for lo in range(0, len(trace), _ROWS):
+        snd, rcv = trace.senders[lo:lo + _ROWS], trace.receivers[lo:lo + _ROWS]
+        cells = np.column_stack((np.arange(lo, lo + snd.size), snd, rcv)).ravel().tolist()
+        yield "%d,%d,%d\n" * snd.size % tuple(cells)
 
 
-def _spread_rows(spec: ExperimentSpec, point: dict, rng) -> list[list]:
+def _spread_rows(spec: ExperimentSpec, point: dict, rng) -> Iterator[str]:
     summary = estimate_spreading(spec.config(point), spec.trials, rng)
     # The six curve columns are named after the summary's fields.
     curves = [getattr(summary, col) for col in _KINDS["spread"][0].split(",")[4:]]
-    head = [point["n"], point["s"], point["f"]]
-    return [[*head, rnd, *row] for rnd, row in enumerate(np.column_stack(curves).tolist())]
+    head = _lines([[point["n"], point["s"], point["f"]]])[:-1]
+    for lo in range(0, curves[0].size, _ROWS):
+        rows = np.column_stack([c[lo:lo + _ROWS] for c in curves]).tolist()
+        yield "".join(f"{head},{rnd}," + ",".join(map(_fmt, row)) + "\n"
+                      for rnd, row in enumerate(rows, lo))
 
 
-def _attack_rows(spec: ExperimentSpec, point: dict, rng) -> list[list]:
+def _attack_rows(spec: ExperimentSpec, point: dict, rng) -> list[str]:
     n, s, f = point["n"], point["s"], point["f"]
     keys = [k for k, rule in KEYS.items() if rule.scope == spec.attack]
     attack = _ATTACK_SPECS[spec.attack](**{k: point.get(k, getattr(spec, k)) for k in keys})
     cfg = spec.config(point)
     res = estimate_attack_precision(cfg, attack, spec.trials, rng)
     p = res.precision
-    return [
-        [n, s, f, spec.attack, attack.param(cfg), spec.trials, p.estimate, p.ci_half_width,
-         res.abstain_rate]
-    ]
+    row = [n, s, f, spec.attack, attack.param(cfg), spec.trials, p.estimate, p.ci_half_width,
+           res.abstain_rate]
+    return [_lines([row])]
 
 
-def _validate_rows(spec: ExperimentSpec, point: dict, rng) -> list[list]:
+def _validate_rows(spec: ExperimentSpec, point: dict, rng) -> list[str]:
     n, s, f = point["n"], point["s"], point["f"]
     cfg = spec.config(point)
     auto = [q for q, closed_at in QUANTITIES.items() if closed_at(s)]
@@ -196,10 +214,10 @@ def _validate_rows(spec: ExperimentSpec, point: dict, rng) -> list[list]:
             res = estimate_event(cfg, EventSpec.timed_first_disclosure(), spec.trials, rng)
         ok = abs(res.estimate - closed) <= 3.0 * res.ci_half_width
         rows.append([q, s, f, n, closed, res.estimate, res.ci_half_width, spec.trials, str(ok).lower()])
-    return rows
+    return [_lines(rows)]
 
 
-def _bounds_rows(spec: ExperimentSpec, point: dict, rng) -> list[list]:
+def _bounds_rows(spec: ExperimentSpec, point: dict, rng) -> list[str]:
     """One row per privacy/speed regime at epsilon = 0: (regime, its s,
     delta, c, spreading bound); the parameterized one only for 0 < s < 1."""
     n, s, f = point["n"], point["s"], point["f"]
@@ -210,10 +228,12 @@ def _bounds_rows(spec: ExperimentSpec, point: dict, rng) -> list[list]:
     if 0.0 < s < 1.0:
         delta, c = param_delta_bound(s, f, n, 1), param_c(s, f, n)
         regimes.append(("parameterized", s, delta, c, spreading_round_bound(n, s)))
-    return [[name, row_s, f, n, 0.0, delta, c, bound] for name, row_s, delta, c, bound in regimes]
+    return [_lines([name, row_s, f, n, 0.0, delta, c, bound]
+                   for name, row_s, delta, c, bound in regimes)]
 
 
-# Each kind's CSV header (written to <kind>.csv) and rows of one grid point.
+# Each kind's CSV header (written to <kind>.csv) and the CSV text blocks of
+# one grid point's rows.
 _KINDS = {
     "trace": ("step,sender,receiver", _trace_rows),
     "spread": (
@@ -414,9 +434,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, jobs: int = 1) -> 
     else:
         results = [_point_worker((spec, p)) for p in points]
 
-    failures = [{"point": p, **failure} for p, (_, failure) in zip(points, results) if failure]
-    all_rows = [row for rows, failure in results if not failure for row in rows]
-    _write_csv(out / f"{spec.kind}.csv", spec.kind, all_rows)
+    failures = [{"point": p, **failure} for p, (_, failure, _) in zip(points, results) if failure]
+    _write_csv(out / f"{spec.kind}.csv", spec.kind,
+               (block for blocks, failure, _ in results if not failure for block in blocks))
 
     manifest = {
         "name": spec.name,
@@ -428,6 +448,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, jobs: int = 1) -> 
         "wall_clock_seconds": round(time.perf_counter() - t0, 3),
         "points_total": len(points),
         "points_failed": len(failures),
+        "points": [{"g": p["g"], "seconds": seconds} for p, (_, _, seconds) in zip(points, results)],
         "failures": failures,
         "notes": "spread experiments report synchronous-engine rounds for every s",
     }
@@ -436,23 +457,32 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, jobs: int = 1) -> 
 
 
 def _point_worker(args: tuple[ExperimentSpec, dict]):
-    """(rows, None) for a finished point, (None, failure) for a failed one."""
+    """(text blocks, None, seconds) for a finished point, (None, failure,
+    seconds) for a failed one; seconds is the point's wall time."""
     spec, point = args
+    t0 = time.perf_counter()
     try:
-        return _run_point(spec, point), None
+        blocks, failure = list(_run_point(spec, point)), None
     except Exception as e:  # keep completed points, report the rest
-        return None, {"error": f"{type(e).__name__}: {e}", "traceback": traceback.format_exc()}
+        blocks, failure = None, {"error": f"{type(e).__name__}: {e}", "traceback": traceback.format_exc()}
+    return blocks, failure, round(time.perf_counter() - t0, 3)
 
 
-def _run_point(spec: ExperimentSpec, point: dict) -> list[list]:
+def _run_point(spec: ExperimentSpec, point: dict) -> Iterable[str]:
     return _KINDS[spec.kind][1](spec, point, spawn_stream(spec.master_seed, point["g"]))
 
 
-def _write_csv(path: Path, kind: str, rows: list) -> None:
-    """Floats (numpy's included) at 10 significant digits, the rest by str;
-    trace rows, three ints each, go straight through %d."""
-    if kind == "trace":
-        lines = ["%d,%d,%d" % row for row in rows]
-    else:
-        lines = [",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
-    path.write_text("\n".join([_KINDS[kind][0], *lines]) + "\n")
+def _write_csv(path: Path, kind: str, blocks: Iterable[str]) -> None:
+    """Write the kind's header line, then each text block in turn, to a
+    temporary file beside `path` that replaces it only once every block is
+    written: an error or interrupt mid-stream leaves no truncated CSV."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(_KINDS[kind][0] + "\n")
+            for block in blocks:
+                fh.write(block)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

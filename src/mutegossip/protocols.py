@@ -23,8 +23,9 @@ of them concurrently on disjoint streams.
 
 run_trace's loop draws receivers and uniforms in blocks and runs in chunks:
 a chunk is the steps up to the next refill of either buffer, so its steps
-check no buffer, its receivers are unboxed at once, and they are recorded
-as slices of the receiver block.  At s = 0 and s = 1 (delayed start
+check no buffer, its receivers are unboxed at once, and a recorded run keeps
+each chunk as two int64 arrays (its senders, and a slice of the receiver
+block), concatenated once at the end.  At s = 0 and s = 1 (delayed start
 included) a run that is still going at its first full-size block leaves the
 per-step loop and replays its remaining steps on arrays, one chunk at a
 time: no sender ever mutes at s = 1, so A is the known list followed by
@@ -83,8 +84,8 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
     np.frombuffer(active_flag, np.uint8)[active_ids] = 1
     n_informed = len(informed_ids)
     active = np.asarray(active_ids).tolist()
-    senders: list[int] = []
-    receivers: list[np.ndarray] = []  # slices of the receiver blocks
+    senders: list[np.ndarray] = []  # one int64 array per chunk
+    receivers: list[np.ndarray] = []  # per chunk, a slice of its receiver block
     decided = False
 
     # Block-drawn randomness: receivers come from an integer block; sender
@@ -117,6 +118,7 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
         # A chunk runs up to the next refill: a step takes one receiver and
         # at most two uniforms, so no buffer runs out inside it.
         first = step
+        chunk: list[int] = []  # the chunk's senders, when recorded
         for j in targets[tptr:tptr + min(tlen - tptr, (ulen - uptr) // 2, cap - step)].tolist():
             la = len(active)
             if la == 1:
@@ -152,7 +154,7 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
 
             step += 1
             if feed is None:
-                senders.append(i)
+                chunk.append(i)
             elif j >= curious_lo and feed(i):
                 decided = True
                 break
@@ -160,19 +162,20 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
                 break
         done = step - first
         if feed is None:
+            senders.append(np.array(chunk, np.int64))
             receivers.append(targets[tptr:tptr + done])
         tptr += done
         if decided:
             break
 
-    senders = np.array(senders, np.int64)
     if feed is None and n_informed < n and step < cap:  # left the loop to replay
-        rest_s, rest_r, n_informed, step = _replay(rng, config, step, informed, active, active_flag,
-                                                   uniforms[uptr:])
-        senders = np.concatenate((senders, rest_s))
-        receivers.append(rest_r)
-    receivers = np.concatenate(receivers) if receivers else senders[:0]
-
+        n_informed, step = _replay(rng, config, step, informed, active, active_flag, uniforms[uptr:],
+                                   senders, receivers)
+    # One concatenation per column; rebinding frees the senders' chunks
+    # before the receivers' are joined.  A fed run records nothing.
+    none = np.empty(0, np.int64)
+    senders = np.concatenate(senders or [none])
+    receivers = np.concatenate(receivers or [none])
     return SequentialRun(senders, receivers, n_informed, step, decided)
 
 
@@ -187,7 +190,7 @@ def _replayable(s: float, active: list[int]) -> bool:
     return (s == 1.0 and len(active) > 1) or (s == 0.0 and len(active) == 1)
 
 
-def _replay(rng, config, step, informed, active, active_flag, uniforms):
+def _replay(rng, config, step, informed, active, active_flag, uniforms, out_s, out_r):
     """The rest of a recorded run at s in {0, 1} (see _replayable), one chunk
     of steps at a time on arrays.
 
@@ -195,7 +198,8 @@ def _replay(rng, config, step, informed, active, active_flag, uniforms):
     full _BLOCK; `uniforms` are the loop's unused ones.  A chunk ends at the
     next refill of either buffer, at the step cap, or at the step that
     informs the last node, so each refill happens at the loop's step, targets
-    before uniforms.  Returns (senders, receivers, n_informed, steps).
+    before uniforms.  Appends each chunk's senders and receivers to the
+    loop's lists `out_s` and `out_r`; returns (n_informed, steps).
     """
     n, cap = config.n, config.max_steps
     s_one = config.s == 1.0
@@ -211,7 +215,6 @@ def _replay(rng, config, step, informed, active, active_flag, uniforms):
     pos = np.arange(_BLOCK)
     first = np.full(n, _BLOCK)  # scratch: first step of each node in a chunk
     tptr = _BLOCK
-    out_s, out_r = [], []
     while n_informed < n and step < cap:
         if tptr == _BLOCK:
             targets = rng.integers(0, n, size=_BLOCK)
@@ -246,7 +249,7 @@ def _replay(rng, config, step, informed, active, active_flag, uniforms):
         n_informed += int(fresh[size - 1])
         tptr += size
         step += size
-    return np.concatenate(out_s), np.concatenate(out_r), n_informed, step
+    return n_informed, step
 
 
 def run_trace(config: GossipConfig, rng: np.random.Generator) -> ExecutionTrace:

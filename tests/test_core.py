@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mutegossip import core
 from mutegossip.core import (
     ExecutionTrace,
     GossipConfig,
@@ -117,6 +118,57 @@ def test_validate_catches_wrong_first_sender():
     bad = ExecutionTrace(cfg, senders=[1, 0], receivers=[0, 2], complete=False)
     with pytest.raises(AssertionError):
         bad.validate()
+
+
+@pytest.mark.parametrize("senders, receivers, complete, step", [
+    ([0, 3, 3, 3], [-1, 1, 2, 0], False, 0),  # -1 would be read as node 3
+    ([0, 0, 1, 2], [1, 2, 3, -4], True, 3),  # -4 would be read as node 0
+    ([0, 0, 1, 2], [1, 2, 7, 3], True, 2),  # 7 is past the last node
+    ([0, 0, 5, 2], [1, 2, 3, 3], False, 2),
+])
+def test_validate_rejects_node_ids_outside_range(senders, receivers, complete, step):
+    cfg = GossipConfig(n=4, f=1, s=1.0)
+    bad = ExecutionTrace(cfg, senders=senders, receivers=receivers, complete=complete)
+    with pytest.raises(AssertionError, match=rf"step {step} has a node id outside \[0, 4\)"):
+        bad.validate()
+
+
+def _validate_error(trace) -> str:
+    with pytest.raises(AssertionError) as err:
+        trace.validate()
+    return str(err.value)
+
+
+def test_validate_names_the_first_late_sender_in_a_later_block(monkeypatch):
+    # Node 9 sends at step 5 but is informed at step 8, two blocks of 4
+    # later; node 8 sends at step 6, the step it is informed in.
+    cfg = GossipConfig(n=10, f=1, s=1.0)
+    bad = ExecutionTrace(cfg, senders=[0, 0, 0, 0, 0, 9, 8, 0, 0],
+                         receivers=[1, 2, 3, 4, 5, 6, 8, 7, 9])
+    whole = _validate_error(bad)
+    assert whole == "sender 9 was not informed at send time (step 5)"
+    monkeypatch.setattr(core, "_CHECK_STEPS", 4)
+    assert _validate_error(bad) == whole
+    monkeypatch.setattr(core, "_CHECK_STEPS", 2)
+    out_of_range = ExecutionTrace(cfg, senders=[0, 0, 0, 0, 0], receivers=[1, 2, 3, 4, 10])
+    assert "step 4 has a node id" in _validate_error(out_of_range)
+
+
+def test_validate_completeness_when_the_last_node_is_in_the_final_block(monkeypatch):
+    # Node 9 is informed only at step 8, alone in the third block of 4.
+    monkeypatch.setattr(core, "_CHECK_STEPS", 4)
+    cfg = GossipConfig(n=10, f=1, s=1.0)
+    senders = [0, 1, 2, 3, 4, 5, 6, 7, 8]
+    ExecutionTrace(cfg, senders=senders, receivers=[1, 2, 3, 4, 5, 6, 7, 8, 9]).validate()
+    bad = ExecutionTrace(cfg, senders=senders, receivers=[1, 2, 3, 4, 5, 6, 7, 8, 1])
+    assert _validate_error(bad) == "complete trace does not inform all nodes"
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_validate_in_blocks_accepts_real_runs(monkeypatch, block):
+    monkeypatch.setattr(core, "_CHECK_STEPS", block)
+    for s in (0.0, 0.5, 1.0):
+        run_trace(GossipConfig(n=40, f=4, s=s), spawn_stream(9, int(10 * s))).validate()
 
 
 def test_default_step_cap_scale():

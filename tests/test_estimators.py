@@ -683,6 +683,22 @@ def test_spreading_summary_golden(name):
     assert h.hexdigest() == digest
 
 
+@pytest.mark.parametrize("block", [1, 4, 5, 1 << 14])
+def test_bands_over_round_blocks_match_one_full_matrix(monkeypatch, block):
+    # Curves of 1-13 rounds end before, at and after the edges of blocks of
+    # 4 or 5 rounds; the reference holds each curve's last value in one
+    # (runs x longest) matrix.
+    monkeypatch.setattr(estimators, "_BAND_ROUNDS", block)
+    n = 50
+    rng = np.random.default_rng(3)
+    curves = [np.sort(rng.integers(1, n + 1, size=size)) for size in (3, 4, 5, 8, 9, 10, 13, 1, 4)]
+    held = np.array([np.concatenate((c, np.full(13 - c.size, c[-1]))) for c in curves]) / n
+    expect = np.percentile(held, [10, 50, 90], axis=0)
+    assert np.array_equal(estimators._bands(curves, n), expect)
+    one = np.percentile(held[2:3, :5], [10, 50, 90], axis=0)  # one run of 5 rounds
+    assert np.array_equal(estimators._bands(curves[2:3], n), one)
+
+
 @pytest.mark.parametrize("log2n", [8, 10, 12, 14])
 def test_run_sync_s1_matches_pittel(log2n):
     # At s=1 the round engine is Pittel's push model, whose completion takes

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -281,6 +282,63 @@ def test_run_experiment_pool_no_larger_than_grid(tmp_path, monkeypatch):
     )
     assert run_experiment(spec, tmp_path / "out", jobs=64) == 0
     assert sizes == [3]
+
+
+def test_manifest_times_each_point_in_grid_order(tmp_path):
+    spec = build_spec({"name": ("pts", None), "kind": ("bounds", None), "n": ("100, 200, 300", None),
+                       "s": ("0.5", None)})
+    for jobs in (1, 2):
+        assert run_experiment(spec, tmp_path / str(jobs), jobs=jobs) == 0
+        points = json.loads((tmp_path / str(jobs) / "manifest.json").read_text())["points"]
+        assert [p["g"] for p in points] == [0, 1, 2]
+        assert all(set(p) == {"g", "seconds"} and p["seconds"] >= 0 for p in points)
+        digest = hashlib.sha256((tmp_path / str(jobs) / "bounds.csv").read_bytes()).hexdigest()
+        assert digest == "58c9ea578da420bdeea8485bd36b95df8ccbadabdd1ce6dbf0cc6392eddc4f8f"
+
+
+@pytest.mark.parametrize("stop", [RuntimeError, KeyboardInterrupt])
+def test_interrupted_csv_write_leaves_no_file(tmp_path, monkeypatch, stop):
+    # _fmt fails in the second block of a spread point's rows, after the
+    # first block was written: neither spread.csv nor a temporary remains.
+    import mutegossip.experiments as ex
+
+    spec = build_spec({"name": ("cut", None), "kind": ("spread", None), "n": ("64", None),
+                       "s": ("0.5", None), "trials": ("3", None)})
+    point = spec.grid()[0]
+    monkeypatch.setattr(ex, "_ROWS", 4)
+    calls = []
+    real = ex._fmt
+
+    def failing(x):
+        calls.append(x)
+        if len(calls) == 40:  # 1 + 4 * 6 calls make the first block
+            raise stop("cut")
+        return real(x)
+
+    monkeypatch.setattr(ex, "_fmt", failing)
+    with pytest.raises(stop):
+        ex._write_csv(tmp_path / "spread.csv", "spread", ex._run_point(spec, point))
+    assert len(calls) == 40
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_trace_run_memory_is_a_few_copies_of_the_trace(tmp_path):
+    # trace_demo at n = 16384 (162,854 rows): recording, text blocks and the
+    # streamed write together peak under 3x the trace's int64 senders and
+    # receivers.  Rows held as Python tuples and joined into one string
+    # took ~17x.
+    items = read_spec(PRESETS / "trace_demo.cfg")
+    items["n"] = ("16384", None)
+    spec = build_spec(items)
+    tracemalloc.start()
+    try:
+        assert run_experiment(spec, tmp_path) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = (tmp_path / "trace.csv").read_bytes().count(b"\n") - 1
+    assert rows > 150_000
+    assert peak < 3 * 2 * 8 * rows, peak
 
 
 def test_trace_dump_schema(tmp_path):
