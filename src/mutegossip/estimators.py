@@ -34,7 +34,7 @@ from .adversary import (
     silence_window,
 )
 from .core import GossipConfig, RoundTrace, split_stream
-from .protocols import _sequential_run, _sync_rounds
+from .protocols import _sequential_run
 from .protocols import run_sync  # noqa: F401  -- perfbench's traced run wraps estimators.run_sync
 
 Z99 = 2.576  # 99% two-sided normal quantile, as reported alongside estimates
@@ -432,6 +432,49 @@ def _coupon_runs_s0(config: GossipConfig, trials: int, rng: np.random.Generator)
         yield True, RoundTrace(np.repeat(counts, held), np.broadcast_to(np.int64(1), (rounds,)))
 
 
+def _count_runs(config: GossipConfig, trials: int, rng: np.random.Generator):
+    """Count-only synchronous engine for s > 0: yield (complete, RoundTrace) per trial.
+
+    On the complete graph the nodes are exchangeable, so the informed and
+    active counts are themselves a Markov chain (strong lumpability; Kemeny &
+    Snell, Finite Markov Chains, 6.3).  At 0 < s < 1 a round of k senders
+    draws its k receivers, then its stayers' count, Binomial(k, s).  With the
+    nodes renumbered as stayers [0, stay), other active [stay, k), informed
+    inactive [k, informed) and uninformed [informed, n), the round informs
+    the distinct receivers >= informed and leaves active the stayers plus the
+    distinct receivers >= stay.  The same law as run_sync in another draw
+    order.  At s = 1 every sender stays, so A is the informed set, and the
+    loop keeps node ids: run_sync's draws, RoundTrace and generator state.
+    A run is step-capped once its messages reach config.max_steps.
+    """
+    n, s, cap = config.n, config.s, config.max_steps
+    all_stay = s == 1.0
+    hit = np.zeros(n, dtype=bool)  # the informed ids at s = 1, else one round's receivers
+    for _ in range(trials):
+        if all_stay:
+            hit[:] = False
+            hit[config.source] = True
+        informed = active = 1
+        messages = 0
+        informed_per_round: list[int] = []
+        active_per_round: list[int] = []
+        while informed < n and messages < cap:
+            k = active
+            rcv = rng.integers(0, n, size=k)
+            hit[rcv] = True
+            if all_stay:
+                informed = active = int(np.count_nonzero(hit))
+            else:
+                stay = int(rng.binomial(k, s))
+                active = stay + int(np.count_nonzero(hit[stay:]))
+                informed += int(np.count_nonzero(hit[informed:]))
+                hit[rcv] = False
+            messages += k
+            informed_per_round.append(informed)
+            active_per_round.append(active)
+        yield informed == n, RoundTrace(informed_per_round, active_per_round)
+
+
 def estimate_events(
     config: GossipConfig,
     events: Sequence[EventSpec],
@@ -691,17 +734,18 @@ def estimate_spreading(
     completion rounds, message totals, and the late-round active plateau.
     Step-capped runs are excluded from the aggregates and counted.
 
-    At s=0 the runs come from the lumped coupon-collector engine
-    (_coupon_runs_s0), which draws the rounds of every run in one call;
-    otherwise from the round engine's count-only loop (_sync_rounds, run_sync
-    without its event list: the same draws and the same RoundTrace)."""
+    The runs come from lumped engines with run_sync's law: at s=0 the
+    coupon-collector engine (_coupon_runs_s0), which draws the rounds of
+    every run in one call, otherwise the count-only round engine
+    (_count_runs), which draws one binomial per round in place of a stay coin
+    per sender and, at s=1, makes run_sync's draws."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = config.n
     if config.s == 0.0:
         outcomes = _coupon_runs_s0(config, trials, rng)
     else:
-        outcomes = (_sync_rounds(config, rng) for _ in range(trials))
+        outcomes = _count_runs(config, trials, rng)
     runs = [rounds for complete, rounds in outcomes if complete]
     if not runs:
         raise RuntimeError("every run hit the step cap; raise step_cap")

@@ -10,13 +10,12 @@ nodes, self included):
              re-informed); the receiver runs standard push.
 * run_sync   round-based version: every node active at round start sends
              once, then flips its stay-active coin; receivers activate for
-             the next round.  Its loop, _sync_rounds, also runs without
-             recording events for the spreading estimator, which needs only
-             the per-round counts: the same draws, so the same RoundTrace,
-             and at s = 1 (where A is the informed set) no sender list.
-             A round with one sender (every round at s = 0) draws scalars
-             from the same stream and touches no n-long mask scan, so it
-             costs O(1); rounds with more senders work on dense masks.
+             the next round.  A round with one sender (every round at
+             s = 0) draws scalars from the same stream and touches no
+             n-long mask scan, so it costs O(1); rounds with more senders
+             work on dense masks.  The spreading estimator needs only the
+             per-round counts and takes them from the count-only engines in
+             estimators, which have run_sync's law (at s = 1, its draws).
 
 Engines are single-threaded and deterministic given their stream; run many
 of them concurrently on disjoint streams.
@@ -272,16 +271,15 @@ def run_trace(config: GossipConfig, rng: np.random.Generator) -> ExecutionTrace:
                           complete=run.complete(config))
 
 
-def _sync_rounds(config: GossipConfig, rng: np.random.Generator, events: list | None = None):
-    """The round engine's loop, shared by run_sync and the spreading estimator.
+def _sync_rounds(config: GossipConfig, rng: np.random.Generator, events: list):
+    """The round engine's loop behind run_sync.
 
-    Returns (complete, RoundTrace).  With `events`, each round appends its
-    (senders, receivers) arrays to it.  Every round draws its receivers and,
-    for s < 1, then its stay coins, one per sender; a round with one sender
-    draws them as scalars, which gives the same values and leaves the
-    generator in the same state.  At s = 1 every sender stays, so A is the
-    informed set: the loop then draws no coins, keeps one mask and, unless
-    recording, lists the senders only after a round with one sender.
+    Returns (complete, RoundTrace); each round appends its (senders,
+    receivers) arrays to `events`.  Every round draws its receivers and, for
+    s < 1, then its stay coins, one per sender; a round with one sender draws
+    them as scalars, which gives the same values and leaves the generator in
+    the same state.  At s = 1 every sender stays, so A is the informed set:
+    the loop then draws no coins and keeps one mask.
     """
     if config.variant != "parameterized":
         raise ValueError("run_sync requires variant='parameterized'")
@@ -296,17 +294,15 @@ def _sync_rounds(config: GossipConfig, rng: np.random.Generator, events: list | 
     informed_per_round: list[int] = []
     active_per_round: list[int] = []
     total_messages = 0
-    n_informed = n_active = 1
-    listed = events is not None or not all_stay
-    snd = np.flatnonzero(active)  # the next round's senders, when listed
+    n_informed = 1
+    snd = np.flatnonzero(active)  # the next round's senders
 
     while n_informed < n and total_messages < cap:
-        k = n_active
+        k = snd.size
         if k == 1:  # every round at s = 0: scalar draws (the same stream), no n-long scan
             i, j = int(snd[0]), int(rng.integers(0, n))
             rcv = np.array((j,))
-            if events is not None:
-                events.append((snd, rcv))
+            events.append((snd, rcv))
             if not informed[j]:
                 informed[j] = True
                 n_informed += 1
@@ -315,22 +311,18 @@ def _sync_rounds(config: GossipConfig, rng: np.random.Generator, events: list | 
                 active[i] = stay
                 active[j] = True
             snd = np.array((min(i, j), max(i, j))) if stay and i != j else rcv
-            n_active = snd.size
         else:
             rcv = rng.integers(0, n, size=k)
-            if events is not None:
-                events.append((snd, rcv))
+            events.append((snd, rcv))
             informed[rcv] = True
             n_informed = int(np.count_nonzero(informed))
             if not all_stay:
                 active[snd] = rng.random(k) < s  # each sender stays with probability s
                 active[rcv] = True
-            if listed:
-                snd = np.flatnonzero(active)
-            n_active = n_informed if all_stay else snd.size
+            snd = np.flatnonzero(active)
         total_messages += k
         informed_per_round.append(n_informed)
-        active_per_round.append(n_active)
+        active_per_round.append(snd.size)
 
     return n_informed == n, RoundTrace(informed_per_round, active_per_round)
 

@@ -608,8 +608,8 @@ def test_attack_spec_param_resolves_its_default():
 # Spreading
 
 
-# s=0 runs on the lumped coupon-collector engine, every other s on run_sync;
-# each test loops over both paths.
+# s=0 runs on the lumped coupon-collector engine, every other s on the
+# count-only round engine; each test loops over both paths.
 SPREAD_PATHS = (0.5, 0.0)
 
 
@@ -712,13 +712,22 @@ def test_run_sync_s1_matches_pittel(log2n):
     assert 0.0 <= offset <= 3.0, offset
 
 
-def _held_curves(rounds_list, width, n):
-    """Informed counts of rounds 1..width per run, held at n after completion."""
-    out = np.full((len(rounds_list), width), n, dtype=np.int64)
-    for row, rounds in zip(out, rounds_list):
-        head = rounds.informed[:width]
+def _held_curves(curves, width, fill):
+    """Counts of rounds 1..width per run, held at `fill` after completion."""
+    out = np.full((len(curves), width), fill, dtype=np.int64)
+    for row, curve in zip(out, curves):
+        head = curve[:width]
         row[: head.size] = head
     return out
+
+
+def _means_agree(a, b, tests):
+    """Whether the per-round means of two (runs x rounds) samples agree, in
+    a two-sample z-test at level 1e-4 Bonferroni-split over `tests` tests."""
+    diff = a.mean(axis=0) - b.mean(axis=0)
+    se = np.sqrt(a.var(axis=0, ddof=1) / len(a) + b.var(axis=0, ddof=1) / len(b))
+    z = stats.norm.isf(1e-4 / (2 * tests))
+    return np.all(np.abs(diff) <= z * se + 1e-12), np.abs(diff) / np.maximum(se, 1e-12)
 
 
 @pytest.mark.parametrize("n, sync_trials", [(3, 4000), (64, 400)])
@@ -742,11 +751,9 @@ def test_coupon_runs_s0_match_run_sync(n, sync_trials):
 
     # Mean informed count at each of the first rounds (Bonferroni over rounds).
     width = 2 * n
-    ca, cb = _held_curves(lumped, width, n), _held_curves(sync, width, n)
-    diff = ca.mean(axis=0) - cb.mean(axis=0)
-    se = np.sqrt(ca.var(axis=0, ddof=1) / len(ca) + cb.var(axis=0, ddof=1) / len(cb))
-    z = stats.norm.isf(1e-4 / (2 * width))
-    assert np.all(np.abs(diff) <= z * se + 1e-12), np.abs(diff) / np.maximum(se, 1e-12)
+    ok, z = _means_agree(*(_held_curves([r.informed for r in runs], width, n) for runs in (lumped, sync)),
+                         width)
+    assert ok, z
 
     # Mean completion rounds against the coupon collector's n*H(n-1), with
     # Var = sum over k of (1-p_k)/p_k^2, p_k = (n-k)/n.
@@ -754,3 +761,125 @@ def test_coupon_runs_s0_match_run_sync(n, sync_trials):
     sd = math.sqrt(float(np.sum((1 - p) / p**2)))
     target = n * sum(1 / k for k in range(1, n))
     assert abs(a.mean() - target) <= 4.0 * sd / math.sqrt(a.size)
+
+
+def _exact_round_law(n, s, horizon):
+    """The exact law of run_sync's rounds at tiny n, node by node.
+
+    A state is (informed set, active set) as bitmasks, the source being node
+    0.  A round of k senders sends to each of the n**k receiver tuples with
+    equal mass and flips each of the 2**k patterns of stay coins; the next
+    informed set adds the receivers, the next active set is the stayers and
+    the receivers.  Returns, for rounds t = 1..horizon, P(T = t) and the
+    means of informed_t and active_t over runs with T >= t (0 once a run has
+    completed), where T is the completion round; and the mass still running
+    after the horizon, which the returned law leaves out.
+    """
+    full = (1 << n) - 1
+    states = [(i, a) for i in range(1, full, 2) for a in range(1, full) if a & ~i == 0]
+    index = {state: row for row, state in enumerate(states)}
+    step = np.zeros((len(states), len(states)))  # mass moving between running states
+    done = np.zeros(len(states))  # mass completing in the round
+    done_active = np.zeros(len(states))  # and its mean active count
+    for row, (i, a) in enumerate(states):
+        senders = [b for b in range(n) if a >> b & 1]
+        k = len(senders)
+        # The receiver tuples, counted by the set of nodes they reach.
+        reached = Counter(functools.reduce(lambda m, j: m | 1 << j, tup, 0)
+                          for tup in product(range(n), repeat=k))
+        for coins in product((0, 1), repeat=k):
+            stay = sum(1 << b for b, c in zip(senders, coins) if c)
+            p_coins = s ** sum(coins) * (1 - s) ** (k - sum(coins))
+            for got, tuples in reached.items():
+                p = p_coins * tuples / n**k
+                nxt = (i | got, stay | got)
+                if nxt[0] == full:
+                    done[row] += p
+                    done_active[row] += p * bin(nxt[1]).count("1")
+                else:
+                    step[row, index[nxt]] += p
+    n_inf = np.array([bin(i).count("1") for i, _ in states])
+    n_act = np.array([bin(a).count("1") for _, a in states])
+    mass = np.zeros(len(states))
+    mass[index[(1, 1)]] = 1.0
+    pmf, informed, active = np.zeros((3, horizon))
+    for t in range(horizon):
+        nxt = mass @ step
+        pmf[t] = mass @ done
+        informed[t] = nxt @ n_inf + n * pmf[t]
+        active[t] = nxt @ n_act + mass @ done_active
+        mass = nxt
+    return pmf, informed, active, mass.sum()
+
+
+@pytest.mark.parametrize("n, s", [(3, 1 / 3), (3, 0.5), (4, 1 / 3), (4, 0.5), (5, 1 / 3), (5, 0.5)])
+def test_count_runs_match_exact_round_law(n, s):
+    horizon = 40 * n
+    pmf, informed, active, left = _exact_round_law(n, s, horizon)
+    assert left < 1e-9 and abs(pmf.sum() + left - 1) < 1e-12
+    if n == 3:  # round 1: the source informs another node w.p. 2/3 and stays w.p. s
+        assert abs(informed[0] - 5 / 3) < 1e-15 and abs(active[0] - (1 + 2 * s / 3)) < 1e-15
+
+    trials = 20000
+    runs = [rounds for complete, rounds in estimators._count_runs(GossipConfig(n=n, f=0, s=s), trials,
+                                                                  spawn_stream(61, n))]
+    for rounds in runs[:200]:
+        rounds.validate()
+    lengths = np.array([len(r) for r in runs])
+    assert lengths.max() <= horizon
+
+    # Completion-round law: chi-square goodness of fit over rounds lo..hi,
+    # the first and last with an expected count of 20 or more; the rounds
+    # before lo are pooled into lo's bin, and those after hi into one bin.
+    lo, hi = np.flatnonzero(pmf * trials >= 20)[[0, -1]] + 1
+    observed = np.bincount(np.clip(lengths, lo, hi + 1) - lo, minlength=hi + 2 - lo)
+    expected = np.concatenate(([pmf[:lo].sum()], pmf[lo:hi], [1 - pmf[:hi].sum()])) * trials
+    assert stats.chisquare(observed, expected).pvalue > 1e-4
+
+    # Mean informed and active counts per round (Bonferroni over both).
+    width = hi
+    for curve, mean in (("informed", informed), ("active", active)):
+        held = _held_curves([getattr(r, curve) for r in runs], width, 0)
+        se = held.std(axis=0, ddof=1) / math.sqrt(trials)
+        z = stats.norm.isf(1e-4 / (4 * width))
+        dev = np.abs(held.mean(axis=0) - mean[:width])
+        assert np.all(dev <= z * se + 1e-12), (curve, dev / np.maximum(se, 1e-12))
+
+
+@pytest.mark.parametrize("n, s", [(64, 0.05), (64, 0.5), (1024, 0.05), (1024, 0.5)])
+def test_count_runs_match_run_sync(n, s):
+    cfg = GossipConfig(n=n, f=0, s=s)
+    lumped = [rounds for _, rounds in estimators._count_runs(cfg, 2000, spawn_stream(62, n))]
+    rng = spawn_stream(63, n)
+    sync = [run_sync(cfg, rng)[1] for _ in range(400)]
+    for rounds in lumped[:100]:
+        rounds.validate()
+        assert rounds.informed[-1] == n
+
+    # Completion-round law: two-sample chi-square on pooled-decile bins.
+    a = np.array([len(r) for r in lumped])
+    b = np.array([len(r) for r in sync])
+    edges = np.unique(np.quantile(np.concatenate([a, b]), np.linspace(0, 1, 11)))
+    edges[-1] += 1  # the last bin is closed
+    table = np.vstack([np.histogram(a, edges)[0], np.histogram(b, edges)[0]])
+    assert stats.chi2_contingency(table).pvalue > 1e-4
+
+    # Mean informed and active counts per round up to the pooled 90th
+    # percentile of completion (Bonferroni over rounds and both counts).
+    width = int(np.quantile(np.concatenate([a, b]), 0.9))
+    for curve in ("informed", "active"):
+        ok, z = _means_agree(*(_held_curves([getattr(r, curve) for r in runs], width, 0)
+                               for runs in (lumped, sync)), 2 * width)
+        assert ok, (curve, z)
+
+
+def test_count_runs_capped_share_matches_run_sync():
+    # GOLDEN_SUMMARIES["s05_capped"]'s point, where about a third of the
+    # runs reach the step cap: a two-sample test of the capped share.
+    cfg = GossipConfig(n=128, f=13, s=0.5, step_cap=700)
+    lumped = [complete for complete, _ in estimators._count_runs(cfg, 4000, spawn_stream(64, 0))]
+    rng = spawn_stream(64, 1)
+    sync = [run_sync(cfg, rng)[0].complete for _ in range(2000)]
+    table = [[lumped.count(False), lumped.count(True)], [sync.count(False), sync.count(True)]]
+    assert 0.2 < table[0][0] / len(lumped) < 0.5
+    assert stats.chi2_contingency(table).pvalue > 1e-4

@@ -409,8 +409,9 @@ def test_attack_csv_golden_digest(tmp_path, name):
 
 
 # sha256 of spread.csv for a small s > 0 grid, recorded like the attack
-# digests above: it pins run_sync's draw order through estimate_spreading
-# (s=0 points take the lumped coupon-collector engine instead).
+# digests above: it pins the count-only round engine's draw order through
+# estimate_spreading, at s = 0.5 its own and at s = 1 run_sync's (s=0 points
+# take the lumped coupon-collector engine instead).
 GOLDEN_SPREAD = (
     {"n": "128, 512", "s": "0.5, 1", "trials": "20"},
     "1b2d00da6692184d31ccd28ff94f9e79d228ebaa53af4151fdaf621b72af22fc",
