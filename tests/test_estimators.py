@@ -656,9 +656,9 @@ GOLDEN_SUMMARIES = {
         GossipConfig(n=64, f=6, s=0.0, step_cap=300), 40,
         "5b352df7d696ab333b0c52ec749de084e8786dcfc167744de30bcc40aa23eedf",
     ),
-    "s05_capped": (  # 7 of 20 runs capped
+    "s05_capped": (  # 6 of 20 runs capped
         GossipConfig(n=128, f=13, s=0.5, step_cap=700), 20,
-        "c7b4e5fc2619c44d8af19f36dbabdb7175db506bd6e8ec197690acc79eae006e",
+        "0f5d4983fcbb416057181b651d6d79eedad2abc187a0fa314a2023ab6223a5fd",
     ),
     "s1_capped": (  # 18 of 30 runs capped
         GossipConfig(n=128, f=13, s=1.0, step_cap=600), 30,
@@ -666,7 +666,7 @@ GOLDEN_SUMMARIES = {
     ),
     "s01": (
         GossipConfig(n=128, f=13, s=0.1), 30,
-        "8bd32eefa7035387b6db812397af88e1e99fdce2c4ba8f30b8afd7f9ba9f0001",
+        "b25231ea29a4c9cb8f6a9617c7cf9f9a69ccc2003914b7d870e736aed70c5ade",
     ),
 }
 

@@ -414,7 +414,7 @@ def test_attack_csv_golden_digest(tmp_path, name):
 # take the lumped coupon-collector engine instead).
 GOLDEN_SPREAD = (
     {"n": "128, 512", "s": "0.5, 1", "trials": "20"},
-    "1b2d00da6692184d31ccd28ff94f9e79d228ebaa53af4151fdaf621b72af22fc",
+    "ae12fd749da6b9f59f2603a0dfcb0270cb133301bd426d2f38cfad60957dff90",
 )
 
 
