@@ -721,6 +721,15 @@ def _held_curves(curves, width, fill):
     return out
 
 
+def _completion_laws_agree(a, b):
+    """Whether two samples of completion rounds agree: a two-sample
+    chi-square test on pooled-decile bins at level 1e-4."""
+    edges = np.unique(np.quantile(np.concatenate([a, b]), np.linspace(0, 1, 11)))
+    edges[-1] += 1  # the last bin is closed
+    table = np.vstack([np.histogram(a, edges)[0], np.histogram(b, edges)[0]])
+    return stats.chi2_contingency(table).pvalue > 1e-4
+
+
 def _means_agree(a, b, tests):
     """Whether the per-round means of two (runs x rounds) samples agree, in
     a two-sample z-test at level 1e-4 Bonferroni-split over `tests` tests."""
@@ -741,13 +750,9 @@ def test_coupon_runs_s0_match_run_sync(n, sync_trials):
         assert np.all(rounds.active == 1) and np.all(rounds.messages == 1)
         assert rounds.informed[-1] == n and rounds.informed[-2] == n - 1
 
-    # Completion-round law: two-sample chi-square on pooled-decile bins.
     a = np.array([len(r) for r in lumped])
     b = np.array([len(r) for r in sync])
-    edges = np.unique(np.quantile(np.concatenate([a, b]), np.linspace(0, 1, 11)))
-    edges[-1] += 1  # the last bin is closed
-    table = np.vstack([np.histogram(a, edges)[0], np.histogram(b, edges)[0]])
-    assert stats.chi2_contingency(table).pvalue > 1e-4
+    assert _completion_laws_agree(a, b)
 
     # Mean informed count at each of the first rounds (Bonferroni over rounds).
     width = 2 * n
@@ -856,13 +861,9 @@ def test_count_runs_match_run_sync(n, s):
         rounds.validate()
         assert rounds.informed[-1] == n
 
-    # Completion-round law: two-sample chi-square on pooled-decile bins.
     a = np.array([len(r) for r in lumped])
     b = np.array([len(r) for r in sync])
-    edges = np.unique(np.quantile(np.concatenate([a, b]), np.linspace(0, 1, 11)))
-    edges[-1] += 1  # the last bin is closed
-    table = np.vstack([np.histogram(a, edges)[0], np.histogram(b, edges)[0]])
-    assert stats.chi2_contingency(table).pvalue > 1e-4
+    assert _completion_laws_agree(a, b)
 
     # Mean informed and active counts per round up to the pooled 90th
     # percentile of completion (Bonferroni over rounds and both counts).
