@@ -817,7 +817,8 @@ def _exact_round_law(n, s, horizon):
     return pmf, informed, active, mass.sum()
 
 
-@pytest.mark.parametrize("n, s", [(3, 1 / 3), (3, 0.5), (4, 1 / 3), (4, 0.5), (5, 1 / 3), (5, 0.5)])
+@pytest.mark.parametrize("n, s", [(3, 1 / 3), (3, 0.5), (4, 1 / 3), (4, 0.5), (5, 1 / 3), (5, 0.5),
+                                  (3, 1.0), (4, 1.0), (5, 1.0)])
 def test_count_runs_match_exact_round_law(n, s):
     horizon = 40 * n
     pmf, informed, active, left = _exact_round_law(n, s, horizon)
@@ -851,7 +852,7 @@ def test_count_runs_match_exact_round_law(n, s):
         assert np.all(dev <= z * se + 1e-12), (curve, dev / np.maximum(se, 1e-12))
 
 
-@pytest.mark.parametrize("n, s", [(64, 0.05), (64, 0.5), (1024, 0.05), (1024, 0.5)])
+@pytest.mark.parametrize("n, s", [(64, 0.05), (64, 0.5), (1024, 0.05), (1024, 0.5), (64, 1.0), (1024, 1.0)])
 def test_count_runs_match_run_sync(n, s):
     cfg = GossipConfig(n=n, f=0, s=s)
     lumped = [rounds for _, rounds in estimators._count_runs(cfg, 2000, spawn_stream(62, n))]
@@ -875,12 +876,14 @@ def test_count_runs_match_run_sync(n, s):
 
 
 def test_count_runs_capped_share_matches_run_sync():
-    # GOLDEN_SUMMARIES["s05_capped"]'s point, where about a third of the
-    # runs reach the step cap: a two-sample test of the capped share.
-    cfg = GossipConfig(n=128, f=13, s=0.5, step_cap=700)
-    lumped = [complete for complete, _ in estimators._count_runs(cfg, 4000, spawn_stream(64, 0))]
-    rng = spawn_stream(64, 1)
-    sync = [run_sync(cfg, rng)[0].complete for _ in range(2000)]
-    table = [[lumped.count(False), lumped.count(True)], [sync.count(False), sync.count(True)]]
-    assert 0.2 < table[0][0] / len(lumped) < 0.5
-    assert stats.chi2_contingency(table).pvalue > 1e-4
+    # GOLDEN_SUMMARIES["s05_capped"]'s point, and the same point at s = 1,
+    # where about a third of the runs reach the step cap: a two-sample test
+    # of the capped share.
+    for stream, s in ((0, 0.5), (2, 1.0)):
+        cfg = GossipConfig(n=128, f=13, s=s, step_cap=700)
+        lumped = [complete for complete, _ in estimators._count_runs(cfg, 4000, spawn_stream(64, stream))]
+        rng = spawn_stream(64, stream + 1)
+        sync = [run_sync(cfg, rng)[0].complete for _ in range(2000)]
+        table = [[lumped.count(False), lumped.count(True)], [sync.count(False), sync.count(True)]]
+        assert 0.2 < table[0][0] / len(lumped) < 0.5, s
+        assert stats.chi2_contingency(table).pvalue > 1e-4, s

@@ -418,12 +418,30 @@ GOLDEN_SPREAD = (
 )
 
 
-def test_spread_csv_golden_digest(tmp_path):
-    keys, digest = GOLDEN_SPREAD
+# The same at s = 0, on the coupon-collector engine: 2,765 lines, so the
+# row formatter crosses a 2,048-line block edge, at jobs 1 and 2.
+GOLDEN_SPREAD_S0 = (
+    {"n": "64, 256", "s": "0", "trials": "20"},
+    "3a451b4e28d62c662d37c8a8b12ac88910b4772ab17dbbc6a2ec35e2d70abdc2",
+)
+
+
+def _spread_digest(out, keys, jobs=1):
     items = {"name": ("spread", None), "kind": ("spread", None), "master_seed": ("2027", None)}
     items.update({k: (v, None) for k, v in keys.items()})
-    assert run_experiment(build_spec(items), tmp_path) == 0
-    assert hashlib.sha256((tmp_path / "spread.csv").read_bytes()).hexdigest() == digest
+    assert run_experiment(build_spec(items), out, jobs=jobs) == 0
+    return hashlib.sha256((out / "spread.csv").read_bytes()).hexdigest()
+
+
+def test_spread_csv_golden_digest(tmp_path):
+    keys, digest = GOLDEN_SPREAD
+    assert _spread_digest(tmp_path, keys) == digest
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_spread_csv_s0_golden_digest(tmp_path, jobs):
+    keys, digest = GOLDEN_SPREAD_S0
+    assert _spread_digest(tmp_path, keys, jobs) == digest
 
 
 def test_trace_csv_golden_digest(tmp_path):
