@@ -437,38 +437,32 @@ def _count_runs(config: GossipConfig, trials: int, rng: np.random.Generator):
 
     On the complete graph the nodes are exchangeable, so the informed and
     active counts are themselves a Markov chain (strong lumpability; Kemeny &
-    Snell, Finite Markov Chains, 6.3).  At 0 < s < 1 a round of k senders
-    draws its k receivers, then its stayers' count, Binomial(k, s).  With the
-    nodes renumbered as stayers [0, stay), other active [stay, k), informed
-    inactive [k, informed) and uninformed [informed, n), the round informs
-    the distinct receivers >= informed and leaves active the stayers plus the
-    distinct receivers >= stay.  The same law as run_sync in another draw
-    order.  At s = 1 every sender stays, so A is the informed set, and the
-    loop keeps node ids: run_sync's draws, RoundTrace and generator state.
-    A run is step-capped once its messages reach config.max_steps.
+    Snell, Finite Markov Chains, 6.3).  A round of k senders first draws its
+    stayers' count, k at s = 1 and Binomial(k, s) otherwise.  With the nodes
+    renumbered as stayers [0, stay), other active [stay, k), informed
+    inactive [k, informed) and uninformed [informed, n), a receiver among the
+    stayers changes no count; so the round draws only the m ~ Binomial(k,
+    (n - stay)/n) receivers outside them, uniform over [stay, n) (multinomial
+    splitting), informs the distinct ones >= informed and leaves active the
+    stayers plus the distinct ones.  The same law as run_sync in another
+    draw order.  A run is step-capped once its messages reach
+    config.max_steps.
     """
     n, s, cap = config.n, config.s, config.max_steps
-    all_stay = s == 1.0
-    hit = np.zeros(n, dtype=bool)  # the informed ids at s = 1, else one round's receivers
+    hit = np.zeros(n, dtype=bool)  # one round's receivers
     for _ in range(trials):
-        if all_stay:
-            hit[:] = False
-            hit[config.source] = True
         informed = active = 1
         messages = 0
         informed_per_round: list[int] = []
         active_per_round: list[int] = []
         while informed < n and messages < cap:
             k = active
-            rcv = rng.integers(0, n, size=k)
+            stay = k if s == 1.0 else int(rng.binomial(k, s))
+            rcv = rng.integers(stay, n, size=int(rng.binomial(k, (n - stay) / n)))
             hit[rcv] = True
-            if all_stay:
-                informed = active = int(np.count_nonzero(hit))
-            else:
-                stay = int(rng.binomial(k, s))
-                active = stay + int(np.count_nonzero(hit[stay:]))
-                informed += int(np.count_nonzero(hit[informed:]))
-                hit[rcv] = False
+            active = stay + int(np.count_nonzero(hit[stay:]))
+            informed += int(np.count_nonzero(hit[informed:]))
+            hit[rcv] = False
             messages += k
             informed_per_round.append(informed)
             active_per_round.append(active)
@@ -737,8 +731,8 @@ def estimate_spreading(
     The runs come from lumped engines with run_sync's law: at s=0 the
     coupon-collector engine (_coupon_runs_s0), which draws the rounds of
     every run in one call, otherwise the count-only round engine
-    (_count_runs), which draws one binomial per round in place of a stay coin
-    per sender and, at s=1, makes run_sync's draws."""
+    (_count_runs), which draws each round's stayers as one count and then
+    only the receivers that can change a count."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = config.n

@@ -157,28 +157,34 @@ def _lines(rows: Iterable[list]) -> str:
                    for row in rows)
 
 
+def _block(row: str, columns: list[np.ndarray]) -> str:
+    """CSV lines of equal-length columns in one % format call, `row` being
+    one line's format."""
+    return row * len(columns[0]) % tuple(np.column_stack(columns).ravel().tolist())
+
+
 # ---------------------------------------------------------------------------
 # Rows of one grid point, per kind, as CSV text blocks
 
 
 def _trace_rows(spec: ExperimentSpec, point: dict, rng) -> Iterator[str]:
-    """Three ints per row, formatted a block at a time through %d."""
+    """Three ints per row, formatted a block at a time."""
     trace = run_trace(spec.config(point), rng)
     for lo in range(0, len(trace), _ROWS):
         snd, rcv = trace.senders[lo:lo + _ROWS], trace.receivers[lo:lo + _ROWS]
-        cells = np.column_stack((np.arange(lo, lo + snd.size), snd, rcv)).ravel().tolist()
-        yield "%d,%d,%d\n" * snd.size % tuple(cells)
+        yield _block("%d,%d,%d\n", [np.arange(lo, lo + snd.size), snd, rcv])
 
 
 def _spread_rows(spec: ExperimentSpec, point: dict, rng) -> Iterator[str]:
+    """The point's keys, the round and six curve values (as _fmt writes them)
+    per row, formatted a block at a time."""
     summary = estimate_spreading(spec.config(point), spec.trials, rng)
     # The six curve columns are named after the summary's fields.
     curves = [getattr(summary, col) for col in _KINDS["spread"][0].split(",")[4:]]
-    head = _lines([[point["n"], point["s"], point["f"]]])[:-1]
+    row = _lines([[point["n"], point["s"], point["f"]]])[:-1] + ",%d" + ",%.10g" * len(curves) + "\n"
     for lo in range(0, curves[0].size, _ROWS):
-        rows = np.column_stack([c[lo:lo + _ROWS] for c in curves]).tolist()
-        yield "".join(f"{head},{rnd}," + ",".join(map(_fmt, row)) + "\n"
-                      for rnd, row in enumerate(rows, lo))
+        block = [c[lo:lo + _ROWS] for c in curves]
+        yield _block(row, [np.arange(lo, lo + block[0].size), *block])
 
 
 def _attack_rows(spec: ExperimentSpec, point: dict, rng) -> list[str]:

@@ -15,7 +15,7 @@ nodes, self included):
              n-long mask scan, so it costs O(1); rounds with more senders
              work on dense masks.  The spreading estimator needs only the
              per-round counts and takes them from the count-only engines in
-             estimators, which have run_sync's law (at s = 1, its draws).
+             estimators, which have run_sync's law.
 
 Engines are single-threaded and deterministic given their stream; run many
 of them concurrently on disjoint streams.
@@ -271,15 +271,20 @@ def run_trace(config: GossipConfig, rng: np.random.Generator) -> ExecutionTrace:
                           complete=run.complete(config))
 
 
-def _sync_rounds(config: GossipConfig, rng: np.random.Generator, events: list):
-    """The round engine's loop behind run_sync.
+def run_sync(config: GossipConfig, rng: np.random.Generator) -> tuple[ExecutionTrace, RoundTrace]:
+    """Run the round-based engine until all nodes are informed.
 
-    Returns (complete, RoundTrace); each round appends its (senders,
-    receivers) arrays to `events`.  Every round draws its receivers and, for
-    s < 1, then its stay coins, one per sender; a round with one sender draws
-    them as scalars, which gives the same values and leaves the generator in
-    the same state.  At s = 1 every sender stays, so A is the informed set:
-    the loop then draws no coins and keeps one mask.
+    Per round, the snapshot of A at round start each sends one message
+    (event order within a round follows ascending node id; ties are broken
+    arbitrarily anyway); each sender then independently stays active with
+    probability s, and all of the round's receivers are active next round.
+    A node that stays and also receives remains a single entry of A.
+
+    Every round draws its receivers and, for s < 1, then its stay coins, one
+    per sender; a round with one sender draws them as scalars, which gives
+    the same values and leaves the generator in the same state.  At s = 1
+    every sender stays, so A is the informed set: the loop then draws no
+    coins and keeps one mask.
     """
     if config.variant != "parameterized":
         raise ValueError("run_sync requires variant='parameterized'")
@@ -291,6 +296,7 @@ def _sync_rounds(config: GossipConfig, rng: np.random.Generator, events: list):
     informed = np.zeros(n, dtype=bool)
     informed[config.source] = True
     active = informed if all_stay else informed.copy()
+    events: list[tuple[np.ndarray, np.ndarray]] = []  # (senders, receivers) per round
     informed_per_round: list[int] = []
     active_per_round: list[int] = []
     total_messages = 0
@@ -324,22 +330,7 @@ def _sync_rounds(config: GossipConfig, rng: np.random.Generator, events: list):
         informed_per_round.append(n_informed)
         active_per_round.append(snd.size)
 
-    return n_informed == n, RoundTrace(informed_per_round, active_per_round)
-
-
-def run_sync(config: GossipConfig, rng: np.random.Generator) -> tuple[ExecutionTrace, RoundTrace]:
-    """Run the round-based engine until all nodes are informed.
-
-    Per round, the snapshot of A at round start each sends one message
-    (event order within a round follows ascending node id; ties are broken
-    arbitrarily anyway); each sender then independently stays active with
-    probability s, and all of the round's receivers are active next round.
-    A node that stays and also receives remains a single entry of A.  The
-    loop is _sync_rounds; this records its events as an ExecutionTrace.
-    """
-    events: list[tuple[np.ndarray, np.ndarray]] = []
-    complete, rounds = _sync_rounds(config, rng, events)
     snd, rcv = zip(*events)
     trace = ExecutionTrace(config=config, senders=np.concatenate(snd), receivers=np.concatenate(rcv),
-                           complete=complete)
-    return trace, rounds
+                           complete=n_informed == n)
+    return trace, RoundTrace(informed_per_round, active_per_round)

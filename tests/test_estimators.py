@@ -656,17 +656,17 @@ GOLDEN_SUMMARIES = {
         GossipConfig(n=64, f=6, s=0.0, step_cap=300), 40,
         "5b352df7d696ab333b0c52ec749de084e8786dcfc167744de30bcc40aa23eedf",
     ),
-    "s05_capped": (  # 6 of 20 runs capped
+    "s05_capped": (  # 7 of 20 runs capped
         GossipConfig(n=128, f=13, s=0.5, step_cap=700), 20,
-        "0f5d4983fcbb416057181b651d6d79eedad2abc187a0fa314a2023ab6223a5fd",
+        "012c5b04ef55185604ee952bac9f1dea2728576a96d0746cea38986cd61f4a6e",
     ),
-    "s1_capped": (  # 18 of 30 runs capped
+    "s1_capped": (  # 15 of 30 runs capped
         GossipConfig(n=128, f=13, s=1.0, step_cap=600), 30,
-        "3d8555e6495e6695943c31a98380bf703a32cf84cca1b8e083814f6971b40f4b",
+        "f246231d0d10dcb591a760bfcb60da19bba26c95e74bd329305add432a2f2a0b",
     ),
     "s01": (
         GossipConfig(n=128, f=13, s=0.1), 30,
-        "b25231ea29a4c9cb8f6a9617c7cf9f9a69ccc2003914b7d870e736aed70c5ade",
+        "fc1e75cdc1637866cc247eca03a376c14d5e74b0e215215b399f5c6f4680e956",
     ),
 }
 

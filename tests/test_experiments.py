@@ -298,8 +298,9 @@ def test_manifest_times_each_point_in_grid_order(tmp_path):
 
 @pytest.mark.parametrize("stop", [RuntimeError, KeyboardInterrupt])
 def test_interrupted_csv_write_leaves_no_file(tmp_path, monkeypatch, stop):
-    # _fmt fails in the second block of a spread point's rows, after the
-    # first block was written: neither spread.csv nor a temporary remains.
+    # The block formatter fails on the second block of a spread point's
+    # rows, after the first block was written: neither spread.csv nor a
+    # temporary remains.
     import mutegossip.experiments as ex
 
     spec = build_spec({"name": ("cut", None), "kind": ("spread", None), "n": ("64", None),
@@ -307,18 +308,18 @@ def test_interrupted_csv_write_leaves_no_file(tmp_path, monkeypatch, stop):
     point = spec.grid()[0]
     monkeypatch.setattr(ex, "_ROWS", 4)
     calls = []
-    real = ex._fmt
+    real = ex._block
 
-    def failing(x):
-        calls.append(x)
-        if len(calls) == 40:  # 1 + 4 * 6 calls make the first block
+    def failing(row, columns):
+        calls.append(columns[0][0])
+        if len(calls) == 2:
             raise stop("cut")
-        return real(x)
+        return real(row, columns)
 
-    monkeypatch.setattr(ex, "_fmt", failing)
+    monkeypatch.setattr(ex, "_block", failing)
     with pytest.raises(stop):
         ex._write_csv(tmp_path / "spread.csv", "spread", ex._run_point(spec, point))
-    assert len(calls) == 40
+    assert calls == [0, 4]  # the rows of rounds 0-3 were written
     assert list(tmp_path.iterdir()) == []
 
 
@@ -410,11 +411,11 @@ def test_attack_csv_golden_digest(tmp_path, name):
 
 # sha256 of spread.csv for a small s > 0 grid, recorded like the attack
 # digests above: it pins the count-only round engine's draw order through
-# estimate_spreading, at s = 0.5 its own and at s = 1 run_sync's (s=0 points
-# take the lumped coupon-collector engine instead).
+# estimate_spreading (s=0 points take the lumped coupon-collector engine
+# instead).
 GOLDEN_SPREAD = (
     {"n": "128, 512", "s": "0.5, 1", "trials": "20"},
-    "ae12fd749da6b9f59f2603a0dfcb0270cb133301bd426d2f38cfad60957dff90",
+    "bb9ec1b79f9958bf2d2b1ef24f8f68668214797024f5f5e3cfa8f45923c492a6",
 )
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from mutegossip import estimators, protocols
+from mutegossip import protocols
 from mutegossip.adversary import FirstGoesQuiet
 from mutegossip.core import GossipConfig, RoundTrace, spawn_stream
 from mutegossip.protocols import run_sync, run_trace
@@ -329,37 +329,15 @@ def _state(rng):
     return plain(rng.bit_generator.state)
 
 
-def test_sync_rounds_match_run_sync():
-    # At s = 1 the spreading estimator's count-only engine keeps node ids and
-    # makes run_sync's draws: the same RoundTrace, completion and generator
-    # state after each of several runs on one stream.
-    for n in (2, 3, 64, 1000):
-        for cap in (None, 1, 50):
-            cfg = GossipConfig(n=n, f=0, s=1.0, step_cap=cap)
-            for seed in range(5):
-                rng_a, rng_b = spawn_stream(59, seed), spawn_stream(59, seed)
-                for complete, counts in estimators._count_runs(cfg, 3, rng_b):
-                    trace, rounds = run_sync(cfg, rng_a)
-                    assert complete == trace.complete, (n, cap, seed)
-                    for a, b in ((rounds.informed, counts.informed), (rounds.active, counts.active),
-                                 (rounds.messages, counts.messages)):
-                        assert np.array_equal(a, b), (n, cap, seed)
-                    assert _state(rng_a) == _state(rng_b), (n, cap, seed)
-                    counts.validate()
-
-
 def test_run_sync_s1_draws_only_receivers():
     # At s=1 no sender mutes, so a round draws its receivers and no stay
-    # coins: run_sync and the count-only engine leave the generator where
-    # drawing rng.integers(0, n, size=k) per round of k messages leaves it.
+    # coins: run_sync leaves the generator where drawing
+    # rng.integers(0, n, size=k) per round of k messages leaves it.
     cfg = GossipConfig(n=256, f=25, s=1.0)
     rng, receivers_only = spawn_stream(54, 0), spawn_stream(54, 0)
     trace, rounds = run_sync(cfg, rng)
     drawn = [receivers_only.integers(0, cfg.n, size=k) for k in rounds.messages.tolist()]
     assert np.array_equal(np.concatenate(drawn), trace.receivers)
-    _, rounds = next(estimators._count_runs(cfg, 1, rng))
-    for k in rounds.messages.tolist():
-        receivers_only.integers(0, cfg.n, size=k)
     assert _state(rng) == _state(receivers_only)
 
 
