@@ -144,10 +144,11 @@ class ExperimentSpec:
 
 
 _ROWS = 2048  # CSV lines per text block
+_FLOAT = "%.10g"  # CSV floats: 10 significant digits
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.10g}"
+    return _FLOAT % x
 
 
 def _lines(rows: Iterable[list]) -> str:
@@ -176,12 +177,12 @@ def _trace_rows(spec: ExperimentSpec, point: dict, rng) -> Iterator[str]:
 
 
 def _spread_rows(spec: ExperimentSpec, point: dict, rng) -> Iterator[str]:
-    """The point's keys, the round and six curve values (as _fmt writes them)
-    per row, formatted a block at a time."""
+    """The point's keys, the round and six curve values per row, formatted a
+    block at a time."""
     summary = estimate_spreading(spec.config(point), spec.trials, rng)
     # The six curve columns are named after the summary's fields.
     curves = [getattr(summary, col) for col in _KINDS["spread"][0].split(",")[4:]]
-    row = _lines([[point["n"], point["s"], point["f"]]])[:-1] + ",%d" + ",%.10g" * len(curves) + "\n"
+    row = _lines([[point["n"], point["s"], point["f"]]])[:-1] + ",%d" + f",{_FLOAT}" * len(curves) + "\n"
     for lo in range(0, curves[0].size, _ROWS):
         block = [c[lo:lo + _ROWS] for c in curves]
         yield _block(row, [np.arange(lo, lo + block[0].size), *block])
