@@ -818,7 +818,7 @@ def _exact_round_law(n, s, horizon):
 
 
 @pytest.mark.parametrize("n, s", [(3, 1 / 3), (3, 0.5), (4, 1 / 3), (4, 0.5), (5, 1 / 3), (5, 0.5),
-                                  (3, 1.0), (4, 1.0), (5, 1.0)])
+                                  (2, 1.0), (3, 1.0), (4, 1.0), (5, 1.0)])
 def test_count_runs_match_exact_round_law(n, s):
     horizon = 40 * n
     pmf, informed, active, left = _exact_round_law(n, s, horizon)
@@ -878,10 +878,15 @@ def test_count_runs_match_run_sync(n, s):
 def test_count_runs_capped_share_matches_run_sync():
     # GOLDEN_SUMMARIES["s05_capped"]'s point, and the same point at s = 1,
     # where about a third of the runs reach the step cap: a two-sample test
-    # of the capped share.
+    # of the capped share.  A run stops at the first round that brings its
+    # messages to the cap.
     for stream, s in ((0, 0.5), (2, 1.0)):
         cfg = GossipConfig(n=128, f=13, s=s, step_cap=700)
-        lumped = [complete for complete, _ in estimators._count_runs(cfg, 4000, spawn_stream(64, stream))]
+        runs = list(estimators._count_runs(cfg, 4000, spawn_stream(64, stream)))
+        for complete, rounds in runs[:200]:
+            rounds.validate()
+            assert complete or rounds.messages[:-1].sum() < 700 <= rounds.messages.sum()
+        lumped = [complete for complete, _ in runs]
         rng = spawn_stream(64, stream + 1)
         sync = [run_sync(cfg, rng)[0].complete for _ in range(2000)]
         table = [[lumped.count(False), lumped.count(True)], [sync.count(False), sync.count(True)]]
