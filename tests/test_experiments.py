@@ -427,22 +427,37 @@ GOLDEN_SPREAD_S0 = (
 )
 
 
-def _spread_digest(out, keys, jobs=1):
-    items = {"name": ("spread", None), "kind": ("spread", None), "master_seed": ("2027", None)}
+# The same for validate, whose event_f rows read the closed-form delta: every
+# quantity with a closed form at each s (25 lines), at jobs 1 and 2.
+GOLDEN_VALIDATE = (
+    {"n": "200, 1000", "s": "0, 0.1, 0.3, 0.5, 0.9, 1", "trials": "2000", "quantity": "auto"},
+    "40d01cebb41978ee67af7de8a53d277aebcbd5ef68a30b73f993eb6b17a0fbdd",
+)
+
+
+def _csv_digest(out, kind, keys, jobs=1):
+    items = {"name": (kind, None), "kind": (kind, None), "master_seed": ("2027", None)}
     items.update({k: (v, None) for k, v in keys.items()})
     assert run_experiment(build_spec(items), out, jobs=jobs) == 0
-    return hashlib.sha256((out / "spread.csv").read_bytes()).hexdigest()
+    return hashlib.sha256((out / f"{kind}.csv").read_bytes()).hexdigest()
 
 
 def test_spread_csv_golden_digest(tmp_path):
     keys, digest = GOLDEN_SPREAD
-    assert _spread_digest(tmp_path, keys) == digest
+    assert _csv_digest(tmp_path, "spread", keys) == digest
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_spread_csv_s0_golden_digest(tmp_path, jobs):
     keys, digest = GOLDEN_SPREAD_S0
-    assert _spread_digest(tmp_path, keys, jobs) == digest
+    assert _csv_digest(tmp_path, "spread", keys, jobs) == digest
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_validate_csv_golden_digest(tmp_path, jobs):
+    keys, digest = GOLDEN_VALIDATE
+    assert _csv_digest(tmp_path, "validate", keys, jobs) == digest
+    assert len((tmp_path / "validate.csv").read_text().splitlines()) == 25
 
 
 def test_trace_csv_golden_digest(tmp_path):
