@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import GossipConfig
+
 
 @dataclass(frozen=True)
 class PrivacyReport:
@@ -41,13 +43,9 @@ class PrivacyReport:
 
 
 def _check_fn(f: int, n: int, s: float = 0.0) -> None:
-    """Reject n < 2, f outside [0, n-2] and s outside [0, 1]."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not 0 <= f <= n - 2:
-        raise ValueError(f"f must be in [0, n-2], got f={f}, n={n}")
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("s must be in [0, 1]")
+    """Reject (n, f, s) by GossipConfig's rule: n >= 2, f in [0, n-2] and
+    s in [0, 1]."""
+    GossipConfig(n=n, f=f, s=s)
 
 
 def optimal_delta(epsilon: float, f: int, n: int) -> float:
@@ -73,18 +71,17 @@ def optimal_c(f: int, n: int) -> float:
 
 
 def param_delta_exact(s: float, f: int, n: int) -> float:
-    """Exact delta certified for the muting protocol at epsilon = 0.
-
-    Equals the probability that the source contacts a curious node before
-    its first deactivation: sum_{k>=0} (1-s) s^k (1 - (1-f/n)^(k+1)),
-    i.e. 1 - (1-s)(1-f/n) / (1 - s(1-f/n)) in closed form.  Degenerates to
-    1 at s=1 (standard push admits no nontrivial delta) and to f/n at s=0.
+    """Exact delta certified for the muting protocol at epsilon = 0: the
+    probability that the source contacts a curious node before its first
+    deactivation.  The source sends a geometric number of messages (stop
+    probability 1-s after each), each hitting a curious node with
+    probability f/n, so delta = (f/n) / (1 - s(1-f/n)): 1 at s=1 (standard
+    push admits no nontrivial delta) and f/n at s=0.
     """
     _check_fn(f, n, s)
     if s == 1.0:
         return 1.0
-    q = 1.0 - f / n
-    return 1.0 - (1.0 - s) * q / (1.0 - s * q)
+    return f / n / (1.0 - s * (1.0 - f / n))
 
 
 def param_delta_bound(s: float, f: int, n: int, r: int = 1) -> float:
@@ -103,21 +100,8 @@ def param_c(s: float, f: int, n: int) -> float:
     return (1.0 - (f + 1) / n) * (1.0 - s)
 
 
-def source_disclosure_prob(s: float, f: int, n: int) -> float:
-    """Probability that the source contacts a curious node before it first
-    deactivates (the event driving the exact delta of the muting protocol).
-
-    The source sends a geometric number of messages (stop probability 1-s
-    after each); each message independently hits a curious node with
-    probability f/n.  Closed form matches param_delta_exact; outside
-    0 < s < 1 the limits apply: f/n at s -> 0 and 1 at s -> 1.
-    """
-    _check_fn(f, n)
-    if s <= 0.0:
-        return f / n
-    if s >= 1.0:
-        return 1.0
-    return param_delta_exact(s, f, n)
+# The source-disclosure probability is the exact delta itself.
+source_disclosure_prob = param_delta_exact
 
 
 def strong_adversary_bounds(f: int, n: int) -> PrivacyReport:
@@ -130,7 +114,7 @@ def strong_adversary_bounds(f: int, n: int) -> PrivacyReport:
 def spreading_round_bound(n: int, s: float, c_coeff: float = 1.0) -> float:
     """Rounds for the synchronous engine to send c_coeff * n * ln(n)
     messages (with high probability, n large): 6 * c_coeff * ln(n) / s."""
-    _check_fn(0, n)
+    _check_fn(0, n, s)
     if s <= 0.0:
         raise ValueError("s must be > 0")
     if c_coeff < 1.0:
@@ -159,15 +143,11 @@ class MeanDynamics:
     def __post_init__(self):
         _check_fn(0, self.n, self.s)  # the mean map has no f
 
-    def untouched_prob(self, alpha: float) -> float:
-        """p_u(alpha) = (1 - 1/n)^(alpha n)."""
-        return (1.0 - 1.0 / self.n) ** (alpha * self.n)
-
     def step(self, alpha: float) -> float:
         """Expected next-round active fraction given fraction alpha now."""
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
-        return 1.0 - self.untouched_prob(alpha) * (1.0 - alpha * self.s)
+        return 1.0 - (1.0 - 1.0 / self.n) ** (alpha * self.n) * (1.0 - alpha * self.s)
 
     @property
     def growth_threshold(self) -> float:
@@ -175,9 +155,9 @@ class MeanDynamics:
         (the exponential-growth regime)."""
         return self.s / (1.0 + 2.0 * self.s)
 
-    def fixed_point(self, tol: float = 1e-10) -> float:
+    def fixed_point(self) -> float:
         """The root alpha* of step(alpha) = alpha on (0, 1], by bracketing
-        bisection to absolute tolerance `tol`.
+        bisection to absolute tolerance 1e-10.
 
         Requires s > 0.  Raises if no bracket with a sign change exists
         (degenerate s: no plateau).
@@ -194,7 +174,7 @@ class MeanDynamics:
             lo /= 2.0
             if lo < 1e-15:
                 raise ArithmeticError("no plateau: no sign change on (0, 1]")
-        while hi - lo > tol:
+        while hi - lo > 1e-10:
             mid = 0.5 * (lo + hi)
             if g(mid) > 0.0:
                 lo = mid
@@ -203,7 +183,7 @@ class MeanDynamics:
         return 0.5 * (lo + hi)
 
 
-def mean_fixed_point(s: float, n: int, tol: float = 1e-10) -> float:
-    """Convenience wrapper: MeanDynamics(s, n).fixed_point(tol)."""
-    return MeanDynamics(s=s, n=n).fixed_point(tol)
+def mean_fixed_point(s: float, n: int) -> float:
+    """Convenience wrapper: MeanDynamics(s, n).fixed_point()."""
+    return MeanDynamics(s=s, n=n).fixed_point()
 

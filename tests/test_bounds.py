@@ -144,6 +144,18 @@ def test_source_disclosure_prob_matches_exact_delta():
         assert abs(source_disclosure_prob(s, 100, 1000) - disclosure_series(s, 100, 1000)) < 1e-10
     assert source_disclosure_prob(0.0, 100, 1000) == 0.1
     assert source_disclosure_prob(1.0, 100, 1000) == 1.0
+    assert source_disclosure_prob is param_delta_exact
+
+
+@pytest.mark.parametrize("fn, args", [
+    (source_disclosure_prob, (5.0, 100, 1000)),
+    (source_disclosure_prob, (-0.5, 100, 1000)),
+    (spreading_round_bound, (1000, 7.0)),
+], ids=["disclosure-s5", "disclosure-s-0.5", "round_bound-s7"])
+def test_s_outside_unit_interval_rejected(fn, args):
+    # The closed forms check (n, f, s) by GossipConfig's rule.
+    with pytest.raises(ValueError, match="s must be in"):
+        fn(*args)
 
 
 def test_strong_adversary_bounds():
