@@ -34,7 +34,7 @@ from .adversary import (
     silence_window,
 )
 from .core import GossipConfig, RoundTrace, split_stream
-from .protocols import _sequential_run
+from .protocols import _check_round_variant, _sequential_run
 from .protocols import run_sync  # noqa: F401  -- perfbench's traced run wraps estimators.run_sync
 
 Z99 = 2.576  # 99% two-sided normal quantile, as reported alongside estimates
@@ -494,6 +494,9 @@ def estimate_events(
         hits = int(np.count_nonzero(first_receivers >= config.curious_lo))
         return [EstimateResult.from_counts(hits, trials) for _ in events]
 
+    for e in events:
+        if not 0 <= e.node < config.n:
+            raise ValueError(f"event node {e.node} is outside [0, {config.n})")
     horizon = max(e.horizon for e in events)
 
     if config.s == 0.0 and horizon == 1:
@@ -538,6 +541,7 @@ def estimate_source_disclosure(
     """
     if not 0.0 < s < 1.0:
         raise ValueError("the prefix process needs 0 < s < 1")
+    GossipConfig(n=n, f=f, s=s)  # (n, f, s) by the config's rule
     if trials < 1:
         raise ValueError("trials must be >= 1")
     sends = rng.geometric(1.0 - s, size=trials)  # sends until first mute, >= 1
@@ -735,6 +739,7 @@ def estimate_spreading(
     only the receivers that can change a count."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_round_variant(config)
     n = config.n
     if config.s == 0.0:
         outcomes = _coupon_runs_s0(config, trials, rng)

@@ -271,6 +271,12 @@ def run_trace(config: GossipConfig, rng: np.random.Generator) -> ExecutionTrace:
                           complete=run.complete(config))
 
 
+def _check_round_variant(config: GossipConfig) -> None:
+    """The round-based engines run only the parameterized protocol."""
+    if config.variant != "parameterized":
+        raise ValueError("the round-based engines require variant='parameterized'")
+
+
 def run_sync(config: GossipConfig, rng: np.random.Generator) -> tuple[ExecutionTrace, RoundTrace]:
     """Run the round-based engine until all nodes are informed.
 
@@ -283,19 +289,16 @@ def run_sync(config: GossipConfig, rng: np.random.Generator) -> tuple[ExecutionT
     Every round draws its receivers and, for s < 1, then its stay coins, one
     per sender; a round with one sender draws them as scalars, which gives
     the same values and leaves the generator in the same state.  At s = 1
-    every sender stays, so A is the informed set: the loop then draws no
-    coins and keeps one mask.
+    every sender stays, so the loop draws no coins.
     """
-    if config.variant != "parameterized":
-        raise ValueError("run_sync requires variant='parameterized'")
+    _check_round_variant(config)
     n = config.n
     s = config.s
     cap = config.max_steps
-    all_stay = s == 1.0
 
     informed = np.zeros(n, dtype=bool)
     informed[config.source] = True
-    active = informed if all_stay else informed.copy()
+    active = informed.copy()
     events: list[tuple[np.ndarray, np.ndarray]] = []  # (senders, receivers) per round
     informed_per_round: list[int] = []
     active_per_round: list[int] = []
@@ -312,19 +315,18 @@ def run_sync(config: GossipConfig, rng: np.random.Generator) -> tuple[ExecutionT
             if not informed[j]:
                 informed[j] = True
                 n_informed += 1
-            stay = all_stay or rng.random() < s
-            if not all_stay:
-                active[i] = stay
-                active[j] = True
+            stay = s == 1.0 or rng.random() < s
+            active[i] = stay
+            active[j] = True
             snd = np.array((min(i, j), max(i, j))) if stay and i != j else rcv
         else:
             rcv = rng.integers(0, n, size=k)
             events.append((snd, rcv))
             informed[rcv] = True
             n_informed = int(np.count_nonzero(informed))
-            if not all_stay:
+            if s < 1.0:
                 active[snd] = rng.random(k) < s  # each sender stays with probability s
-                active[rcv] = True
+            active[rcv] = True
             snd = np.flatnonzero(active)
         total_messages += k
         informed_per_round.append(n_informed)

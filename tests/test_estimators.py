@@ -495,6 +495,20 @@ def test_estimate_source_disclosure_matches_closed_form():
     assert abs(r.estimate - source_disclosure_prob(0.5, 100, 1000)) <= 3 * r.ci_half_width
 
 
+@pytest.mark.parametrize("f", [2000, -5])
+def test_estimate_source_disclosure_rejects_impossible_f(f):
+    with pytest.raises(ValueError, match="f must be in"):
+        estimate_source_disclosure(0.5, f, 1000, 100, spawn_stream(12, 1))
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5])  # the s = 0 path and the lumped engine
+@pytest.mark.parametrize("node", [-1, 500])
+def test_estimate_events_rejects_nodes_outside_range(s, node):
+    cfg = GossipConfig(n=100, f=10, s=s)
+    with pytest.raises(ValueError, match=f"event node {node} is outside"):
+        estimate_events(cfg, [EventSpec.first_sender_is(node)], 10, spawn_stream(0, 0))
+
+
 def test_mixing_timed_and_untimed_rejected():
     cfg = GossipConfig(n=100, f=10, s=0.0)
     with pytest.raises(ValueError):
@@ -641,6 +655,13 @@ def test_estimate_spreading_all_capped_raises():
         cfg = GossipConfig(n=256, f=26, s=s, step_cap=10)
         with pytest.raises(RuntimeError):
             estimate_spreading(cfg, 5, spawn_stream(18, 2))
+
+
+def test_estimate_spreading_rejects_delayed_start():
+    # The round-based engines run only the parameterized protocol, as run_sync.
+    cfg = GossipConfig(n=256, f=25, s=1.0, variant="delayed_start")
+    with pytest.raises(ValueError, match="variant='parameterized'"):
+        estimate_spreading(cfg, 20, spawn_stream(18, 3))
 
 
 # sha256 of a SpreadingSummary on stream (2027, 10): the six band arrays,
