@@ -20,18 +20,18 @@ nodes, self included):
 Engines are single-threaded and deterministic given their stream; run many
 of them concurrently on disjoint streams.
 
-run_trace's loop draws receivers and uniforms in blocks and runs in chunks:
-a chunk is the steps up to the next refill of either buffer, so its steps
-check no buffer, its receivers are unboxed at once, and a recorded run keeps
-each chunk as two int64 arrays (its senders, and a slice of the receiver
-block), concatenated once at the end.  At s = 0 and s = 1 (delayed start
-included) a run that is still going at its first full-size block leaves the
-per-step loop and replays its remaining steps on arrays, one chunk at a
-time: no sender ever mutes at s = 1, so A is the known list followed by
-each new receiver in order of first appearance, and at s = 0 A is the
-previous receiver alone.  The replay makes the loop's rng calls in the
-loop's order and sizes, so its output and the generator's state after the
-run are the loop's, byte for byte.
+run_trace picks its engine from s.  At s = 0 and s = 1 (delayed start
+included) the active list A follows from the receivers alone: no sender ever
+mutes at s = 1, so A is the source followed by each new receiver in order of
+first appearance (under delayed start, A starts as the receiver of the
+source's single send), and at s = 0 A is the previous receiver.  There the
+array engine draws a block of steps at once and picks each step's sender as
+A[int(u * |A|)].  At 0 < s < 1 the per-node loop draws receivers and
+uniforms in blocks and runs in chunks: a chunk is the steps up to the next
+refill of either buffer, so its steps check no buffer and its receivers are
+unboxed at once.  The loop also continues the estimators' lumped runs from
+a given state.  Both engines record a run per chunk or block as int64
+arrays, concatenated once at the end.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import numpy as np
 from .core import ExecutionTrace, GossipConfig, RoundTrace
 
 _BLOCK = 4096
+_STEPS = np.arange(_BLOCK)
 
 
 @dataclass
@@ -60,16 +61,15 @@ class SequentialRun:
 
 
 def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, feed=None) -> SequentialRun:
-    """The per-node sequential engine loop behind run_trace: the reference
-    that the estimators' lumped engine is tested against, and on which it
-    ends its last runs.
+    """The per-node sequential engine loop: run_trace's engine at 0 < s < 1,
+    the one on which the estimators' lumped engine ends its last runs, and
+    the reference that both are tested against.
 
     `start` = (informed ids, active ids, steps taken) continues a run from
     that state instead of the source alone at step 0; the step count keeps
     delayed start's forced first mute at step 0.  With `feed`, the sender
     of each observed entry (a curious receiver) is passed to it instead of
     recording the step, and the run stops once it returns True (decided).
-    A recorded run (no `feed`) at s in {0, 1} finishes on `_replay`.
     """
     n = config.n
     s = config.s
@@ -87,14 +87,14 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
     receivers: list[np.ndarray] = []  # per chunk, a slice of its receiver block
     decided = False
 
-    # Block-drawn randomness: receivers come from an integer block; sender
-    # picks (only needed while |A| > 1) and stay/mute coins (only needed for
-    # 0 < s < 1) from a float block, unboxed to plain Python floats.  Blocks
-    # start small and grow to _BLOCK; their sizes fix the draw order.
+    # Block-drawn randomness: receivers come from an integer block of
+    # `block` entries; sender picks (only needed while |A| > 1) and
+    # stay/mute coins (only needed for 0 < s < 1) from a float block of
+    # `ulen`, unboxed to plain Python floats.  Blocks start small and grow to
+    # _BLOCK; their sizes fix the draw order.
     block = 256
     targets = rng.integers(0, n, size=block)
     tptr = 0
-    tlen = block
     uniforms = rng.random(block).tolist()
     uptr = 0
     ulen = block
@@ -102,13 +102,10 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
     always_mute = s == 0.0
 
     while n_informed < n and step < cap:
-        if tptr == tlen:
+        if tptr == block:
             block = min(block * 4, _BLOCK)
-            if block == _BLOCK and feed is None and _replayable(s, active):
-                break
             targets = rng.integers(0, n, size=block)
             tptr = 0
-            tlen = block
         if uptr + 2 > ulen:
             uniforms = rng.random(block).tolist()
             uptr = 0
@@ -118,7 +115,7 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
         # at most two uniforms, so no buffer runs out inside it.
         first = step
         chunk: list[int] = []  # the chunk's senders, when recorded
-        for j in targets[tptr:tptr + min(tlen - tptr, (ulen - uptr) // 2, cap - step)].tolist():
+        for j in targets[tptr:tptr + min(block - tptr, (ulen - uptr) // 2, cap - step)].tolist():
             la = len(active)
             if la == 1:
                 k = 0
@@ -129,15 +126,11 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
                 uptr += 1
             i = active[k]
 
-            if always_mute:
-                mute = True
-            elif use_coin:
+            if use_coin:
                 mute = uniforms[uptr] >= s
                 uptr += 1
-            else:
-                mute = False
-            if delayed and step == 0:
-                mute = True  # the source's single send, then permanent silence
+            else:  # under delayed start the source sends once, then stays silent
+                mute = always_mute or (delayed and step == 0)
             if mute:  # swap-remove the sender from A
                 last = active.pop()
                 if k < la - 1:
@@ -167,9 +160,6 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
         if decided:
             break
 
-    if feed is None and n_informed < n and step < cap:  # left the loop to replay
-        n_informed, step = _replay(rng, config, step, informed, active, active_flag, uniforms[uptr:],
-                                   senders, receivers)
     # One concatenation per column; rebinding frees the senders' chunks
     # before the receivers' are joined.  A fed run records nothing.
     none = np.empty(0, np.int64)
@@ -178,77 +168,62 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
     return SequentialRun(senders, receivers, n_informed, step, decided)
 
 
-def _replayable(s: float, active: list[int]) -> bool:
-    """Whether a recorded run's remaining steps follow from its receivers alone.
-
-    At s = 1 no sender mutes, so A is its current list followed by each new
-    receiver in order of first appearance, and with |A| > 1 every step draws
-    one sender pick.  At s = 0 with |A| = 1, A is the previous receiver and
-    no step draws a pick.
-    """
-    return (s == 1.0 and len(active) > 1) or (s == 0.0 and len(active) == 1)
-
-
-def _replay(rng, config, step, informed, active, active_flag, uniforms, out_s, out_r):
-    """The rest of a recorded run at s in {0, 1} (see _replayable), one chunk
+def _array_run(config: GossipConfig, rng: np.random.Generator) -> SequentialRun:
+    """A recorded run at s in {0, 1} (delayed start included), drawn a block
     of steps at a time on arrays.
 
-    Entered where the loop's target buffer is spent and its next block is a
-    full _BLOCK; `uniforms` are the loop's unused ones.  A chunk ends at the
-    next refill of either buffer, at the step cap, or at the step that
-    informs the last node, so each refill happens at the loop's step, targets
-    before uniforms.  Appends each chunk's senders and receivers to the
-    loop's lists `out_s` and `out_r`; returns (n_informed, steps).
+    A block draws its receivers and, at s = 1, one uniform per step, |A| = 1
+    included; each sender is A[int(u * |A|)] with |A| as the step finds it.
+    Blocks start at 16 steps and grow x4 to _BLOCK, so a short run draws
+    little; a block is cut at the step cap and at the step that informs the
+    last node.
     """
-    n, cap = config.n, config.max_steps
+    n, cap, src = config.n, config.max_steps, config.source
     s_one = config.s == 1.0
-    inf = np.frombuffer(informed, np.uint8).view(bool)
-    act = np.frombuffer(active_flag, np.uint8).view(bool)
-    n_informed = int(np.count_nonzero(inf))
+    # The step at which each node joined (at s = 1, A; at s = 0, the informed
+    # set); -1 for the source, which under delayed start joins A only on
+    # receiving.  Every node in A at s = 1 is informed, so in both cases a
+    # newly informed node is a newly joined one other than the source.
+    joined = np.full(n, cap)
+    if config.variant != "delayed_start":
+        joined[src] = -1
     order = np.empty(n, np.int64)  # A, in list order; it only grows at s = 1
-    la = len(active)
-    order[:la] = active
-    prev = active[0]  # the s = 0 walk's current node
-    u = np.array(uniforms)
-    uptr, ulen = 0, len(uniforms)
-    pos = np.arange(_BLOCK)
-    first = np.full(n, _BLOCK)  # scratch: first step of each node in a chunk
-    tptr = _BLOCK
+    order[0] = src
+    la = int(joined[src] < 0)
+    prev = src  # the s = 0 walk's current node
+    senders: list[np.ndarray] = []
+    receivers: list[np.ndarray] = []
+    n_informed, step, block = 1, 0, 16
     while n_informed < n and step < cap:
-        if tptr == _BLOCK:
-            targets = rng.integers(0, n, size=_BLOCK)
-            tptr = 0
-        if uptr + 2 > ulen:
-            u = rng.random(_BLOCK)
-            uptr, ulen = 0, _BLOCK
-        size = min(_BLOCK - tptr, cap - step, ulen - 1 - uptr if s_one else _BLOCK)
-        rcv = targets[tptr:tptr + size]
-        at = pos[:size]
-        np.minimum.at(first, rcv, at)
-        lead = first[rcv] == at
-        first[rcv] = _BLOCK
-        fresh = np.cumsum(lead & ~inf[rcv])
+        size = min(block, cap - step)
+        rcv = rng.integers(0, n, size=size)
+        u = rng.random(size) if s_one else None
+        at = _STEPS[:size] + step
+        np.minimum.at(joined, rcv, at)
+        new = joined[rcv] == at
+        fresh = (new & (rcv != src)).cumsum()
         if n_informed + fresh[-1] >= n:  # cut at the step that informs the last node
-            size = int(np.searchsorted(fresh, n - n_informed)) + 1
-            rcv, lead = rcv[:size], lead[:size]
+            size = int(fresh.searchsorted(n - n_informed)) + 1
+            rcv, new = rcv[:size], new[:size]
         if s_one:
-            new = lead & ~act[rcv]
             added = rcv[new]
             order[la:la + added.size] = added
-            held = la + np.cumsum(new) - new  # |A| when each step picks its sender
-            out_s.append(order[(u[uptr:uptr + size] * held).astype(np.int64)])
-            act[added] = True
+            held = la + new.cumsum() - new  # |A| when each step picks its sender
+            snd = order[(u[:size] * held).astype(np.int64)]
             la += added.size
-            uptr += size
         else:
-            out_s.append(np.concatenate(([prev], rcv[:-1])))
+            snd = np.concatenate(([prev], rcv[:-1]))
             prev = int(rcv[-1])
-        out_r.append(rcv)
-        inf[rcv] = True
+        if step == 0:
+            snd[0] = src  # under delayed start A is empty before the first send
+        senders.append(snd)
+        receivers.append(rcv)
         n_informed += int(fresh[size - 1])
-        tptr += size
         step += size
-    return n_informed, step
+        block = min(block * 4, _BLOCK)
+    senders = np.concatenate(senders)
+    receivers = np.concatenate(receivers)
+    return SequentialRun(senders, receivers, n_informed, step, False)
 
 
 def run_trace(config: GossipConfig, rng: np.random.Generator) -> ExecutionTrace:
@@ -257,16 +232,13 @@ def run_trace(config: GossipConfig, rng: np.random.Generator) -> ExecutionTrace:
     Per step: draw a sender uniformly from A, remove it from A with
     probability 1-s, call tell_gossip, add the receiver to A.  Under
     delayed start the source's first send always removes it, so it
-    re-activates only by receiving the rumor.  The loop exits once every
+    re-activates only by receiving the rumor.  The run ends once every
     node is informed.
 
-    The loop runs in chunks between buffer refills (see the module
-    docstring).  At s in {0, 1}, a run longer than 1,280 steps (256 + 1024
-    receivers, the loop's first two blocks) finishes as an exact array
-    replay of the loop, 8-11x faster than the loop at n = 2^16 (process
-    time on a 2-core Xeon VM).
+    At s in {0, 1} the run is drawn on the array engine, otherwise on the
+    per-node loop (see the module docstring); the two have the same law.
     """
-    run = _sequential_run(config, rng)
+    run = (_array_run if config.s in (0.0, 1.0) else _sequential_run)(config, rng)
     return ExecutionTrace(config=config, senders=run.senders, receivers=run.receivers,
                           complete=run.complete(config))
 

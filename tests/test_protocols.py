@@ -8,7 +8,7 @@ from scipy import stats
 
 from mutegossip import protocols
 from mutegossip.adversary import FirstGoesQuiet
-from mutegossip.core import GossipConfig, RoundTrace, spawn_stream
+from mutegossip.core import ExecutionTrace, GossipConfig, RoundTrace, spawn_stream
 from mutegossip.protocols import run_sync, run_trace
 
 
@@ -79,9 +79,10 @@ def test_async_determinism():
 
 
 # sha256 of the senders, receivers and completion of 20 run_trace runs at
-# n=64 per case, one fixed stream each.  They pin the sequential engine's
-# draw order (the other run_trace tests check only its law); a change that
-# moves it on purpose updates these digests and says so in CHANGES.md.
+# n=64 per case, one fixed stream each.  They pin the draw order of the
+# per-node loop ("s01") and of the array engine (the other cases); the other
+# run_trace tests check only the law.  A change that moves a draw order on
+# purpose updates these digests and says so in CHANGES.md.
 GOLDEN_TRACES = {
     "s0": (0.0, "parameterized", "82dec71d30dbe7b7e517a30c4ce7a199fafb810ca9f60657ada476b155718510"),
     "s01": (0.1, "parameterized", "7f72c38bd8321c9a58c6d473950c9722ebe04ddb6a01465e9d4fcb3087e4a40a"),
@@ -104,34 +105,67 @@ def test_run_trace_golden_digest(name):
     assert h.hexdigest() == digest
 
 
-@pytest.mark.parametrize("s, variant", [(0.0, "parameterized"), (1.0, "parameterized"), (1.0, "delayed_start")])
-def test_array_replay_matches_the_loop(monkeypatch, s, variant):
-    # At s in {0, 1} a recorded run leaves the per-step loop for the array
-    # replay at its first full-block refill.  With and without that path,
-    # the run and the generator's next draws must be the same bytes.
-    replayable = protocols._replayable
-    entered = []
+LAW_CASES = [(0.0, "parameterized"), (1.0, "parameterized"), (1.0, "delayed_start")]
 
-    def counting(s, active):
-        ok = replayable(s, active)
-        entered.append(ok)
-        return ok
 
-    def run(cfg, seed, array_path):
-        monkeypatch.setattr(protocols, "_replayable", counting if array_path else lambda s, active: False)
-        rng = spawn_stream(seed, 61)
-        r = protocols._sequential_run(cfg, rng)
-        return (np.asarray(r.senders, np.int64).tobytes(), np.asarray(r.receivers, np.int64).tobytes(),
-                r.n_informed, r.steps, rng.random(4).tobytes())
+@pytest.mark.parametrize("s, variant", LAW_CASES)
+def test_array_run_matches_the_loop_in_law(s, variant):
+    # Two-sample tests of the array engine against the per-node loop, 400
+    # runs each on disjoint streams: the trace-length law (chi-square over
+    # the pooled sample's decile bins), each run's share of steps whose
+    # sender is the previous receiver, and the share of runs completed.
+    # The caps stop runs inside the array engine's blocks (16, 64, 256 and
+    # 1024 steps, from steps 0, 16, 80 and 336).
+    for i, (n, cap) in enumerate([(3, None), (3, 3), (8, None), (8, 20), (64, None), (64, 200),
+                                  (300, None), (300, 1500)]):
+        cfg = GossipConfig(n=n, f=0, s=s, variant=variant, step_cap=cap)
+        runs = [[engine(cfg, rng) for _ in range(400)]
+                for engine, rng in ((protocols._array_run, spawn_stream(83, 2 * i)),
+                                    (protocols._sequential_run, spawn_stream(83, 2 * i + 1)))]
+        lengths = [[r.steps for r in rs] for rs in runs]
+        edges = np.unique(np.quantile(np.concatenate(lengths), np.linspace(0, 1, 11)))
+        table = np.array([np.histogram(x, np.append(edges[:-1], edges[-1] + 1))[0] for x in lengths])
+        table = table[:, table.sum(0) > 0]
+        if table.shape[1] > 1:
+            assert stats.chi2_contingency(table)[1] > 1e-4, (n, cap, table)
+        echo = [[np.mean(r.senders[1:] == r.receivers[:-1]) for r in rs if r.steps > 1] for rs in runs]
+        if s == 0.0:
+            assert echo == [[1.0] * len(echo[0]), [1.0] * len(echo[1])]
+        else:
+            assert stats.mannwhitneyu(*echo).pvalue > 1e-4, (n, cap)
+        done = [sum(r.complete(cfg) for r in rs) for rs in runs]
+        assert stats.fisher_exact([[d, 400 - d] for d in done])[1] > 1e-4, (n, cap, done)
 
-    for n in (2, 3, 4, 5, 8, 64, 300, 1000, 3000):
-        for cap in (None, 1, 7, 300, 1500, 5000):
-            cfg = GossipConfig(n=n, f=0, s=s, variant=variant, step_cap=cap)
-            entered.clear()
-            for seed in range(30):
-                assert run(cfg, seed, False) == run(cfg, seed, True), (n, cap, seed)
-            if n >= 1000 and cap in (None, 1500, 5000):
-                assert sum(entered) == 30, (n, cap)
+
+@pytest.mark.parametrize("s, variant", LAW_CASES)
+def test_array_run_caps_at_block_edges(s, variant):
+    # Caps just before, at and just after each block edge of the array
+    # engine (16, 80, 336, 1,360 and 5,456 steps): every trace validates and
+    # a capped run has exactly `cap` steps.
+    rng = spawn_stream(89, int(s) + (variant == "delayed_start"))
+    for n in (2, 5, 300, 5000):
+        for edge in (16, 80, 336, 1360, 5456):
+            for cap in (edge - 1, edge, edge + 1):
+                cfg = GossipConfig(n=n, f=0, s=s, variant=variant, step_cap=cap)
+                run = protocols._array_run(cfg, rng)
+                ExecutionTrace(cfg, run.senders, run.receivers, run.complete(cfg)).validate()
+                assert run.steps == len(run.senders) == len(run.receivers)
+                assert run.steps == cap if not run.complete(cfg) else run.steps <= cap
+
+
+def test_run_trace_at_s0_and_s1_never_runs_the_loop(monkeypatch):
+    calls = []
+
+    def loop(*args, **kwargs):
+        calls.append(args[0].s)
+        return run_loop(*args, **kwargs)
+
+    run_loop = protocols._sequential_run
+    monkeypatch.setattr(protocols, "_sequential_run", loop)
+    for n in (2, 64, 5000):
+        for s, variant in LAW_CASES + [(0.5, "parameterized")]:
+            run_trace(GossipConfig(n=n, f=0, s=s, variant=variant), spawn_stream(97, n))
+    assert calls == [0.5, 0.5, 0.5]
 
 
 # sha256 of run_trace runs at n=4096 and of the generator's next draws,
@@ -161,8 +195,9 @@ def test_run_trace_golden_state(name):
 
 def test_run_trace_golden_sweep():
     # Small n and caps at, before and after the loop's block edges (256 and
-    # 256 + 1024 receivers), at every s regime, pinned as one digest of the
-    # runs and the generator's next draws.
+    # 256 + 1024 receivers), at every s regime (the array engine's at s in
+    # {0, 1}), pinned as one digest of the runs and the generator's next
+    # draws.
     rng = spawn_stream(67, 99)
     h = hashlib.sha256()
     for n in (2, 3, 5, 300, 1000):
@@ -209,6 +244,21 @@ def test_recorded_run_memory_is_near_its_output():
     finally:
         tracemalloc.stop()
     assert run.steps == 100_000
+    assert peak < 2.5 * (run.senders.nbytes + run.receivers.nbytes), peak
+
+
+def test_array_run_memory_is_near_its_output():
+    # A whole recorded run at n = 2^16, s = 1 (~700k steps) on the array
+    # engine: blocks recorded as int64 arrays and joined once peak under
+    # 2.5x the output, as on the loop.
+    cfg = GossipConfig(n=1 << 16, f=6554, s=1.0)
+    tracemalloc.start()
+    try:
+        run = protocols._array_run(cfg, spawn_stream(7, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.complete(cfg)
     assert peak < 2.5 * (run.senders.nbytes + run.receivers.nbytes), peak
 
 
