@@ -84,10 +84,10 @@ def test_async_determinism():
 # run_trace tests check only the law.  A change that moves a draw order on
 # purpose updates these digests and says so in CHANGES.md.
 GOLDEN_TRACES = {
-    "s0": (0.0, "parameterized", "82dec71d30dbe7b7e517a30c4ce7a199fafb810ca9f60657ada476b155718510"),
+    "s0": (0.0, "parameterized", "71b617c3dcb2079f50b5aacc4c7e2ff9325e3e2df27623bd9eee9140588352cc"),
     "s01": (0.1, "parameterized", "7f72c38bd8321c9a58c6d473950c9722ebe04ddb6a01465e9d4fcb3087e4a40a"),
-    "s1": (1.0, "parameterized", "d82d725aada3428314b1ab9ad9811e5e5ad521525b34536de6a325c65b52be1a"),
-    "delayed": (1.0, "delayed_start", "dca9229420ba3660a958ee4eb7afd468c5c7ca97ad32cff16f65a8904a0809bf"),
+    "s1": (1.0, "parameterized", "1a1144af4920ddcaaa1d6b930bce1dcf00773ad2b09d1a0aad85a921480581bf"),
+    "delayed": (1.0, "delayed_start", "681fa785983bec9bf179134050b592a6ba7c76bdee87b6b171b95ea7e9336e89"),
 }
 
 
@@ -207,7 +207,7 @@ def test_run_trace_golden_sweep():
                 trace = run_trace(GossipConfig(n=n, f=0, s=s, variant=variant, step_cap=cap), rng)
                 for a in (trace.senders, trace.receivers, rng.random(4)):
                     h.update(a.tobytes())
-    assert h.hexdigest() == "5c73e3456d9bdba6a71383c85827ef291e3f1d5ba4c9917b86f836e948162add"
+    assert h.hexdigest() == "9cc6cec734fd6da5c083fb2853a66be3fde3d43e21a95a3c6a85faf72a7903f3"
 
 
 def test_fed_run_golden_state():
