@@ -68,6 +68,8 @@ class FirstKDistinct:
     tells_apart = math.inf
 
     def __init__(self, k: int):
+        if not k >= 1:
+            raise ValueError("k must be >= 1")
         self.k = k
         self.leads: list[int] = []
         self._seen: set[int] = set()
@@ -104,6 +106,8 @@ class FirstGoesQuiet:
     tells_apart = 1
 
     def __init__(self, r: int):
+        if not r >= 1:
+            raise ValueError("r must be >= 1")
         self.left = r
         self.first: Optional[int] = None
         self.repeated = False
@@ -189,8 +193,6 @@ def multi_rumor_attack(
     earliest rank (position within an instance's distinct-sender list,
     minimized across instances); remaining ties are broken uniformly.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     lead_lists = [feed_all(FirstKDistinct(k), obs.senders).leads for obs in observations]
     return _outcome(_score_multi_rumor(lead_lists, rng), true_source)
 
@@ -229,6 +231,4 @@ def silence_attack(
     A source that mutes after its only send (delayed-start gossip) is
     caught by exactly this pattern.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
     return _outcome(feed_all(FirstGoesQuiet(r), observed.senders).predict(), true_source)

@@ -56,7 +56,7 @@ def optimal_delta(epsilon: float, f: int, n: int) -> float:
     protocol attains this.  With no curious nodes there is no leak.
     """
     _check_fn(f, n)
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
     if f == 0:
         return 0.0
@@ -88,7 +88,7 @@ def param_delta_bound(s: float, f: int, n: int, r: int = 1) -> float:
     """Truncation upper bound on param_delta_exact:
     1 - (1 - s^r) (1 - f/n)^r.  At r=1 this is s + (1-s) f/n."""
     _check_fn(f, n, s)
-    if r < 1:
+    if not r >= 1:
         raise ValueError("r must be >= 1")
     return 1.0 - (1.0 - s**r) * (1.0 - f / n) ** r
 
@@ -117,7 +117,7 @@ def spreading_round_bound(n: int, s: float, c_coeff: float = 1.0) -> float:
     _check_fn(0, n, s)
     if s <= 0.0:
         raise ValueError("s must be > 0")
-    if c_coeff < 1.0:
+    if not c_coeff >= 1.0:
         raise ValueError("c_coeff must be >= 1")
     return 6.0 * c_coeff * math.log(n) / s
 

@@ -98,7 +98,7 @@ class GossipConfig:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.variant == "delayed_start" and self.s != 1.0:
             raise ValueError("delayed_start runs standard push after the first send; set s=1")
-        if self.step_cap is not None and self.step_cap < 1:
+        if self.step_cap is not None and not self.step_cap >= 1:
             raise ValueError("step_cap must be positive")
 
     @property

@@ -87,7 +87,7 @@ class EventSpec:
 
     @classmethod
     def sender_rank_le(cls, node: int, r: int) -> "EventSpec":
-        if r < 0:
+        if not r >= 0:
             raise ValueError("r must be >= 0")
         return cls(kind="sender_rank_le", node=node, r=r)
 
@@ -619,8 +619,8 @@ class MultiRumorAttackSpec:
         return self.rumors
 
     def runs(self, config: GossipConfig, trials: int, rng: np.random.Generator):
-        if self.rumors < 1 or self.k < 1:
-            raise ValueError("rumors and k must be >= 1")
+        if not self.rumors >= 1:
+            raise ValueError("rumors must be >= 1")
         rules = (FirstKDistinct(self.k) for _ in range(trials * self.rumors))
         waiting: dict[int, list] = {}  # trial -> [rumors still running, capped, lead lists]
         for index, rule, capped in _lumped_views(config, rules, rng, _pools(config)):
@@ -645,8 +645,6 @@ class SilenceAttackSpec:
 
     def runs(self, config: GossipConfig, trials: int, rng: np.random.Generator):
         r = self.param(config)
-        if r < 1:
-            raise ValueError("r must be >= 1")
         rules = (FirstGoesQuiet(r) for _ in range(trials))
         for _, rule, capped in _lumped_views(config, rules, rng, _pools(config)):
             yield rule.predict(), capped

@@ -118,6 +118,19 @@ def test_map_attack_fallback_is_uniform():
     assert abs(hits / 8000 - 0.25) < 4 * sigma
 
 
+@pytest.mark.parametrize("call", [
+    lambda: silence_attack(_obs([1, 2]), math.nan),
+    lambda: multi_rumor_attack([_obs([1, 2])], math.nan, spawn_stream(0, 0)),
+    lambda: FirstGoesQuiet(0),
+    lambda: FirstKDistinct(0),
+])
+def test_rules_refuse_a_window_or_k_below_one(call):
+    # NaN fails every comparison, so a guard written as `r < 1` let it run
+    # and predict; each rule checks its own parameter.
+    with pytest.raises(ValueError, match="must be >= 1"):
+        call()
+
+
 def test_map_attack_requires_nonempty_prior():
     with pytest.raises(ValueError):
         map_attack(_obs([1]), prior=(), rng=spawn_stream(0, 0))

@@ -221,6 +221,18 @@ def test_round_bound_values():
     assert abs(spreading_round_bound(1000, 0.25) - 2 * spreading_round_bound(1000, 0.5)) < TOL
 
 
+@pytest.mark.parametrize("call", [
+    lambda: optimal_delta(math.nan, 10, 100),
+    lambda: param_delta_bound(0.5, 10, 100, math.nan),
+    lambda: spreading_round_bound(100, 0.5, math.nan),
+])
+def test_closed_forms_refuse_nan(call):
+    # NaN fails every comparison, so a guard written as `x < lo` let it
+    # through: optimal_delta returned 0.0, the others NaN.
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_privacy_report_validation():
     with pytest.raises(ValueError):
         PrivacyReport(0.0, 1.5, 0.0, "x")

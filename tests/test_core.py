@@ -55,6 +55,7 @@ def test_split_stream_deterministic_and_distinct():
         dict(n=10, f=2, s=0.5, variant="pull"),
         dict(n=10, f=2, s=0.5, variant="delayed_start"),  # needs s=1
         dict(n=10, f=2, s=0.5, step_cap=0),
+        dict(n=10, f=1, s=0.5, step_cap=float("nan")),  # ran as a 0-step trace
     ],
 )
 def test_config_rejects_invalid(kwargs):

@@ -509,6 +509,22 @@ def test_estimate_events_rejects_nodes_outside_range(s, node):
         estimate_events(cfg, [EventSpec.first_sender_is(node)], 10, spawn_stream(0, 0))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: EventSpec.sender_rank_le(0, math.nan),
+    lambda: estimate_attack_precision(GossipConfig(n=100, f=10, s=0.5), SilenceAttackSpec(r=math.nan), 10,
+                                      spawn_stream(0, 0)),
+    lambda: estimate_attack_precision(GossipConfig(n=100, f=10, s=0.5), MultiRumorAttackSpec(2, k=math.nan),
+                                      10, spawn_stream(0, 0)),
+    lambda: estimate_attack_precision(GossipConfig(n=100, f=10, s=0.5), MultiRumorAttackSpec(math.nan), 10,
+                                      spawn_stream(0, 0)),
+])
+def test_estimators_refuse_nan_parameters(call):
+    # NaN fails every comparison, so a guard written as `r < 1` let a NaN
+    # event rank, silence window or multi-rumor k run.
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_mixing_timed_and_untimed_rejected():
     cfg = GossipConfig(n=100, f=10, s=0.0)
     with pytest.raises(ValueError):
