@@ -313,7 +313,7 @@ def read_spec(path: str | Path) -> dict:
     given twice is an error."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         raise SpecError("<file>", f"cannot read {path}: {e}") from e
     if path.suffix == ".json" or text.lstrip().startswith("{"):

@@ -127,6 +127,16 @@ def test_parse_twice_is_byte_identical(tmp_path):
     assert a == b
 
 
+def test_spec_with_a_byte_order_mark_reads_as_without(tmp_path):
+    # Editors on some systems save UTF-8 with a leading BOM, which was read
+    # into the first key ("unknown key '\ufeffname'").
+    preset = PRESETS / "bounds_table.cfg"
+    marked = tmp_path / preset.name
+    marked.write_bytes(b"\xef\xbb\xbf" + preset.read_bytes())
+    assert parse_spec(marked).frozen_text() == parse_spec(preset).frozen_text()
+    assert main(["bounds", "--spec", str(marked), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_frozen_text_keeps_every_digit_of_a_float(tmp_path):
     # spec.cfg must run the s the spec ran: a float that 10 significant
     # digits would round is echoed in full and reads back equal.
