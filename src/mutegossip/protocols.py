@@ -180,16 +180,18 @@ def _array_run(config: GossipConfig, rng: np.random.Generator) -> SequentialRun:
     """
     n, cap, src = config.n, config.max_steps, config.source
     s_one = config.s == 1.0
-    # The step at which each node joined (at s = 1, A; at s = 0, the informed
-    # set); -1 for the source, which under delayed start joins A only on
-    # receiving.  Every node in A at s = 1 is informed, so in both cases a
-    # newly informed node is a newly joined one other than the source.
+    delayed = config.variant == "delayed_start"
+    # joined[v]: the step at which v joined A (at s = 1) or the informed set
+    # (at s = 0), -1 for the source and `cap` for a node that has not; under
+    # delayed start the source joins A only on receiving.  Every node in A
+    # at s = 1 is informed, so in both cases a newly informed node is a
+    # newly joined one other than the source.
     joined = np.full(n, cap)
-    if config.variant != "delayed_start":
+    if not delayed:
         joined[src] = -1
     order = np.empty(n, np.int64)  # A, in list order; it only grows at s = 1
     order[0] = src
-    la = int(joined[src] < 0)
+    la = 0 if delayed else 1
     prev = src  # the s = 0 walk's current node
     senders: list[np.ndarray] = []
     receivers: list[np.ndarray] = []

@@ -114,8 +114,8 @@ def test_array_run_matches_the_loop_in_law(s, variant):
     # runs each on disjoint streams: the trace-length law (chi-square over
     # the pooled sample's decile bins), each run's share of steps whose
     # sender is the previous receiver, and the share of runs completed.
-    # The caps stop runs inside the array engine's blocks (16, 64, 256 and
-    # 1024 steps, from steps 0, 16, 80 and 336).
+    # The caps 3, 20, 200 and 1,500 stop runs inside the array engine's
+    # blocks that start at steps 0, 16, 80 and 1,360.
     for i, (n, cap) in enumerate([(3, None), (3, 3), (8, None), (8, 20), (64, None), (64, 200),
                                   (300, None), (300, 1500)]):
         cfg = GossipConfig(n=n, f=0, s=s, variant=variant, step_cap=cap)
@@ -154,13 +154,12 @@ def test_array_run_caps_at_block_edges(s, variant):
 
 
 def test_run_trace_at_s0_and_s1_never_runs_the_loop(monkeypatch):
-    calls = []
+    run_loop, calls = protocols._sequential_run, []
 
     def loop(*args, **kwargs):
         calls.append(args[0].s)
         return run_loop(*args, **kwargs)
 
-    run_loop = protocols._sequential_run
     monkeypatch.setattr(protocols, "_sequential_run", loop)
     for n in (2, 64, 5000):
         for s, variant in LAW_CASES + [(0.5, "parameterized")]:
@@ -195,7 +194,7 @@ def test_run_trace_golden_state(name):
 
 def test_run_trace_golden_sweep():
     # Small n and caps at, before and after the loop's block edges (256 and
-    # 256 + 1024 receivers), at every s regime (the array engine's at s in
+    # 256 + 1024 receivers), at every s regime (on the array engine at s in
     # {0, 1}), pinned as one digest of the runs and the generator's next
     # draws.
     rng = spawn_stream(67, 99)
