@@ -81,6 +81,10 @@ class GossipConfig:
     step_cap: Optional[int] = None
 
     def __post_init__(self):
+        for name in ("n", "f", "source", "step_cap")[: 3 if self.step_cap is None else 4]:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):  # operator.index's rule, no bool
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if not 0 <= self.f <= self.n - 2:

@@ -34,7 +34,7 @@ from .adversary import (
     silence_window,
 )
 from .core import GossipConfig, RoundTrace, split_stream
-from .protocols import _check_round_variant, _sequential_run
+from .protocols import _array_lanes, _check_round_variant, _sequential_run
 from .protocols import run_sync  # noqa: F401  -- perfbench's traced run wraps estimators.run_sync
 
 Z99 = 2.576  # 99% two-sided normal quantile, as reported alongside estimates
@@ -115,6 +115,11 @@ class EventSpec:
 # ---------------------------------------------------------------------------
 # Lumped lockstep engine
 #
+# At s in {0, 1} no mute coin is random and A follows from the receivers
+# alone, so _lumped_views runs those lanes on the array engine
+# (protocols._array_lanes), a block of steps of many lanes per numpy call
+# and with the nodes' own ids.  The lockstep below serves 0 < s < 1.
+#
 # On the complete graph the nodes outside a few labelled ones are
 # exchangeable within their class, so a run lumps to per-class counts of
 # active, muted and uninformed nodes plus the states of the labelled nodes
@@ -141,7 +146,7 @@ class EventSpec:
 #
 # One step of a lane: a uniform sender among the active nodes, laid out as
 # each class's unlabelled active nodes, then the active labelled slots; its
-# mute coin (forced on the first step of a delayed start); a uniform receiver
+# mute coin; a uniform receiver
 # among the n nodes, laid out as the labelled slots, then each class's
 # [active, muted, uninformed] nodes as they were before the sender muted.  An
 # unlabelled sender holds the first place of its class's active block, which
@@ -204,15 +209,18 @@ def _count_moves(K: int) -> np.ndarray:
 
 
 def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Generator, pools):
-    """One run of `config` per decider, stepped in lockstep with up to _LANES
-    others, its nodes lumped into the classes `pools` (from _pools).  Each
-    decider is fed the senders of its run's observed entries that it tells
-    apart (the source and its told-apart classes) until it is decided, the
-    run informs every node, or it hits the step cap.  Yields
-    (index of the decider in `deciders`, decider, capped) as runs end.
+    """One run of `config` per decider, until it is decided, the run informs
+    every node or it hits the step cap.  At s in {0, 1} the runs are the
+    array engine's fed lanes.  Otherwise each is stepped in lockstep with up
+    to _LANES others, its nodes lumped into the classes `pools` (from
+    _pools), and its decider is fed the senders of its observed entries that
+    it tells apart (the source and its told-apart classes).  Yields (index of
+    the decider in `deciders`, decider, capped) as runs end.
     """
+    if config.s in (0.0, 1.0):
+        yield from _array_lanes(config, rng, deciders)
+        return
     n, s, cap = config.n, config.s, config.max_steps
-    delayed = config.variant == "delayed_start"
     K, W = len(pools), 8
     ids = [pool for pool, _, _ in pools]
     sizes = np.array([pool.size for pool in ids])
@@ -300,7 +308,7 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
                 return
         L = alive.size
 
-        u = rng.random((3 if 0.0 < s < 1.0 else 2, L))
+        u = rng.random((3, L))
         cum_active = [st[A[0]]]
         for c in range(1, K):
             cum_active.append(cum_active[-1] + st[A[c]])
@@ -310,9 +318,7 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
         cs = np.zeros(L, np.int64)  # the sender's class; K if labelled
         for bound in cum_active:
             cs += k >= bound
-        mute = u[2] >= s if 0.0 < s < 1.0 else np.full(L, s == 0.0)
-        if delayed:
-            mute |= st[STEPS] == 0
+        mute = u[2] >= s
         r = (u[1] * n).astype(np.int64)
         bound = st[NLAB]
         block = (r >= bound).astype(np.int64)  # 0: a labelled slot

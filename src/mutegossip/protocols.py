@@ -25,13 +25,15 @@ included) the active list A follows from the receivers alone: no sender ever
 mutes at s = 1, so A is the source followed by each new receiver in order of
 first appearance (under delayed start, A starts as the receiver of the
 source's single send), and at s = 0 A is the previous receiver.  There the
-array engine draws a block of steps at once and picks each step's sender as
-A[int(u * |A|)].  At 0 < s < 1 the per-node loop draws receivers and
-uniforms in blocks and runs in chunks: a chunk is the steps up to the next
-refill of either buffer, so its steps check no buffer and its receivers are
-unboxed at once.  The loop also continues the estimators' lumped runs from
-a given state.  Both engines record a run per chunk or block as int64
-arrays, concatenated once at the end.
+array engine draws a block of steps of many runs ("lanes") at once and picks
+each step's sender as A[int(u * |A|)]: a run_trace run is its one recorded
+lane, and the estimators' attack and event runs are its fed lanes.  At
+0 < s < 1 the per-node loop draws receivers and uniforms in blocks and runs
+in chunks: a chunk is the steps up to the next refill of either buffer, so
+its steps check no buffer and its receivers are unboxed at once.  The loop
+also continues the estimators' lumped runs from a given state.  Both engines
+record a run per chunk or block as int64 arrays, concatenated once at the
+end.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ from .core import ExecutionTrace, GossipConfig, RoundTrace
 
 _BLOCK = 4096
 _STEPS = np.arange(_BLOCK)
+# The array engine's budgets: its join and order tables hold at most _TABLE
+# entries (lanes x n), and a block draws at most _LANE_STEPS lane-steps.
+_TABLE = 1 << 17
+_LANE_STEPS = 1 << 14
 
 
 @dataclass
@@ -168,64 +174,107 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
     return SequentialRun(senders, receivers, n_informed, step, decided)
 
 
-def _array_run(config: GossipConfig, rng: np.random.Generator) -> SequentialRun:
-    """A recorded run at s in {0, 1} (delayed start included), drawn a block
-    of steps at a time on arrays.
+def _array_lanes(config: GossipConfig, rng: np.random.Generator, deciders=None):
+    """Runs ("lanes") at s in {0, 1} (delayed start included), many at once,
+    drawn a block of steps at a time on (lanes x steps) arrays.
 
-    A block draws its receivers and, at s = 1, one uniform per step, |A| = 1
-    included; each sender is A[int(u * |A|)] with |A| as the step finds it.
-    Blocks start at 16 steps and grow x4 to _BLOCK, so a short run draws
-    little; a block is cut at the step cap and at the step that informs the
-    last node.
+    With `deciders`, one lane per decider, fed the sender of each observed
+    entry (a curious receiver) by id and in step order until it is decided,
+    the run informs every node or it hits the step cap.  Yields (index of the
+    decider in `deciders`, decider, capped) as lanes end; a freed row takes
+    the next decider.  Without, one run is recorded and yielded as a
+    SequentialRun.
+
+    A block draws (L, B) receivers and, at s = 1, (L, B) uniforms; each
+    sender is A[int(u * |A|)] with |A| as the step finds it, |A| = 1
+    included.  B is 3 x the lanes' mean age + 16, so one lane's blocks start
+    at 16 steps and grow x4, up to _BLOCK and _LANE_STEPS / L.
     """
-    n, cap, src = config.n, config.max_steps, config.source
+    n, cap, src, curious_lo = config.n, config.max_steps, config.source, config.curious_lo
     s_one = config.s == 1.0
     delayed = config.variant == "delayed_start"
-    # joined[v]: the step at which v joined A (at s = 1) or the informed set
-    # (at s = 0), -1 for the source and `cap` for a node that has not; under
-    # delayed start the source joins A only on receiving.  Every node in A
-    # at s = 1 is informed, so in both cases a newly informed node is a
-    # newly joined one other than the source.
-    joined = np.full(n, cap)
-    if not delayed:
-        joined[src] = -1
-    order = np.empty(n, np.int64)  # A, in list order; it only grows at s = 1
-    order[0] = src
-    la = 0 if delayed else 1
-    prev = src  # the s = 0 walk's current node
+    record = deciders is None
+    pending = enumerate([None] if record else deciders)
+    rows = 1 if record else max(1, min(_TABLE // n, _LANE_STEPS // 16))
+    # joined[row * n + v]: the clock at which v joined A (at s = 1) or the
+    # informed set (at s = 0) in the row's lane; the source joins at the
+    # lane's base, the clock at its start, except under delayed start, where
+    # it joins A only on receiving.  An entry below the base is an earlier
+    # lane's and reads as not joined, so a row is reused without a reset.  A
+    # newly informed node is a newly joined one other than the source.
+    joined = np.full(rows * n, -1, np.int64)
+    order = np.empty(rows * n, np.int64)  # per row, A in list order; it only grows at s = 1
+    base, la, prev, n_informed, step = (np.zeros(rows, np.int64) for _ in range(5))
+    lanes = [None] * rows  # per row, (index, decider) of its lane
+    busy = np.zeros(rows, bool)
+    clock = 0
     senders: list[np.ndarray] = []
     receivers: list[np.ndarray] = []
-    n_informed, step, block = 1, 0, 16
-    while n_informed < n and step < cap:
-        size = min(block, cap - step)
-        rcv = rng.integers(0, n, size=size)
-        u = rng.random(size) if s_one else None
-        at = _STEPS[:size] + step
-        np.minimum.at(joined, rcv, at)
-        new = joined[rcv] == at
-        fresh = (new & (rcv != src)).cumsum()
-        if n_informed + fresh[-1] >= n:  # cut at the step that informs the last node
-            size = int(fresh.searchsorted(n - n_informed)) + 1
-            rcv, new = rcv[:size], new[:size]
+    while True:
+        for row in np.flatnonzero(~busy).tolist():
+            if (lane := next(pending, None)) is None:
+                break
+            lanes[row], busy[row] = lane, True
+            base[row], la[row], prev[row], n_informed[row], step[row] = clock, not delayed, src, 1, 0
+            joined[row * n + src] = -1 if delayed else clock
+            order[row * n] = src
+        live = np.flatnonzero(busy)
+        if not live.size:
+            return
+        L, at_step, offset = live.size, step[live], (live * n)[:, None]
+        B = min(3 * int(at_step.sum()) // L + 16, _BLOCK, _LANE_STEPS // L, cap - int(at_step.min()))
+        rcv = rng.integers(0, n, size=(L, B))
+        u = rng.random((L, B)) if s_one else None
+        at = _STEPS[:B] + (clock + 1)
+        cell = rcv + offset
+        joined[cell[joined[cell] < base[live, None]]] = clock + B + 1  # later than the block's steps
+        np.minimum.at(joined, cell, np.broadcast_to(at, cell.shape))
+        clock += B + 1
+        new = joined[cell] == at
+        informed = n_informed[live, None] + (new & (rcv != src)).cumsum(1)
+        full = informed >= n  # cut at the step that informs the last node, and at the cap
+        size = np.minimum(cap - at_step, np.where(full[:, -1], full.argmax(1) + 1, B))
         if s_one:
-            added = rcv[new]
-            order[la:la + added.size] = added
-            held = la + new.cumsum() - new  # |A| when each step picks its sender
-            snd = order[(u[:size] * held).astype(np.int64)]
-            la += added.size
+            held = la[live, None] + new.cumsum(1) - new  # |A| when each step picks its sender
+            order[(offset + held)[new]] = rcv[new]
+            snd = order[offset + (u * held).astype(np.int64)]
+            la[live] = held[:, -1] + new[:, -1]
         else:
-            snd = np.concatenate(([prev], rcv[:-1]))
-            prev = int(rcv[-1])
-        if step == 0:
-            snd[0] = src  # under delayed start A is empty before the first send
-        senders.append(snd)
-        receivers.append(rcv)
-        n_informed += int(fresh[size - 1])
-        step += size
-        block = min(block * 4, _BLOCK)
-    senders = np.concatenate(senders)
-    receivers = np.concatenate(receivers)
-    return SequentialRun(senders, receivers, n_informed, step, False)
+            snd = np.concatenate((prev[live, None], rcv[:, :-1]), axis=1)
+            prev[live] = rcv[:, -1]
+        snd[at_step == 0, 0] = src  # under delayed start A is empty before the first send
+
+        decided = np.zeros(L, bool)
+        if record:
+            senders.append(snd[0, : size[0]])
+            receivers.append(rcv[0, : size[0]])
+        else:  # each lane's observed senders in step order, until it is decided
+            lane_of, t_of = np.nonzero((rcv >= curious_lo) & (_STEPS[:B] < size[:, None]))
+            t_of, fed = t_of.tolist(), snd[lane_of, t_of].tolist()
+            hi = 0
+            for r, (row, count) in enumerate(zip(live.tolist(), np.bincount(lane_of, minlength=L).tolist())):
+                lo, hi = hi, hi + count
+                feed = lanes[row][1].feed
+                for k in range(lo, hi):
+                    if feed(fed[k]):
+                        decided[r], size[r] = True, t_of[k] + 1
+                        break
+        step[live] = at_step + size
+        n_informed[live] = informed[np.arange(L), size - 1]
+        for r in np.flatnonzero(decided | (n_informed[live] == n) | (step[live] == cap)).tolist():
+            row = live[r]
+            busy[row] = False
+            if record:  # one concatenation per column; rebinding frees the senders' blocks first
+                senders = np.concatenate(senders)
+                receivers = np.concatenate(receivers)
+                yield SequentialRun(senders, receivers, int(n_informed[row]), int(step[row]), False)
+            else:
+                yield *lanes[row], bool(not decided[r] and n_informed[row] < n)
+
+
+def _array_run(config: GossipConfig, rng: np.random.Generator) -> SequentialRun:
+    """A recorded run at s in {0, 1}: the array engine's one-lane case."""
+    return next(_array_lanes(config, rng))
 
 
 def run_trace(config: GossipConfig, rng: np.random.Generator) -> ExecutionTrace:
@@ -237,8 +286,9 @@ def run_trace(config: GossipConfig, rng: np.random.Generator) -> ExecutionTrace:
     re-activates only by receiving the rumor.  The run ends once every
     node is informed.
 
-    At s in {0, 1} the run is drawn on the array engine, otherwise on the
-    per-node loop (see the module docstring); the two have the same law.
+    At s in {0, 1} the run is the array engine's one recorded lane,
+    otherwise it is drawn on the per-node loop (see the module docstring);
+    the two have the same law.
     """
     run = (_array_run if config.s in (0.0, 1.0) else _sequential_run)(config, rng)
     return ExecutionTrace(config=config, senders=run.senders, receivers=run.receivers,

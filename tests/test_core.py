@@ -63,6 +63,22 @@ def test_config_rejects_invalid(kwargs):
         GossipConfig(**kwargs)
 
 
+@pytest.mark.parametrize("field, bad, good", [("n", 10.5, np.int64(10)), ("f", 1.5, np.int32(1)),
+                                              ("source", 0.5, np.int64(0)), ("step_cap", 5.5, np.uint16(5))])
+def test_config_refuses_non_integer_fields(field, bad, good):
+    # Each of these was constructed before and then ran wrong or failed deep
+    # in an engine: f=1.5 put the curious ids at 8.5 and up, step_cap=True ran
+    # a 1-step trace.  A bool is an int subclass, but is refused too; numpy
+    # integers pass.
+    kwargs = dict(n=10, f=1, s=0.5, source=0, step_cap=None)
+    for value in (bad, True, np.float64(2.0)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            GossipConfig(**{**kwargs, field: value})
+    cfg = GossipConfig(**{**kwargs, field: good})
+    run_trace(cfg, spawn_stream(3, 0)).validate()
+
+
+
 @given(
     n=st.integers(3, 60),
     f_frac=st.floats(0.0, 0.8),

@@ -158,9 +158,10 @@ def _views(monkeypatch, path, cfg, deciders, rng, pools, floor=1000):
     hands none off.  The crowd rule hands a lane to the per-node engine,
     un-lumped: with _CROWD = 1 ("lone") after its first lockstep step, and
     with _CROWD = 2 ("crowded") once it holds a label besides the source.
-    These two paths must hand off at least `floor` lanes."""
+    These two paths must hand off at least `floor` lanes.  "array" is the
+    array engine, which runs every lane at s in {0, 1} and hands none off."""
     monkeypatch.setattr(estimators, "_TAIL", 0)
-    if path != "lockstep":
+    if path in ("lone", "crowded"):
         monkeypatch.setattr(estimators, "_CROWD", 1 if path == "lone" else 2)
     run, hand_offs = estimators._sequential_run, []
 
@@ -171,7 +172,7 @@ def _views(monkeypatch, path, cfg, deciders, rng, pools, floor=1000):
     monkeypatch.setattr(estimators, "_sequential_run", count)
     yield from _lumped_views(cfg, deciders, rng, pools)
     monkeypatch.setattr(estimators, "_sequential_run", run)
-    assert not hand_offs if path == "lockstep" else len(hand_offs) >= floor, (path, len(hand_offs))
+    assert not hand_offs if path in ("lockstep", "array") else len(hand_offs) >= floor, (path, len(hand_offs))
 
 
 @functools.cache
@@ -206,12 +207,14 @@ def _assert_sequence_law(views, cfg, trials):
     assert stats.chisquare(observed, expected).pvalue > 1e-3, cfg.n
 
 
-@pytest.mark.parametrize("path", ["lockstep", "lone", "crowded"])
-@pytest.mark.parametrize("k, s, variant", [(0, 0.0, "parameterized"), (1, 1 / 3, "parameterized"),
-                                           (2, 0.5, "parameterized"), (3, 1.0, "parameterized"),
-                                           (4, 1.0, "delayed_start")])
-def test_lumped_views_match_exact_law(monkeypatch, path, k, s, variant):
-    # The lumped engine at f=1 against exact.sequence_probability.  The
+@pytest.mark.parametrize("k, s, variant, path", [
+    *((k, s, "parameterized", path) for k, s in ((1, 1 / 3), (2, 0.5)) for path in ("lockstep", "lone", "crowded")),
+    (0, 0.0, "parameterized", "array"), (3, 1.0, "parameterized", "array"), (4, 1.0, "delayed_start", "array"),
+])
+def test_lumped_views_match_exact_law(monkeypatch, k, s, variant, path):
+    # _lumped_views at f=1 against exact.sequence_probability: the lumped
+    # engine on its three paths at 0 < s < 1, and the array engine at s in
+    # {0, 1}, which feeds every observed sender by its id.  The
     # complete observed-sender sequences, with every observed sender fed, on
     # two inputs: n=4 in the two classes of the events and the silence and
     # multi-rumor attacks, and n=5 in the three of a MAP prior of size 2
@@ -223,8 +226,8 @@ def test_lumped_views_match_exact_law(monkeypatch, path, k, s, variant):
     # feeds any later unlabelled one as -1.  The share of each outcome (a
     # node or none) must lie between the mass of the views of length <= 3
     # that give it and that plus the longer views' mass.
-    trials = 20_000 if path == "lockstep" else 10_000
-    stream = 3 * k + ["lockstep", "lone", "crowded"].index(path)
+    trials = 20_000 if path in ("lockstep", "array") else 10_000
+    stream = 3 * k + {"lone": 1, "crowded": 2}.get(path, 0)
     cfg = GossipConfig(n=4, f=1, s=s, variant=variant)
     prefixes = (ObservedPrefix(10**9) for _ in range(trials))
     _assert_sequence_law(_views(monkeypatch, path, cfg, prefixes, spawn_stream(24, stream), _pools(cfg)),
@@ -314,8 +317,8 @@ def _sender_class(cfg, node):
     return "source" if node == cfg.source else "curious" if node >= cfg.curious_lo else "other"
 
 
-@pytest.mark.parametrize("s, variant", [(0.0, "parameterized"), (0.5, "parameterized"),
-                                        (1.0, "delayed_start")])
+@pytest.mark.parametrize("s, variant", [(0.1, "parameterized"), (0.5, "parameterized"),
+                                        (0.9, "parameterized")])
 def test_lumped_hand_off_states_are_valid(monkeypatch, s, variant):
     # Every un-lumped state that a lane hands to the per-node engine holds
     # distinct informed ids, the source and the senders fed so far among
@@ -353,7 +356,7 @@ def test_lumped_crowded_lanes_end_alone(monkeypatch):
     # A lane hands itself to the per-node engine on the step its labels reach
     # _CROWD, which bounds the width of the label arrays, and its run goes on
     # there to the end.
-    cfg = GossipConfig(n=2048, f=1024, s=1.0)
+    cfg = GossipConfig(n=2048, f=1024, s=0.9)
     monkeypatch.setattr(estimators, "_TAIL", 0)
     labels = []
 
@@ -375,7 +378,7 @@ def test_lumped_silence_lanes_hold_two_labels(monkeypatch):
     # is: no lane reaches _CROWD and is handed off, though some are fed far
     # more entries, and each ends decided (x repeats or r entries follow it)
     # or with every node informed.
-    cfg = GossipConfig(n=2048, f=1024, s=1.0)
+    cfg = GossipConfig(n=2048, f=1024, s=0.9)
     monkeypatch.setattr(estimators, "_TAIL", 0)
     handed_off = []
 
@@ -391,6 +394,25 @@ def test_lumped_silence_lanes_hold_two_labels(monkeypatch):
     for rule in ended:
         assert set(rule.fed) <= {rule.first, cfg.source, -1}
     assert max(len(rule.fed) for rule in rules) > 2 * estimators._CROWD
+
+
+def test_lumped_lockstep_never_runs_at_s0_and_s1(monkeypatch):
+    # At s in {0, 1} every attack and event lane runs on the array engine:
+    # neither the lockstep (which first builds its count moves) nor its
+    # hand-off to the per-node engine is entered.  At s = 0.5 both are.
+    entered = []
+    count_moves, sequential_run = estimators._count_moves, estimators._sequential_run
+    monkeypatch.setattr(estimators, "_count_moves", lambda *a: entered.append("lockstep") or count_moves(*a))
+    monkeypatch.setattr(estimators, "_sequential_run",
+                        lambda *a: entered.append("hand-off") or sequential_run(*a))
+    rng = spawn_stream(37, 0)
+    for s, variant in ((0.0, "parameterized"), (1.0, "parameterized"), (1.0, "delayed_start"),
+                       (0.5, "parameterized")):
+        cfg = GossipConfig(n=64, f=6, s=s, variant=variant)
+        for attack in (MapAttackSpec(), MapAttackSpec(10), SilenceAttackSpec(), MultiRumorAttackSpec(2, 3)):
+            estimate_attack_precision(cfg, attack, 300, rng)
+        estimate_events(cfg, [EventSpec.sender_rank_le(0, 3)], 300, rng)
+        assert set(entered) == ({"lockstep", "hand-off"} if s == 0.5 else set()), (s, variant)
 
 
 # (n, s, variant, step cap): the cap bounds the per-node engine's runs and
