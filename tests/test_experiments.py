@@ -385,13 +385,14 @@ def test_readme_csv_header_matches_run_experiment(tmp_path, kind):
 
 
 # sha256 of attack.csv for small attack grids.  They pin the draw order of
-# the engine and the attack rules (AC12 only compares a rerun with a rerun);
-# a change that moves it on purpose updates these digests and says so in
-# CHANGES.md.
+# the engines and the attack rules (AC12 only compares a rerun with a rerun):
+# the array engine's fed lanes at s in {0, 1} ("map" at s = 0, "silence")
+# and the lumped engine at 0 < s < 1.  A change that moves it on purpose
+# updates these digests and says so in CHANGES.md.
 GOLDEN_ATTACKS = {
     "map": (
         {"attack": "map", "n": "1024", "s": "0, 0.5", "prior_size": "all, 10", "trials": "200"},
-        "b6e138c5f3880a04dcbc401169dd29d527eb1d98f9c070bc29f02996dc10c3db",
+        "ac26ba8c9f16a38788e83f6ea44c4f46cc07f1d1c62c0a609539b43c6b3cc8e9",
     ),
     "map_capped": (
         {"attack": "map", "n": "256", "s": "0.5", "prior_size": "all, 10", "step_cap": "40",
@@ -400,7 +401,7 @@ GOLDEN_ATTACKS = {
     ),
     "silence": (
         {"attack": "silence", "variant": "delayed_start", "n": "1024", "s": "1", "trials": "300"},
-        "16a72be334ab649ca7449b109c75c9750fe610f8ce39628aec51a0f1becc6717",
+        "3fae90aacae0f3affb687a39472bd1782fa7f06c0a53d8fabcb1ab2e187f75d8",
     ),
     "multi_rumor": (
         {"attack": "multi_rumor", "n": "256", "s": "0.5", "rumors": "1, 3", "k": "5",
