@@ -115,10 +115,8 @@ class EventSpec:
 # ---------------------------------------------------------------------------
 # Lumped lockstep engine
 #
-# At s in {0, 1} no mute coin is random and A follows from the receivers
-# alone, so _lumped_views runs those lanes on the array engine
-# (protocols._array_lanes), a block of steps of many lanes per numpy call
-# and with the nodes' own ids.  The lockstep below serves 0 < s < 1.
+# At s in {0, 1} _lumped_views runs every lane on the array engine instead
+# (protocols._array_lanes); the lockstep below serves 0 < s < 1.
 #
 # On the complete graph the nodes outside a few labelled ones are
 # exchangeable within their class, so a run lumps to per-class counts of

@@ -50,6 +50,7 @@ _STEPS = np.arange(_BLOCK)
 # entries (lanes x n), and a block draws at most _LANE_STEPS lane-steps.
 _TABLE = 1 << 17
 _LANE_STEPS = 1 << 14
+_NEVER = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -197,26 +198,26 @@ def _array_lanes(config: GossipConfig, rng: np.random.Generator, deciders=None):
     pending = enumerate([None] if record else deciders)
     rows = 1 if record else max(1, min(_TABLE // n, _LANE_STEPS // 16))
     # joined[row * n + v]: the clock at which v joined A (at s = 1) or the
-    # informed set (at s = 0) in the row's lane; the source joins at the
-    # lane's base, the clock at its start, except under delayed start, where
-    # it joins A only on receiving.  An entry below the base is an earlier
-    # lane's and reads as not joined, so a row is reused without a reset.  A
-    # newly informed node is a newly joined one other than the source.
-    joined = np.full(rows * n, -1, np.int64)
+    # informed set (at s = 0) in the row's lane, _NEVER if it has not; the
+    # source joins at the lane's base, the clock at its start, except under
+    # delayed start, where it joins A only on receiving.  An entry below the
+    # base is an earlier lane's: a block resets the ones it meets, so a row
+    # is reused without an O(n) reset.  A newly informed node is a newly
+    # joined one other than the source.
+    joined = np.full(rows * n, _NEVER, np.int64)
     order = np.empty(rows * n, np.int64)  # per row, A in list order; it only grows at s = 1
     base, la, prev, n_informed, step = (np.zeros(rows, np.int64) for _ in range(5))
     lanes = [None] * rows  # per row, (index, decider) of its lane
     busy = np.zeros(rows, bool)
     clock = 0
-    senders: list[np.ndarray] = []
-    receivers: list[np.ndarray] = []
+    senders, receivers = [], []  # the recorded lane's blocks
     while True:
         for row in np.flatnonzero(~busy).tolist():
             if (lane := next(pending, None)) is None:
                 break
             lanes[row], busy[row] = lane, True
             base[row], la[row], prev[row], n_informed[row], step[row] = clock, not delayed, src, 1, 0
-            joined[row * n + src] = -1 if delayed else clock
+            joined[row * n + src] = _NEVER if delayed else clock
             order[row * n] = src
         live = np.flatnonzero(busy)
         if not live.size:
@@ -225,15 +226,16 @@ def _array_lanes(config: GossipConfig, rng: np.random.Generator, deciders=None):
         B = min(3 * int(at_step.sum()) // L + 16, _BLOCK, _LANE_STEPS // L, cap - int(at_step.min()))
         rcv = rng.integers(0, n, size=(L, B))
         u = rng.random((L, B)) if s_one else None
-        at = _STEPS[:B] + (clock + 1)
+        at = np.arange(clock + 1, clock + 1 + L * B).reshape(L, B)  # each lane-step's clock
         cell = rcv + offset
-        joined[cell[joined[cell] < base[live, None]]] = clock + B + 1  # later than the block's steps
-        np.minimum.at(joined, cell, np.broadcast_to(at, cell.shape))
-        clock += B + 1
+        if base[live].any():  # reused rows: an earlier lane's entry is reset to not joined
+            joined[cell[joined[cell] < base[live, None]]] = _NEVER
+        np.minimum.at(joined, cell.ravel(), at.ravel())
+        clock += L * B + 1  # a lane admitted next starts above every clock so far
         new = joined[cell] == at
         informed = n_informed[live, None] + (new & (rcv != src)).cumsum(1)
-        full = informed >= n  # cut at the step that informs the last node, and at the cap
-        size = np.minimum(cap - at_step, np.where(full[:, -1], full.argmax(1) + 1, B))
+        # Cut at the step that informs the last node, and at the cap.
+        size = np.minimum(np.minimum(cap - at_step, B), (informed < n).sum(1) + 1)
         if s_one:
             held = la[live, None] + new.cumsum(1) - new  # |A| when each step picks its sender
             order[(offset + held)[new]] = rcv[new]
@@ -259,9 +261,9 @@ def _array_lanes(config: GossipConfig, rng: np.random.Generator, deciders=None):
                     if feed(fed[k]):
                         decided[r], size[r] = True, t_of[k] + 1
                         break
-        step[live] = at_step + size
-        n_informed[live] = informed[np.arange(L), size - 1]
-        for r in np.flatnonzero(decided | (n_informed[live] == n) | (step[live] == cap)).tolist():
+        end_step, end_informed = at_step + size, informed[np.arange(L), size - 1]
+        step[live], n_informed[live] = end_step, end_informed
+        for r in np.flatnonzero(decided | (end_informed == n) | (end_step == cap)).tolist():
             row = live[r]
             busy[row] = False
             if record:  # one concatenation per column; rebinding frees the senders' blocks first

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mutegossip import estimators
+from mutegossip import estimators, protocols
 from mutegossip.adversary import (
     FirstGoesQuiet,
     FirstInPrior,
@@ -311,6 +311,34 @@ def _two_sample_p(a: Counter, b: Counter) -> float:
     small = expected.min(axis=0) < 5
     table = np.column_stack([table[:, ~small], table[:, small].sum(axis=1)])
     return stats.chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue
+
+
+@pytest.mark.parametrize("s, variant", [(0.0, "parameterized"), (1.0, "parameterized"), (1.0, "delayed_start")])
+def test_fed_lanes_in_reused_rows_match_the_loop(s, variant):
+    # 3,000 fed lanes at n = 300, several per row of the array engine, so
+    # most run in a row that earlier lanes left behind, against 800 fed runs
+    # of the per-node loop: the view's length over the pooled sample's
+    # decile bins, how often the source is an observed sender (a row read
+    # as holding an earlier lane's A would send from the source more often),
+    # the first sender's class and the capped share (the cap of 1,500 steps
+    # ends some runs before their last node is informed).
+    cfg = GossipConfig(n=300, f=30, s=s, variant=variant, step_cap=1500)
+    trials = 3000
+    assert trials > 4 * min(protocols._TABLE // cfg.n, protocols._LANE_STEPS // 16)
+    lanes = [(prefix.senders, capped) for _, prefix, capped in
+             protocols._array_lanes(cfg, spawn_stream(107, 0), [ObservedPrefix(10**9) for _ in range(trials)])]
+    rng, loop = spawn_stream(107, 1), []
+    for _ in range(800):
+        prefix = ObservedPrefix(10**9)
+        run = protocols._sequential_run(cfg, rng, None, prefix.feed)
+        loop.append((prefix.senders, not run.decided and not run.complete(cfg)))
+    edges = np.quantile([len(v) for v, _ in lanes + loop], np.linspace(0, 1, 11)[1:-1])
+    for feature in (lambda v, c: int(np.searchsorted(edges, len(v))),
+                    lambda v, c: min(v.count(cfg.source), 5),
+                    lambda v, c: -1 if not v else v[0] == cfg.source,
+                    lambda v, c: c):
+        assert _two_sample_p(*(Counter(feature(v, c) for v, c in runs) for runs in (lanes, loop))) > 1e-4
+    assert 0 < sum(c for _, c in lanes) < trials
 
 
 def _sender_class(cfg, node):
