@@ -153,15 +153,23 @@ def test_first_observed_senders_s0_match_engine(n, f, step_cap):
 
 
 def _views(monkeypatch, path, cfg, deciders, rng, pools, floor=1000):
-    """_lumped_views's results on one path of the engine, from one call with
-    no tail rule.  "lockstep" steps every lane in lockstep to its end and
-    hands none off.  The crowd rule hands a lane to the per-node engine,
-    un-lumped: with _CROWD = 1 ("lone") after its first lockstep step, and
-    with _CROWD = 2 ("crowded") once it holds a label besides the source.
-    These two paths must hand off at least `floor` lanes.  "array" is the
-    array engine, which runs every lane at s in {0, 1} and hands none off."""
+    """_lumped_views's results on one path of its engine, from one call with
+    no tail rule.  At 0 < s < 1, the lumped lockstep: "lockstep" steps every
+    lane in lockstep to its end and hands none off.  The crowd rule hands a
+    lane to the per-node engine, un-lumped: with _CROWD = 1 ("lone") after
+    its first lockstep step, and with _CROWD = 2 ("crowded") once it holds a
+    label besides the source.  These two paths must hand off at least
+    `floor` lanes.  At s in {0, 1}, the array engine, which hands none off:
+    "lockstep" steps as many lanes together as its tables hold, "lone" gives
+    it one row, so each lane runs alone in the row the one before it left,
+    and "crowded" cuts every block to one step of all its lanes."""
     monkeypatch.setattr(estimators, "_TAIL", 0)
-    if path in ("lone", "crowded"):
+    array = cfg.s in (0.0, 1.0)
+    if array and path == "lone":
+        monkeypatch.setattr(protocols, "_TABLE", 0)
+    elif array and path == "crowded":
+        monkeypatch.setattr(protocols, "_BLOCK", 1)
+    elif path != "lockstep":
         monkeypatch.setattr(estimators, "_CROWD", 1 if path == "lone" else 2)
     run, hand_offs = estimators._sequential_run, []
 
@@ -172,7 +180,7 @@ def _views(monkeypatch, path, cfg, deciders, rng, pools, floor=1000):
     monkeypatch.setattr(estimators, "_sequential_run", count)
     yield from _lumped_views(cfg, deciders, rng, pools)
     monkeypatch.setattr(estimators, "_sequential_run", run)
-    assert not hand_offs if path in ("lockstep", "array") else len(hand_offs) >= floor, (path, len(hand_offs))
+    assert not hand_offs if array or path == "lockstep" else len(hand_offs) >= floor, (path, len(hand_offs))
 
 
 @functools.cache
@@ -207,16 +215,16 @@ def _assert_sequence_law(views, cfg, trials):
     assert stats.chisquare(observed, expected).pvalue > 1e-3, cfg.n
 
 
-@pytest.mark.parametrize("k, s, variant, path", [
-    *((k, s, "parameterized", path) for k, s in ((1, 1 / 3), (2, 0.5)) for path in ("lockstep", "lone", "crowded")),
-    (0, 0.0, "parameterized", "array"), (3, 1.0, "parameterized", "array"), (4, 1.0, "delayed_start", "array"),
-])
-def test_lumped_views_match_exact_law(monkeypatch, k, s, variant, path):
-    # _lumped_views at f=1 against exact.sequence_probability: the lumped
-    # engine on its three paths at 0 < s < 1, and the array engine at s in
-    # {0, 1}, which feeds every observed sender by its id.  The
-    # complete observed-sender sequences, with every observed sender fed, on
-    # two inputs: n=4 in the two classes of the events and the silence and
+@pytest.mark.parametrize("path", ["lockstep", "lone", "crowded"])
+@pytest.mark.parametrize("k, s, variant", [(0, 0.0, "parameterized"), (1, 1 / 3, "parameterized"),
+                                           (2, 0.5, "parameterized"), (3, 1.0, "parameterized"),
+                                           (4, 1.0, "delayed_start")])
+def test_lumped_views_match_exact_law(monkeypatch, path, k, s, variant):
+    # _lumped_views at f=1 against exact.sequence_probability, on the three
+    # paths of each engine (see _views): the lumped lockstep at 0 < s < 1,
+    # and the array engine at s in {0, 1}, which feeds every observed sender
+    # by its id.  The complete observed-sender sequences, with every observed
+    # sender fed, on two inputs: n=4 in the two classes of the events and the silence and
     # multi-rumor attacks, and n=5 in the three of a MAP prior of size 2
     # ({1, 2}, {3} and the curious node 4), where un-lumping must give each
     # class's nodes distinct unlabelled ids.  Then the outcomes of two rules
@@ -226,8 +234,8 @@ def test_lumped_views_match_exact_law(monkeypatch, k, s, variant, path):
     # feeds any later unlabelled one as -1.  The share of each outcome (a
     # node or none) must lie between the mass of the views of length <= 3
     # that give it and that plus the longer views' mass.
-    trials = 20_000 if path in ("lockstep", "array") else 10_000
-    stream = 3 * k + {"lone": 1, "crowded": 2}.get(path, 0)
+    trials = 20_000 if path == "lockstep" else 10_000
+    stream = 3 * k + ["lockstep", "lone", "crowded"].index(path)
     cfg = GossipConfig(n=4, f=1, s=s, variant=variant)
     prefixes = (ObservedPrefix(10**9) for _ in range(trials))
     _assert_sequence_law(_views(monkeypatch, path, cfg, prefixes, spawn_stream(24, stream), _pools(cfg)),
