@@ -4,11 +4,8 @@ The adversary monitors the curious nodes: its entire view of a run is the
 relative-order subsequence of events whose receiver is curious.  Each
 attack rule is an online decider whose `feed(sender)` returns True once the
 rule is decided: offline attacks feed it a whole view, estimators feed it a
-running engine and stop there.  Its `tells_apart` is how many of the first
-senders fed to it the rule must know by id: a later sender that is none of
-those may be fed to it as -1, as the estimators' engine does.  Attacks take
-an explicit random stream for tie-breaking, so they are safe to run
-concurrently on disjoint streams.
+running engine and stop there.  Attacks take an explicit random stream for
+tie-breaking, so they are safe to run concurrently on disjoint streams.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import ExecutionTrace, ObservedSequence
+from .core import ExecutionTrace, ObservedSequence, check_count
 
 
 def observe(trace: ExecutionTrace) -> ObservedSequence:
@@ -39,8 +36,6 @@ def observe_timed(trace: ExecutionTrace) -> ObservedSequence:
 class FirstInPrior:
     """MAP rule: the first observed sender in `prior` (a set; sorted only to
     fall back)."""
-
-    tells_apart = math.inf
 
     def __init__(self, prior: Collection[int]):
         self.prior = prior
@@ -65,11 +60,8 @@ class FirstKDistinct:
     """Multi-rumor rule: the first k distinct observed senders, in order of
     first appearance (fewer if the view runs out)."""
 
-    tells_apart = math.inf
-
     def __init__(self, k: int):
-        if not k >= 1:
-            raise ValueError("k must be >= 1")
+        check_count("k", k, 1)
         self.k = k
         self.leads: list[int] = []
         self._seen: set[int] = set()
@@ -86,8 +78,6 @@ class ObservedPrefix:
     """The first `length` observed senders (fewer if the view runs out), on
     which the untimed events are decided."""
 
-    tells_apart = math.inf
-
     def __init__(self, length: int):
         self.length = length
         self.senders: list[int] = []
@@ -100,14 +90,10 @@ class ObservedPrefix:
 class FirstGoesQuiet:
     """Silence rule: the first observed sender x, unless x reappears among
     the next r entries.  Decided at that repeat (abstain) or after r further
-    entries (predict x); a shorter view predicts x, an empty one abstains.
-    Of a later sender, the rule needs to know only whether it is x."""
-
-    tells_apart = 1
+    entries (predict x); a shorter view predicts x, an empty one abstains."""
 
     def __init__(self, r: int):
-        if not r >= 1:
-            raise ValueError("r must be >= 1")
+        check_count("r", r, 1)
         self.left = r
         self.first: Optional[int] = None
         self.repeated = False

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import GossipConfig
+from .core import GossipConfig, check_count
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,7 @@ def param_delta_bound(s: float, f: int, n: int, r: int = 1) -> float:
     """Truncation upper bound on param_delta_exact:
     1 - (1 - s^r) (1 - f/n)^r.  At r=1 this is s + (1-s) f/n."""
     _check_fn(f, n, s)
-    if not r >= 1:
-        raise ValueError("r must be >= 1")
+    check_count("r", r, 1)
     return 1.0 - (1.0 - s**r) * (1.0 - f / n) ** r
 
 
@@ -111,15 +110,13 @@ def strong_adversary_bounds(f: int, n: int) -> PrivacyReport:
     return PrivacyReport(epsilon=0.0, delta=f / n, c=0.0, regime="strong-adversary")
 
 
-def spreading_round_bound(n: int, s: float, c_coeff: float = 1.0) -> float:
-    """Rounds for the synchronous engine to send c_coeff * n * ln(n)
-    messages (with high probability, n large): 6 * c_coeff * ln(n) / s."""
+def spreading_round_bound(n: int, s: float) -> float:
+    """Rounds for the synchronous engine to send n * ln(n) messages (with
+    high probability, n large): 6 * ln(n) / s."""
     _check_fn(0, n, s)
     if s <= 0.0:
         raise ValueError("s must be > 0")
-    if not c_coeff >= 1.0:
-        raise ValueError("c_coeff must be >= 1")
-    return 6.0 * c_coeff * math.log(n) / s
+    return 6.0 * math.log(n) / s
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,15 @@ def split_stream(rng: np.random.Generator, count: int) -> list[np.random.Generat
     return [np.random.Generator(np.random.Philox(key=keys[i])) for i in range(count)]
 
 
+def check_count(name: str, value, lo: Optional[int] = None) -> None:
+    """Refuse `value` unless it is an integer by operator.index's rule (numpy
+    integers pass; a bool, 2.5 or NaN does not) and, given `lo`, at least lo."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value!r}")
+
+
 def default_step_cap(n: int) -> int:
     """Safety bound on tell_gossip calls: 50 * n * ln(n).
 
@@ -82,9 +91,7 @@ class GossipConfig:
 
     def __post_init__(self):
         for name in ("n", "f", "source", "step_cap")[: 3 if self.step_cap is None else 4]:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not hasattr(type(value), "__index__"):  # operator.index's rule, no bool
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_count(name, getattr(self, name))
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if not 0 <= self.f <= self.n - 2:

@@ -19,6 +19,7 @@ Estimation honesty rules baked in:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
@@ -33,7 +34,7 @@ from .adversary import (
     _score_multi_rumor,
     silence_window,
 )
-from .core import GossipConfig, RoundTrace, split_stream
+from .core import GossipConfig, RoundTrace, check_count, split_stream
 from .protocols import _array_lanes, _check_round_variant, _sequential_run
 from .protocols import run_sync  # noqa: F401  -- perfbench's traced run wraps estimators.run_sync
 
@@ -52,8 +53,7 @@ class EstimateResult:
 
     @classmethod
     def from_counts(cls, successes: int, trials: int, incomplete: int = 0) -> "EstimateResult":
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
+        check_count("trials", trials, 1)
         p = successes / trials
         half = Z99 * math.sqrt(p * (1.0 - p) / trials)
         return cls(p, trials, half, successes, incomplete)
@@ -87,8 +87,7 @@ class EventSpec:
 
     @classmethod
     def sender_rank_le(cls, node: int, r: int) -> "EventSpec":
-        if not r >= 0:
-            raise ValueError("r must be >= 0")
+        check_count("r", r, 0)
         return cls(kind="sender_rank_le", node=node, r=r)
 
     @classmethod
@@ -113,166 +112,131 @@ class EventSpec:
 
 
 # ---------------------------------------------------------------------------
-# Lumped lockstep engine
+# Lockstep engines for 0 < s < 1
 #
 # At s in {0, 1} _lumped_views runs every lane on the array engine instead
-# (protocols._array_lanes); the lockstep below serves 0 < s < 1.
+# (protocols._array_lanes).  At 0 < s < 1 many runs ("lanes") advance one
+# step each per iteration, on numpy arrays, and Python runs only once per fed
+# entry.  MAP lanes run on the count lockstep, every other lane on the
+# per-node lockstep.
 #
-# On the complete graph the nodes outside a few labelled ones are
-# exchangeable within their class, so a run lumps to per-class counts of
-# active, muted and uninformed nodes plus the states of the labelled nodes
-# (strong lumpability; Kemeny & Snell, Finite Markov Chains, 6.3).  The
-# labelled nodes are the source and the observed senders that the lane's rule
-# tells apart: such a sender, if unlabelled, takes a fresh id, uniform over
-# the unused ids of its class, and keeps it.  An observed sender of a class
-# the rule never looks inside stays in its class's counts and is not fed; one
-# that the rule needs to know only as "none of the labelled nodes" (it comes
-# after the decider's first tells_apart fed senders) stays there too and is
-# fed as -1.  So each rule bounds its lane's labels, whatever its parameter:
-# MAP 2, silence 2 (FirstGoesQuiet labels only its first sender),
-# FirstKDistinct k + 1 and ObservedPrefix its length + 1.  A labelled node
-# has sent or is the source, so it is informed.  Many runs ("lanes") advance
-# together on numpy arrays, and Python runs only once per fed entry.  The
-# last lanes, and lanes with many labels (a large k or event horizon), are
-# un-lumped and end one by one on the per-node engine
-# (protocols._sequential_run): a step there costs 0.4-0.9 us (n = 4096-65536)
-# against 170-190 us for a step of the arrays with 500-800 live lanes
-# (n = 65536), in process time on a 2-core Xeon VM, and a hand-off about one
-# step of the arrays.  The state is exchangeable within each class, so the
-# hand-off keeps the law: each class's active and muted nodes take distinct
-# ids, uniform over its unlabelled ids.
+# Count lockstep.  On the complete graph the nodes of a class are
+# exchangeable, so a MAP run lumps to per-class counts of active, muted and
+# uninformed nodes (strong lumpability; Kemeny & Snell, Finite Markov Chains,
+# 6.3), over four classes (_pools): the source, the other non-curious nodes
+# outside the prior, the prior's other members and the curious nodes.
+# FirstInPrior decides at the first observed sender that is the source or in
+# the prior, so a lane is fed only once: the source's id, or an id uniform
+# over the prior's class, and then it ends.  No node is ever told apart from
+# its class.  One step of a lane: a uniform sender among the active nodes,
+# laid out class by class; its mute coin; a uniform receiver among the n
+# nodes, laid out as each class's [active, muted, uninformed] nodes as they
+# were before the sender muted.  The sender holds the first place of its
+# class's active block, which tells a send to itself apart.
 #
-# One step of a lane: a uniform sender among the active nodes, laid out as
-# each class's unlabelled active nodes, then the active labelled slots; its
-# mute coin; a uniform receiver
-# among the n nodes, laid out as the labelled slots, then each class's
-# [active, muted, uninformed] nodes as they were before the sender muted.  An
-# unlabelled sender holds the first place of its class's active block, which
-# tells a send to itself apart.  A lane's counts are the rows of
-# _lumped_views' state: labelled nodes, then per class active, muted and
-# uninformed nodes, then active labelled nodes and steps.
+# Per-node lockstep.  Each lane keeps its own A list and its active and
+# informed flags, one row of (rows x n) tables, and steps by the per-node
+# rule; a freed row takes the next decider.
+#
+# Both hand their last lanes to the per-node engine (protocols._sequential_run),
+# which ends them one by one: a step there costs 0.4-0.9 us (n = 4096-65536),
+# against tens of us for an iteration of the arrays, in process time on a
+# 2-core Xeon VM.  The count lockstep un-lumps a lane's state first: each
+# class's active and muted nodes take distinct ids, uniform over the class,
+# which keeps the law since the state is exchangeable within each class.
 
-_LANES = 2048  # lanes stepped together at most; bounds the engine's arrays
+_LANES = 2048  # lanes stepped together at most; bounds the engines' arrays
 # Once no run waits and at most _TAIL lanes are left, they step together
 # for as many more steps as lanes are left, then each ends alone: a lane
 # that is about to end is not handed off, and a long tail is not stepped
 # together for long.
 _TAIL = 256
-# A lane with this many labelled nodes ends alone, which bounds W.  MAP and
-# silence lanes hold at most 2 labels, but multi-rumor lanes hold up to k + 1
-# and event lanes their horizon + 1, and a spec bounds neither: the (lanes, W)
-# arrays, and the clash check that reads them, would grow with k or the
-# horizon.
-_CROWD = 256
+# The per-node lockstep's tables hold at most this many (row, node) entries.
+_NODE_TABLE = 1 << 20
+_SOURCE, _REST, _PRIOR, _CURIOUS = range(4)  # the count lockstep's classes
 
 
-def _pools(config: GossipConfig, prior_size: Optional[int] = None) -> list[tuple[np.ndarray, bool, bool]]:
-    """The ids of each class of exchangeable nodes, whether it is curious, and
-    whether the rule tells its nodes apart (its observed senders are labelled
-    and fed): the non-curious nodes but the source, then the curious nodes,
-    both told apart.  With a MAP prior, the non-curious nodes but the source
-    split into the rest and the last prior_size-1 of them (the prior but its
-    source), and only the latter are told apart: FirstInPrior decides at the
-    first observed source or prior member.  A class may be empty."""
+def _pools(config: GossipConfig, prior_size: int) -> list[np.ndarray]:
+    """The ids of the count lockstep's classes for a MAP prior of prior_size
+    nodes, in _SOURCE, _REST, _PRIOR, _CURIOUS order; the prior is the source
+    plus the last prior_size-1 other non-curious ids.  A class may be empty."""
     others = np.delete(np.arange(config.curious_lo), config.source)
-    curious = np.arange(config.curious_lo, config.n)
-    if prior_size is None:
-        return [(others, False, True), (curious, True, True)]
     rest, prior = np.split(others, [others.size - prior_size + 1])
-    return [(rest, False, False), (prior, False, True), (curious, True, False)]
+    return [np.array([config.source]), rest, prior, np.arange(config.curious_lo, config.n)]
 
 
 @functools.cache
-def _count_moves(K: int) -> np.ndarray:
-    """The change of a lane's counts for each step outcome, one column per
-    ((sender class * 2 + mute) * (3K+1) + receiver block) * 2 + self-send.
-    Sender class K is a labelled sender; receiver block 0 is a labelled slot
-    and block 1+3c+b is class c's active (b=0), muted (1) or uninformed (2)
+def _count_moves() -> np.ndarray:
+    """The change of a lane's counts (per class active, muted, uninformed;
+    then steps and uninformed nodes) for each step outcome, one column per
+    ((sender class * 2 + mute) * 12 + receiver block) * 2 + self-send, where
+    block 3c+b is class c's active (b=0), muted (1) or uninformed (2)
     nodes."""
-    blocks = 3 * K + 1
-    moves = np.zeros((3 * K + 3, (K + 1) * 2 * blocks * 2), np.int64)
+    moves = np.zeros((14, 4 * 2 * 12 * 2), np.int64)
     for col, move in enumerate(moves.T):
         rest, self_send = divmod(col, 2)
-        rest, block = divmod(rest, blocks)
+        rest, block = divmod(rest, 12)
         sender, mute = divmod(rest, 2)
-        move[-1] = 1  # steps
-        if sender < K and mute and not self_send:  # the sender goes quiet
-            move[1 + 3 * sender] -= 1
-            move[2 + 3 * sender] += 1
-        c, b = divmod(block - 1, 3)
-        if block and b:  # a muted or uninformed receiver becomes active
-            move[1 + 3 * c] += 1
-            move[1 + 3 * c + b] -= 1
+        move[12] = 1  # steps
+        if mute and not self_send:  # the sender goes quiet
+            move[3 * sender] -= 1
+            move[3 * sender + 1] += 1
+        if block % 3:  # a muted or uninformed receiver becomes active
+            move[block - block % 3] += 1
+            move[block] -= 1
+        move[13] = -(block % 3 == 2)
     return moves
 
 
-def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Generator, pools):
-    """One run of `config` per decider, until it is decided, the run informs
-    every node or it hits the step cap.  At s in {0, 1} the runs are the
-    array engine's fed lanes.  Otherwise each is stepped in lockstep with up
-    to _LANES others, its nodes lumped into the classes `pools` (from
-    _pools), and its decider is fed the senders of its observed entries that
-    it tells apart (the source and its told-apart classes).  Yields (index of
-    the decider in `deciders`, decider, capped) as runs end.
-    """
+def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Generator, pools=None):
+    """One run of `config` per decider, fed the sender of each observed entry
+    (a curious receiver) until it is decided, the run informs every node or
+    it hits the step cap.  Yields (index of the decider in `deciders`,
+    decider, capped) as runs end.  At s in {0, 1} the runs are the array
+    engine's lanes; otherwise MAP's, which come with their `pools` (from
+    _pools), run on the count lockstep and every other on the per-node
+    lockstep."""
     if config.s in (0.0, 1.0):
-        yield from _array_lanes(config, rng, deciders)
-        return
+        return _array_lanes(config, rng, deciders)
+    if pools is not None:
+        return _count_lanes(config, deciders, rng, pools)
+    return _node_lanes(config, deciders, rng)
+
+
+def _end_alone(config: GossipConfig, rng: np.random.Generator, lane, start):
+    """Run a lockstep lane on from `start` on the per-node engine."""
+    index, decider = lane
+    run = _sequential_run(config, rng, start, decider.feed)
+    return index, decider, not run.decided and not run.complete(config)
+
+
+def _count_lanes(config: GossipConfig, deciders: Iterable, rng: np.random.Generator, pools):
+    """_lumped_views' count lockstep, for FirstInPrior deciders on `pools`.
+    A lane's counts are a column of `st`; its decider must be decided by the
+    first sender it is fed."""
     n, s, cap = config.n, config.s, config.max_steps
-    K, W = len(pools), 8
-    ids = [pool for pool, _, _ in pools]
-    sizes = np.array([pool.size for pool in ids])
-    flat_ids = np.concatenate(ids)
-    first_id = np.cumsum(sizes) - sizes
-    curious = np.array([cur for _, cur, _ in pools])
-    fed = np.array([tell for _, _, tell in pools] + [True])  # by sender class; K: labelled
-    moves = _count_moves(K)
-    observed_block = np.concatenate([[False], np.repeat(curious, 3)])
-    NLAB, ON, STEPS = 0, 3 * K + 1, 3 * K + 2
-    A = 1 + 3 * np.arange(K)
-    source_lane = np.zeros(3 * K + 3, np.int64)  # slot 0 is the source: informed, active
-    source_lane[[NLAB, ON]] = 1, 1
-    source_lane[A + 2] = sizes
+    moves = _count_moves()
+    prior = pools[_PRIOR]
+    sizes = [pool.size for pool in pools]
+    class_end, class_start = np.cumsum(sizes), np.cumsum(sizes) - sizes
+    fresh = np.zeros(14, np.int64)  # a lane at step 0: the source active, every other node uninformed
+    fresh[2:12:3] = sizes
+    fresh[[0, 2, 13]] = 1, 0, n - 1
     pending = enumerate(deciders)
-    exhausted = False
-    tail = 0
-
-    # Per lane (column): its counts; (its index in `deciders`, its decider);
-    # how many more fed senders the decider tells apart.  Per lane and
-    # labelled slot (L, W): id (-1 if unused), and the active slots as a
-    # swap-remove list, whose first st[ON] entries are the active ones.
-    st = np.zeros((3 * K + 3, 0), np.int64)
-    lanes: list[tuple] = []
-    slot_t = np.int16 if n < 2**15 else np.int32  # holds any id and any slot
-    lab_id = np.zeros((0, W), slot_t)
-    on_list = np.zeros((0, W), slot_t)
+    st = np.zeros((14, 0), np.int64)
+    lanes: list[tuple] = []  # per lane, (its index in `deciders`, its decider)
     alive = np.zeros(0, bool)
-    tells = np.zeros(0)
-
-    def activate(rows, slots):
-        on = st[ON, rows]
-        on_list[rows, on] = slots
-        st[ON, rows] = on + 1
+    exhausted, tail = False, 0
 
     def alone(row):
-        # Un-lump the lane: its labelled nodes keep their ids, each class's
-        # active and muted nodes take distinct ids, uniform over the class's
-        # unlabelled ids, and the run goes on on the per-node engine.
         counts = st[:, row].tolist()
-        labels = lab_id[row, : counts[NLAB]].astype(np.int64)
-        free = np.ones(n, bool)
-        free[labels] = False
-        # The active labels in slot order, as the per-node engine's A list.
-        informed, active = [labels], [labels[np.sort(on_list[row, : counts[ON]])]]
-        for pool, a, m in zip(ids, counts[1:ON:3], counts[2:ON:3]):
+        informed, active = [], []
+        for pool, a, m in zip(pools, counts[0:12:3], counts[1:12:3]):
             if a + m:
-                drawn = rng.choice(pool[free[pool]], a + m, replace=False)
+                drawn = rng.choice(pool, a + m, replace=False)
                 informed.append(drawn)
                 active.append(drawn[:a])
-        start = np.concatenate(informed), np.concatenate(active), counts[STEPS]
-        index, decider = lanes[row]
-        run = _sequential_run(config, rng, start, decider.feed)
-        return index, decider, not run.decided and not run.complete(config)
+        return _end_alone(config, rng, lanes[row], (np.concatenate(informed), np.concatenate(active), counts[12]))
 
     while True:
         n_alive = int(np.count_nonzero(alive))
@@ -280,24 +244,14 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
         if n_alive < alive.size and (admit or 4 * n_alive < 3 * alive.size):
             lanes = [lane for lane, keep in zip(lanes, alive.tolist()) if keep]
             st = st[:, alive]
-            lab_id, on_list, tells = (x[alive] for x in (lab_id, on_list, tells))
             alive = alive[alive]
         if admit:
-            for lane in pending:
-                lanes.append(lane)
-                if len(lanes) == n_alive + _LANES // 2:
-                    break
-            else:
-                exhausted = True
+            lanes += itertools.islice(pending, _LANES - n_alive)
             m = len(lanes) - alive.size
-            if m:
-                first_slot = np.tile(np.arange(W) == 0, (m, 1))
-                st = np.hstack([st, np.repeat(source_lane[:, None], m, axis=1)])
-                lab_id = np.vstack([lab_id, np.where(first_slot, config.source, -1).astype(slot_t)])
-                on_list = np.vstack([on_list, np.zeros((m, W), slot_t)])
-                tells = np.concatenate([tells, [d.tells_apart for _, d in lanes[alive.size :]]])
-                alive = np.concatenate([alive, np.ones(m, bool)])
-                n_alive += m
+            exhausted = m < _LANES - n_alive
+            st = np.hstack([st, np.repeat(fresh[:, None], m, axis=1)])
+            alive = np.concatenate([alive, np.ones(m, bool)])
+            n_alive += m
         if exhausted and n_alive <= _TAIL:
             tail += 1
             if tail > n_alive:
@@ -307,89 +261,90 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
         L = alive.size
 
         u = rng.random((3, L))
-        cum_active = [st[A[0]]]
-        for c in range(1, K):
-            cum_active.append(cum_active[-1] + st[A[c]])
-        unl = cum_active[-1]
-        total = unl + st[ON]
-        k = (u[0] * total).astype(np.int64)
-        cs = np.zeros(L, np.int64)  # the sender's class; K if labelled
-        for bound in cum_active:
-            cs += k >= bound
-        mute = u[2] >= s
-        r = (u[1] * n).astype(np.int64)
-        bound = st[NLAB]
-        block = (r >= bound).astype(np.int64)  # 0: a labelled slot
-        self_send = (cs == 0) & (r == bound)
-        for row in range(1, ON - 1):
-            bound = bound + st[row]
-            block += r >= bound
-            if row % 3 == 0:  # the start of class row // 3
-                self_send |= (cs == row // 3) & (r == bound)
-        st += np.take(moves, ((cs * 2 + mute) * ON + block) * 2 + self_send, axis=1)
-        obs = observed_block[block]
+        ends = st[0] + st[3], st[0] + st[3] + st[6]  # the sender's class: by the active nodes' cumulative counts
+        k = u[0] * (ends[1] + st[9])
+        cs = (k >= st[0]) + (k >= ends[0]) * 1 + (k >= ends[1])
+        mute = u[1] >= s
+        r = (u[2] * n).astype(np.int64)
+        rc = np.searchsorted(class_end, r, side="right")  # the receiver's class
+        r -= class_start[rc]
+        a = st[3 * rc, np.arange(L)]
+        block = 3 * rc + (r >= a) + (r >= a + st[3 * rc + 1, np.arange(L)])
+        self_send = (rc == cs) & (r == 0)
+        st += np.take(moves, ((cs * 2 + mute) * 12 + block) * 2 + self_send, axis=1)
 
-        ls = np.flatnonzero(cs == K)
-        sender_slot = np.zeros(L, np.int64)
-        sender_slot[ls] = on_list[ls, k[ls] - unl[ls]]
-        lm = ls[mute[ls]]
-        if lm.size:  # swap-remove muted labelled senders from the active list
-            on = st[ON, lm] - 1
-            on_list[lm, k[lm] - unl[lm]] = on_list[lm, on]
-            st[ON, lm] = on
-        lr = np.flatnonzero(block == 0)
-        if lr.size:
-            obs[lr] = lab_id[lr, r[lr]] >= config.curious_lo
-            on = (on_list[lr] == r[lr, None]) & (np.arange(W) < st[ON, lr, None])
-            woken = lr[~on.any(1)]
-            activate(woken, r[woken])
-
-        # Fed senders: a labelled one by its id; an unlabelled one, if it is
-        # among the first tells_apart senders fed to the lane's decider, takes
-        # the next slot and a fresh id, uniform over its class's ids and
-        # redrawn while the lane uses it, and otherwise stays in its class's
-        # counts and is fed as -1.
-        ob = np.flatnonzero(obs & alive & fed[cs])
         decided = np.zeros(L, bool)
-        if ob.size:
-            c = cs[ob]
-            told = tells[ob] > 0
-            tells[ob] -= 1
-            unlabelled = c < K
-            ou, cu = ob[unlabelled & told], c[unlabelled & told]
-            if ou.size:
-                slot = st[NLAB, ou]
-                if slot.max() >= W:
-                    grow = ((0, 0), (0, W))
-                    on_list = np.pad(on_list, grow)
-                    lab_id = np.pad(lab_id, grow, constant_values=-1)
-                    W *= 2
-                awake = ~mute[ou] | self_send[ou]
-                st[A[cu], ou] -= awake
-                st[A[cu] + 1, ou] -= ~awake
-                activate(ou[awake], slot[awake])
-                st[NLAB, ou] += 1
-                sender_slot[ou] = slot
-                fresh = np.full(ou.size, -1)
-                used = lab_id[ou, : slot.max()]
-                clash = np.arange(ou.size)
-                while clash.size:
-                    cc = cu[clash]
-                    fresh[clash] = flat_ids[first_id[cc] + (rng.random(clash.size) * sizes[cc]).astype(np.int64)]
-                    clash = clash[(used[clash] == fresh[clash, None]).any(1)]
-                lab_id[ou, slot] = fresh
-            sent = np.where(unlabelled & ~told, -1, lab_id[ob, sender_slot[ob]])
-            done = [row for row, sender in zip(ob.tolist(), sent.tolist()) if lanes[row][1].feed(sender)]
-            decided[done] = True
+        fed = np.flatnonzero(alive & (rc == _CURIOUS) & ((cs == _SOURCE) | (cs == _PRIOR)))
+        if fed.size:
+            drawn = prior[(rng.random(fed.size) * prior.size).astype(np.int64)] if prior.size else None
+            for k, (row, c) in enumerate(zip(fed.tolist(), cs[fed].tolist())):
+                if not lanes[row][1].feed(config.source if c == _SOURCE else int(drawn[k])):
+                    raise ValueError("the count lockstep needs a decider decided by its first fed sender")
+            decided[fed] = True
 
-        left = st[A + 2].sum(0)  # uninformed nodes
-        ended = alive & (decided | (left == 0) | (st[STEPS] >= cap))
+        ended = alive & (decided | (st[13] == 0) | (st[12] >= cap))
         alive &= ~ended
         for row in np.flatnonzero(ended).tolist():
-            yield *lanes[row], bool(not decided[row] and left[row] > 0)
-        for row in np.flatnonzero(alive & (st[NLAB] >= _CROWD)).tolist():
-            alive[row] = False
-            yield alone(row)
+            yield *lanes[row], bool(not decided[row] and st[13, row] > 0)
+
+
+def _node_lanes(config: GossipConfig, deciders: Iterable, rng: np.random.Generator):
+    """_lumped_views' per-node lockstep: each lane fed every observed sender
+    by its id."""
+    n, s, cap, src, curious_lo = config.n, config.s, config.max_steps, config.source, config.curious_lo
+    rows = max(1, min(_LANES, _NODE_TABLE // n))
+    A = np.empty((rows, n), np.int32)  # per row, its lane's A list: its first la[row] entries
+    state = np.zeros((rows, n), np.int8)  # per row and node: uninformed 0, muted 1, active 2
+    la, n_informed, step = (np.zeros(rows, np.int64) for _ in range(3))
+    lanes = [None] * rows  # per row, (index, decider) of its lane
+    busy = np.zeros(rows, bool)
+    pending = enumerate(deciders)
+    exhausted, tail = False, 0
+    while True:
+        if not exhausted and (free := np.flatnonzero(~busy)).size:
+            new = list(itertools.islice(pending, free.size))
+            exhausted = len(new) < free.size
+            free = free[: len(new)]
+            state[free] = 0
+            state[free, src], A[free, 0] = 2, src
+            la[free], n_informed[free], step[free], busy[free] = 1, 1, 0, True
+            for row, lane in zip(free.tolist(), new):
+                lanes[row] = lane
+        live = np.flatnonzero(busy)
+        if exhausted and live.size <= _TAIL:
+            tail += 1
+            if tail > live.size:
+                for row in live.tolist():
+                    start = np.flatnonzero(state[row]), A[row, : la[row]], int(step[row])
+                    yield _end_alone(config, rng, lanes[row], start)
+                return
+
+        u = rng.random((3, live.size))
+        k = (u[0] * la[live]).astype(np.int64)
+        snd = A[live, k]
+        rcv = (u[2] * n).astype(np.int64)
+        mute = u[1] >= s
+        m, km = live[mute], k[mute]  # swap-remove the muted senders from A
+        la[m] -= 1
+        A[m, km] = A[m, la[m]]
+        state[m, snd[mute]] = 1
+        was = state[live, rcv]  # after the mute, so a send to oneself wakes its sender
+        n_informed[live] += was == 0
+        w, kw = live[was < 2], rcv[was < 2]
+        state[w, kw] = 2
+        A[w, la[w]] = kw
+        la[w] += 1
+        step[live] += 1
+
+        decided = np.zeros(live.size, bool)
+        obs = np.flatnonzero(rcv >= curious_lo)
+        for r, row, sender in zip(obs.tolist(), live[obs].tolist(), snd[obs].tolist()):
+            decided[r] = lanes[row][1].feed(sender)
+        ended = decided | (n_informed[live] == n) | (step[live] >= cap)
+        for r in np.flatnonzero(ended).tolist():
+            row = live[r]
+            busy[row] = False
+            yield *lanes[row], bool(not decided[r] and n_informed[row] < n)
 
 
 def _first_observed_senders_s0(
@@ -484,8 +439,7 @@ def estimate_events(
     Every event in the family must be of the same timing kind.  Runs stop
     as soon as every event in the family is decided.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_count("trials", trials, 1)
     if not events:
         raise ValueError("events must be nonempty")
     timed_flags = {e.timed for e in events}
@@ -515,7 +469,7 @@ def estimate_events(
     results = [0] * len(events)
     incomplete = 0
     prefixes = (ObservedPrefix(horizon) for _ in range(trials))
-    for _, prefix, capped in _lumped_views(config, prefixes, rng, _pools(config)):
+    for _, prefix, capped in _lumped_views(config, prefixes, rng):
         incomplete += capped
         for k, e in enumerate(events):
             results[k] += e.evaluate_senders(prefix.senders)
@@ -546,8 +500,7 @@ def estimate_source_disclosure(
     if not 0.0 < s < 1.0:
         raise ValueError("the prefix process needs 0 < s < 1")
     GossipConfig(n=n, f=f, s=s)  # (n, f, s) by the config's rule
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_count("trials", trials, 1)
     sends = rng.geometric(1.0 - s, size=trials)  # sends until first mute, >= 1
     total = int(sends.sum())
     curious_hit = rng.integers(0, n, size=total) >= n - f
@@ -602,10 +555,11 @@ class MapAttackSpec:
         those nodes are exchangeable, so which of them form the prior does not
         change the law of the attack's success."""
         size = self.param(config)
+        check_count("prior size", size)
         if not 1 <= size <= config.curious_lo:
             raise ValueError(f"prior size must be in [1, {config.curious_lo}]")
         pools = _pools(config, size)
-        prior = frozenset(pools[1][0].tolist()) | {config.source}
+        prior = frozenset(pools[_PRIOR].tolist()) | {config.source}
         rules = (FirstInPrior(prior) for _ in range(trials))
         for _, rule, capped in _lumped_views(config, rules, rng, pools):
             yield rule.predict(rng), capped
@@ -623,11 +577,10 @@ class MultiRumorAttackSpec:
         return self.rumors
 
     def runs(self, config: GossipConfig, trials: int, rng: np.random.Generator):
-        if not self.rumors >= 1:
-            raise ValueError("rumors must be >= 1")
+        check_count("rumors", self.rumors, 1)
         rules = (FirstKDistinct(self.k) for _ in range(trials * self.rumors))
         waiting: dict[int, list] = {}  # trial -> [rumors still running, capped, lead lists]
-        for index, rule, capped in _lumped_views(config, rules, rng, _pools(config)):
+        for index, rule, capped in _lumped_views(config, rules, rng):
             trial = waiting.setdefault(index // self.rumors, [self.rumors, 0, [None] * self.rumors])
             trial[0] -= 1
             trial[1] += capped
@@ -650,7 +603,7 @@ class SilenceAttackSpec:
     def runs(self, config: GossipConfig, trials: int, rng: np.random.Generator):
         r = self.param(config)
         rules = (FirstGoesQuiet(r) for _ in range(trials))
-        for _, rule, capped in _lumped_views(config, rules, rng, _pools(config)):
+        for _, rule, capped in _lumped_views(config, rules, rng):
             yield rule.predict(), capped
 
 
@@ -681,8 +634,7 @@ def estimate_attack_precision(
     rng: np.random.Generator,
 ) -> AttackPrecisionResult:
     """Fraction of runs whose attack prediction equals the true source."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_count("trials", trials, 1)
     correct = 0
     abstained = 0
     incomplete = 0
@@ -739,8 +691,7 @@ def estimate_spreading(
     every run in one call, otherwise the count-only round engine
     (_count_runs), which draws each round's stayers as one count and then
     only the receivers that can change a count."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_count("trials", trials, 1)
     _check_round_variant(config)
     n = config.n
     if config.s == 0.0:

@@ -31,7 +31,7 @@ lane, and the estimators' attack and event runs are its fed lanes.  At
 0 < s < 1 the per-node loop draws receivers and uniforms in blocks and runs
 in chunks: a chunk is the steps up to the next refill of either buffer, so
 its steps check no buffer and its receivers are unboxed at once.  The loop
-also continues the estimators' lumped runs from a given state.  Both engines
+also continues the estimators' lockstep runs from a given state.  Both engines
 record a run per chunk or block as int64 arrays, concatenated once at the
 end.
 """
@@ -69,7 +69,7 @@ class SequentialRun:
 
 def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, feed=None) -> SequentialRun:
     """The per-node sequential engine loop: run_trace's engine at 0 < s < 1,
-    the one on which the estimators' lumped engine ends its last runs, and
+    the one on which the estimators' lockstep engines end their last runs, and
     the reference that both are tested against.
 
     `start` = (informed ids, active ids, steps taken) continues a run from
@@ -274,11 +274,6 @@ def _array_lanes(config: GossipConfig, rng: np.random.Generator, deciders=None):
                 yield *lanes[row], bool(not decided[r] and n_informed[row] < n)
 
 
-def _array_run(config: GossipConfig, rng: np.random.Generator) -> SequentialRun:
-    """A recorded run at s in {0, 1}: the array engine's one-lane case."""
-    return next(_array_lanes(config, rng))
-
-
 def run_trace(config: GossipConfig, rng: np.random.Generator) -> ExecutionTrace:
     """Run the sequential engine to completion (or the step cap).
 
@@ -292,7 +287,7 @@ def run_trace(config: GossipConfig, rng: np.random.Generator) -> ExecutionTrace:
     otherwise it is drawn on the per-node loop (see the module docstring);
     the two have the same law.
     """
-    run = (_array_run if config.s in (0.0, 1.0) else _sequential_run)(config, rng)
+    run = next(_array_lanes(config, rng)) if config.s in (0.0, 1.0) else _sequential_run(config, rng)
     return ExecutionTrace(config=config, senders=run.senders, receivers=run.receivers,
                           complete=run.complete(config))
 

@@ -118,16 +118,21 @@ def test_map_attack_fallback_is_uniform():
     assert abs(hits / 8000 - 0.25) < 4 * sigma
 
 
-@pytest.mark.parametrize("call", [
+_NAN_WINDOWS = [
     lambda: silence_attack(_obs([1, 2]), math.nan),
     lambda: multi_rumor_attack([_obs([1, 2])], math.nan, spawn_stream(0, 0)),
+]
+
+
+@pytest.mark.parametrize("call", _NAN_WINDOWS + [
     lambda: FirstGoesQuiet(0),
     lambda: FirstKDistinct(0),
 ])
 def test_rules_refuse_a_window_or_k_below_one(call):
     # NaN fails every comparison, so a guard written as `r < 1` let it run
-    # and predict; each rule checks its own parameter.
-    with pytest.raises(ValueError, match="must be >= 1"):
+    # and predict; each rule checks its own parameter, and refuses NaN as a
+    # non-integer.
+    with pytest.raises(ValueError, match="must be an integer" if call in _NAN_WINDOWS else "must be >= 1"):
         call()
 
 

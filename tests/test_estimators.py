@@ -12,6 +12,7 @@ from mutegossip import estimators, protocols
 from mutegossip.adversary import (
     FirstGoesQuiet,
     FirstInPrior,
+    FirstKDistinct,
     ObservedPrefix,
     feed_all,
     map_attack,
@@ -20,7 +21,7 @@ from mutegossip.adversary import (
     silence_attack,
     silence_window,
 )
-from mutegossip.bounds import optimal_delta, param_c, source_disclosure_prob
+from mutegossip.bounds import optimal_delta, param_c, param_delta_bound, source_disclosure_prob
 from mutegossip.core import GossipConfig, spawn_stream
 from mutegossip.estimators import (
     EstimateResult,
@@ -140,7 +141,7 @@ def test_first_observed_senders_s0_match_engine(n, f, step_cap):
     assert capped == np.count_nonzero(law < 0)
     prefixes = (ObservedPrefix(1) for _ in range(20_000))
     engine = [-1 if cut else prefix.senders[0]
-              for _, prefix, cut in _lumped_views(cfg, prefixes, spawn_stream(23, stream), _pools(cfg))]
+              for _, prefix, cut in _lumped_views(cfg, prefixes, spawn_stream(23, stream))]
     table = np.vstack([np.bincount(np.add(x, 1), minlength=n + 1) for x in (law, engine)])
     assert stats.chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue > 1e-3
     # The cap binds iff the first `step_cap` receivers all miss the f curious.
@@ -152,35 +153,37 @@ def test_first_observed_senders_s0_match_engine(n, f, step_cap):
 # The lumped engine against the exact law and the per-node engine
 
 
-def _views(monkeypatch, path, cfg, deciders, rng, pools, floor=1000):
-    """_lumped_views's results on one path of its engine, from one call with
-    no tail rule.  At 0 < s < 1, the lumped lockstep: "lockstep" steps every
-    lane in lockstep to its end and hands none off.  The crowd rule hands a
-    lane to the per-node engine, un-lumped: with _CROWD = 1 ("lone") after
-    its first lockstep step, and with _CROWD = 2 ("crowded") once it holds a
-    label besides the source.  These two paths must hand off at least
-    `floor` lanes.  At s in {0, 1}, the array engine, which hands none off:
-    "lockstep" steps as many lanes together as its tables hold, "lone" gives
-    it one row, so each lane runs alone in the row the one before it left,
-    and "crowded" cuts every block to one step of all its lanes."""
-    monkeypatch.setattr(estimators, "_TAIL", 0)
-    array = cfg.s in (0.0, 1.0)
-    if array and path == "lone":
-        monkeypatch.setattr(protocols, "_TABLE", 0)
-    elif array and path == "crowded":
-        monkeypatch.setattr(protocols, "_BLOCK", 1)
-    elif path != "lockstep":
-        monkeypatch.setattr(estimators, "_CROWD", 1 if path == "lone" else 2)
-    run, hand_offs = estimators._sequential_run, []
-
-    def count(*args):
-        hand_offs.append(1)
-        return run(*args)
-
-    monkeypatch.setattr(estimators, "_sequential_run", count)
-    yield from _lumped_views(cfg, deciders, rng, pools)
-    monkeypatch.setattr(estimators, "_sequential_run", run)
-    assert not hand_offs if array or path == "lockstep" else len(hand_offs) >= floor, (path, len(hand_offs))
+def _views(monkeypatch, path, cfg, deciders, rng, pools=None, floor=1000):
+    """_lumped_views's results on one path of its engine.  At 0 < s < 1, the
+    count lockstep (given MAP's pools) or the per-node lockstep: "lockstep"
+    steps every lane in lockstep to its end, with no tail rule; "lone" steps
+    one lane at a time (_LANES = 1: the per-node lockstep's one row is taken
+    over by each lane from the one before it); "crowded" hands every lane to
+    the per-node engine after its first step (each decider in a call of its
+    own, whose tail rule hands the lane off), at least `floor` of them.  At
+    s in {0, 1}, the array engine, which hands none off: "lockstep" steps as
+    many lanes together as its tables hold, "lone" gives it one row, so each
+    lane runs alone in the row the one before it left, and "crowded" cuts
+    every block to one step of all its lanes."""
+    array, hand_offs = cfg.s in (0.0, 1.0), []
+    with monkeypatch.context() as patch:
+        if array and path == "lone":
+            patch.setattr(protocols, "_TABLE", 0)
+        elif array and path == "crowded":
+            patch.setattr(protocols, "_BLOCK", 1)
+        elif path != "crowded":
+            patch.setattr(estimators, "_TAIL", 0)
+            if path == "lone":
+                patch.setattr(estimators, "_LANES", 1)
+        run = estimators._sequential_run
+        patch.setattr(estimators, "_sequential_run", lambda *args: hand_offs.append(1) or run(*args))
+        if array or path != "crowded":
+            yield from _lumped_views(cfg, deciders, rng, pools)
+        else:
+            for index, decider in enumerate(deciders):
+                for _, decider, capped in _lumped_views(cfg, [decider], rng, pools):
+                    yield index, decider, capped
+    assert len(hand_offs) >= floor if path == "crowded" and not array else not hand_offs, (path, len(hand_offs))
 
 
 @functools.cache
@@ -221,50 +224,39 @@ def _assert_sequence_law(views, cfg, trials):
                                            (4, 1.0, "delayed_start")])
 def test_lumped_views_match_exact_law(monkeypatch, path, k, s, variant):
     # _lumped_views at f=1 against exact.sequence_probability, on the three
-    # paths of each engine (see _views): the lumped lockstep at 0 < s < 1,
-    # and the array engine at s in {0, 1}, which feeds every observed sender
-    # by its id.  The complete observed-sender sequences, with every observed
-    # sender fed, on two inputs: n=4 in the two classes of the events and the silence and
-    # multi-rumor attacks, and n=5 in the three of a MAP prior of size 2
-    # ({1, 2}, {3} and the curious node 4), where un-lumping must give each
-    # class's nodes distinct unlabelled ids.  Then the outcomes of two rules
-    # whose lanes label only some senders: FirstInPrior on MAP's own pools at
-    # n=5, where only the source and node 3 are fed, and FirstGoesQuiet with
-    # r=1 and r=2 at n=4 and n=5, which labels only its first sender and
-    # feeds any later unlabelled one as -1.  The share of each outcome (a
-    # node or none) must lie between the mass of the views of length <= 3
-    # that give it and that plus the longer views' mass.
+    # paths of each engine (see _views): at 0 < s < 1 the per-node lockstep
+    # and, for MAP, the count lockstep, and at s in {0, 1} the array engine.
+    # The complete observed-sender sequences, with every observed sender fed
+    # by its id, at n=4 and n=5.  Then the outcome of FirstInPrior on MAP's
+    # pools for a prior of size 2 at n=5 (classes {0}, {1, 2}, {3} and the
+    # curious node 4): the count lockstep feeds it once, the source or an id
+    # drawn from the prior's class {3}, and un-lumping must give each class's
+    # nodes distinct ids.  Then the outcomes of FirstGoesQuiet with r=1 and
+    # r=2 at n=4 and n=5.  The share of each outcome (a node or none) must lie
+    # between the mass of the views of length <= 3 that give it and that plus
+    # the longer views' mass.
     trials = 20_000 if path == "lockstep" else 10_000
     stream = 3 * k + ["lockstep", "lone", "crowded"].index(path)
-    cfg = GossipConfig(n=4, f=1, s=s, variant=variant)
-    prefixes = (ObservedPrefix(10**9) for _ in range(trials))
-    _assert_sequence_law(_views(monkeypatch, path, cfg, prefixes, spawn_stream(24, stream), _pools(cfg)),
-                         cfg, trials)
+    for n, seed in ((4, 24), (5, 31)):
+        cfg = GossipConfig(n=n, f=1, s=s, variant=variant)
+        prefixes = (ObservedPrefix(10**9) for _ in range(trials))
+        _assert_sequence_law(_views(monkeypatch, path, cfg, prefixes, spawn_stream(seed, stream)), cfg, trials)
 
-    cfg = GossipConfig(n=5, f=1, s=s, variant=variant)
     pools = _pools(cfg, 2)
-    all_fed = [(ids, cur, True) for ids, cur, _ in pools]
-    prefixes = (ObservedPrefix(10**9) for _ in range(trials))
-    _assert_sequence_law(_views(monkeypatch, path, cfg, prefixes, spawn_stream(31, stream), all_fed),
-                         cfg, trials)
-
-    prior = frozenset(pools[1][0].tolist()) | {cfg.source}
-    # A FirstInPrior lane on these pools is decided when it would take a
-    # second label, so only "lone" hands it off.
+    prior = frozenset(pools[estimators._PRIOR].tolist()) | {cfg.source}
     rules = _ended(_views(monkeypatch, path, cfg, (FirstInPrior(prior) for _ in range(trials)),
-                          spawn_stream(33, stream), pools, floor=1000 if path == "lone" else 0))
+                          spawn_stream(33, stream), pools))
     found = [rule.found for rule in rules]
     assert set(found) <= {*prior, None}
     _assert_outcome_law(found, cfg, lambda obs: feed_all(FirstInPrior(prior), obs).found)
 
     # One FirstGoesQuiet(2) lane per trial gives r=2's outcome, and r=1's from
     # the first two entries it was fed: an r=1 lane is fed the same entries,
-    # since a lane's steps depend on its rule only through tells_apart (the
-    # same for every r) until the rule is decided.
+    # since a lane's steps do not depend on its rule until it is decided.
     for n in (4, 5):
         cfg = GossipConfig(n=n, f=1, s=s, variant=variant)
         rules = _ended(_views(monkeypatch, path, cfg, (_Fed(2) for _ in range(trials)),
-                              spawn_stream(35, 2 * stream + n - 4), _pools(cfg)))
+                              spawn_stream(35, 2 * stream + n - 4)))
         for r in (1, 2):
             def outcome(fed, r=r):
                 return feed_all(FirstGoesQuiet(r), fed).predict()
@@ -321,20 +313,26 @@ def _two_sample_p(a: Counter, b: Counter) -> float:
     return stats.chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue
 
 
-@pytest.mark.parametrize("s, variant", [(0.0, "parameterized"), (1.0, "parameterized"), (1.0, "delayed_start")])
+@pytest.mark.parametrize("s, variant", [(0.0, "parameterized"), (0.5, "parameterized"), (1.0, "parameterized"),
+                                        (1.0, "delayed_start")])
 def test_fed_lanes_in_reused_rows_match_the_loop(s, variant):
-    # 3,000 fed lanes at n = 300, several per row of the array engine, so
-    # most run in a row that earlier lanes left behind, against 800 fed runs
-    # of the per-node loop: the view's length over the pooled sample's
+    # 3,000 fed lanes at n = 300, more than the rows of the array engine (at
+    # s in {0, 1}, several per row) or of the per-node lockstep (at s = 0.5,
+    # whose last lanes end on the per-node loop), so many run in a row that
+    # earlier lanes left behind, against 800 fed runs of the per-node loop:
+    # the view's length over the pooled sample's
     # decile bins, how often the source is an observed sender (a row read
     # as holding an earlier lane's A would send from the source more often),
     # the first sender's class and the capped share (the cap of 1,500 steps
     # ends some runs before their last node is informed).
     cfg = GossipConfig(n=300, f=30, s=s, variant=variant, step_cap=1500)
     trials = 3000
-    assert trials > 4 * min(protocols._TABLE // cfg.n, protocols._LANE_STEPS // 16)
+    if s == 0.5:
+        assert trials > min(estimators._LANES, estimators._NODE_TABLE // cfg.n)
+    else:
+        assert trials > 4 * min(protocols._TABLE // cfg.n, protocols._LANE_STEPS // 16)
     lanes = [(prefix.senders, capped) for _, prefix, capped in
-             protocols._array_lanes(cfg, spawn_stream(107, 0), [ObservedPrefix(10**9) for _ in range(trials)])]
+             _lumped_views(cfg, [ObservedPrefix(10**9) for _ in range(trials)], spawn_stream(107, 0))]
     rng, loop = spawn_stream(107, 1), []
     for _ in range(800):
         prefix = ObservedPrefix(10**9)
@@ -356,99 +354,76 @@ def _sender_class(cfg, node):
 @pytest.mark.parametrize("s, variant", [(0.1, "parameterized"), (0.5, "parameterized"),
                                         (0.9, "parameterized")])
 def test_lumped_hand_off_states_are_valid(monkeypatch, s, variant):
-    # Every un-lumped state that a lane hands to the per-node engine holds
-    # distinct informed ids, the source and the senders fed so far among
-    # them, and distinct active ids among those.  The pools are MAP's for a
-    # prior of size 4, so only the source and the prior's class are fed.
-    # (At n <= 5 the exact-law test above barely sees a drawn id that
-    # repeats a labelled one.)
+    # Every state that a lane hands to the per-node engine holds distinct
+    # informed ids, the source and the senders fed so far among them, and
+    # distinct active ids among those, after at least one step: on the count
+    # lockstep, un-lumped from MAP's pools for a prior of size 4 (no sender
+    # is fed before a hand-off there, since the first ends the lane), and on
+    # the per-node lockstep.  (At n <= 5 the exact-law test above barely sees
+    # a class of more than one node.)
     cfg = GossipConfig(n=12, f=3, s=s, variant=variant)
     pools = _pools(cfg, 4)
-    prior = set(pools[1][0].tolist()) | {cfg.source}
+    prior = frozenset(pools[estimators._PRIOR].tolist()) | {cfg.source}
     starts = []
 
     def record(config, rng, start, feed):
-        starts.append((start, list(feed.__self__.senders)))
+        rule = feed.__self__
+        starts.append((start, list(rule.senders) if isinstance(rule, ObservedPrefix) else
+                       [rule.found] if rule.found is not None else []))
         return sequential_run(config, rng, start, feed)
 
     sequential_run = estimators._sequential_run
     monkeypatch.setattr(estimators, "_sequential_run", record)
-    prefixes = [ObservedPrefix(10**9) for _ in range(3000)]
-    for _ in _views(monkeypatch, "crowded", cfg, prefixes, spawn_stream(32, int(10 * s)), pools):
-        pass
-    assert len(starts) > 1000
-    # Hand-offs holding a labelled observed sender drawn from the prior's class.
-    assert sum(bool(set(fed) - {cfg.source}) for _, fed in starts) > 100
-    for (informed, active, steps), fed in starts:
-        informed, active = informed.tolist(), active.tolist()
-        assert len(set(informed)) == len(informed) and cfg.source in informed
-        assert set(fed) <= prior & set(informed)
-        assert len(set(active)) == len(active) and set(active) <= set(informed)
-        assert steps > 0
+    for deciders, engine_pools in (([FirstInPrior(prior) for _ in range(3000)], pools),
+                                   ([ObservedPrefix(10**9) for _ in range(3000)], None)):
+        starts.clear()
+        for _ in _views(monkeypatch, "crowded", cfg, deciders, spawn_stream(32, int(10 * s)), engine_pools):
+            pass
+        assert len(starts) > 1000
+        fed_lanes = sum(bool(fed) for _, fed in starts)
+        assert fed_lanes > 100 if engine_pools is None else not fed_lanes
+        for (informed, active, steps), fed in starts:
+            informed, active = np.asarray(informed).tolist(), np.asarray(active).tolist()
+            assert len(set(informed)) == len(informed) and cfg.source in informed
+            assert set(fed) <= set(informed)
+            assert len(set(active)) == len(active) and set(active) <= set(informed)
+            assert steps > 0
 
 
-def test_lumped_crowded_lanes_end_alone(monkeypatch):
-    # A rule that tells every sender apart labels each new observed sender.
-    # A lane hands itself to the per-node engine on the step its labels reach
-    # _CROWD, which bounds the width of the label arrays, and its run goes on
-    # there to the end.
-    cfg = GossipConfig(n=2048, f=1024, s=0.9)
-    monkeypatch.setattr(estimators, "_TAIL", 0)
-    labels = []
-
-    def record(config, rng, start, feed):
-        labels.append(len(set(feed.__self__.senders) | {cfg.source}))
-        return sequential_run(config, rng, start, feed)
-
-    sequential_run = estimators._sequential_run
-    monkeypatch.setattr(estimators, "_sequential_run", record)
-    prefixes = [ObservedPrefix(10**9) for _ in range(8)]
-    for _, prefix, capped in _lumped_views(cfg, prefixes, spawn_stream(34, 0), _pools(cfg)):
-        assert not capped and len(set(prefix.senders)) > estimators._CROWD
-    assert labels == [estimators._CROWD] * 8
-
-
-def test_lumped_silence_lanes_hold_two_labels(monkeypatch):
-    # FirstGoesQuiet tells only its first sender x apart, so its lane labels
-    # x and the source alone and feeds every other sender as -1, whatever r
-    # is: no lane reaches _CROWD and is handed off, though some are fed far
-    # more entries, and each ends decided (x repeats or r entries follow it)
-    # or with every node informed.
-    cfg = GossipConfig(n=2048, f=1024, s=0.9)
-    monkeypatch.setattr(estimators, "_TAIL", 0)
-    handed_off = []
-
-    def record(config, rng, start, feed):
-        handed_off.append(start)
-        return sequential_run(config, rng, start, feed)
-
-    sequential_run = estimators._sequential_run
-    monkeypatch.setattr(estimators, "_sequential_run", record)
-    rules = [_Fed(10**4) for _ in range(64)]
-    ended = _ended(_lumped_views(cfg, rules, spawn_stream(36, 0), _pools(cfg)))
-    assert not handed_off and len(ended) == len(rules)
-    for rule in ended:
-        assert set(rule.fed) <= {rule.first, cfg.source, -1}
-    assert max(len(rule.fed) for rule in rules) > 2 * estimators._CROWD
+def test_count_lockstep_refuses_a_decider_not_decided_by_its_first_sender():
+    # The count lockstep ends a lane at its first fed entry, so it needs a
+    # rule decided there, as FirstInPrior is on MAP's pools.
+    cfg = GossipConfig(n=12, f=3, s=0.5)
+    with pytest.raises(ValueError, match="decided by its first fed sender"):
+        for _ in _lumped_views(cfg, [ObservedPrefix(2) for _ in range(50)], spawn_stream(38, 0), _pools(cfg, 4)):
+            pass
 
 
 def test_lumped_lockstep_never_runs_at_s0_and_s1(monkeypatch):
-    # At s in {0, 1} every attack and event lane runs on the array engine:
-    # neither the lockstep (which first builds its count moves) nor its
-    # hand-off to the per-node engine is entered.  At s = 0.5 both are.
+    # At s in {0, 1} every attack and event lane runs on the array engine; at
+    # 0 < s < 1 MAP lanes run on the count lockstep and every other lane on
+    # the per-node lockstep.
     entered = []
-    count_moves, sequential_run = estimators._count_moves, estimators._sequential_run
-    monkeypatch.setattr(estimators, "_count_moves", lambda *a: entered.append("lockstep") or count_moves(*a))
-    monkeypatch.setattr(estimators, "_sequential_run",
-                        lambda *a: entered.append("hand-off") or sequential_run(*a))
+    for name in ("_array_lanes", "_count_lanes", "_node_lanes"):
+        def wrap(*args, engine=getattr(estimators, name), name=name):
+            entered.append(name)
+            return engine(*args)
+
+        monkeypatch.setattr(estimators, name, wrap)
     rng = spawn_stream(37, 0)
     for s, variant in ((0.0, "parameterized"), (1.0, "parameterized"), (1.0, "delayed_start"),
                        (0.5, "parameterized")):
         cfg = GossipConfig(n=64, f=6, s=s, variant=variant)
-        for attack in (MapAttackSpec(), MapAttackSpec(10), SilenceAttackSpec(), MultiRumorAttackSpec(2, 3)):
-            estimate_attack_precision(cfg, attack, 300, rng)
-        estimate_events(cfg, [EventSpec.sender_rank_le(0, 3)], 300, rng)
-        assert set(entered) == ({"lockstep", "hand-off"} if s == 0.5 else set()), (s, variant)
+        for run, engine in ((lambda: estimate_attack_precision(cfg, MapAttackSpec(), 300, rng), "_count_lanes"),
+                            (lambda: estimate_attack_precision(cfg, MapAttackSpec(10), 300, rng), "_count_lanes"),
+                            (lambda: estimate_attack_precision(cfg, SilenceAttackSpec(), 300, rng), "_node_lanes"),
+                            (lambda: estimate_attack_precision(cfg, MultiRumorAttackSpec(2, 3), 300, rng),
+                             "_node_lanes"),
+                            (lambda: estimate_events(cfg, [EventSpec.sender_rank_le(0, 3)], 300, rng),
+                             "_node_lanes")):
+            entered.clear()
+            run()
+            assert entered == ["_array_lanes" if s in (0.0, 1.0) else engine], (s, variant, engine)
 
 
 # (n, s, variant, step cap): the cap bounds the per-node engine's runs and
@@ -474,7 +449,7 @@ def test_lumped_first_senders_match_per_node_engine(n, s, variant, cap):
     stream = int(n * 10 + 10 * s) + (variant == "delayed_start")
     prefixes = (ObservedPrefix(2) for _ in range(20_000))
     lumped = Counter(cell(prefix.senders) for _, prefix, _ in
-                     _lumped_views(cfg, prefixes, spawn_stream(25, stream), _pools(cfg)))
+                     _lumped_views(cfg, prefixes, spawn_stream(25, stream)))
     rng = spawn_stream(26, stream)
     per_node = Counter(cell(observe(run_trace(cfg, rng)).senders.tolist()) for _ in range(1500))
     assert _two_sample_p(lumped, per_node) > 1e-3
@@ -483,8 +458,8 @@ def test_lumped_first_senders_match_per_node_engine(n, s, variant, cap):
 @pytest.mark.parametrize("s", [0.8])
 def test_lumped_source_sends_match_per_node_engine(monkeypatch, s):
     # How often the source is an observed sender in a complete run, which
-    # follows how long it stays active: the lumped engine in lockstep and
-    # handed off at its second label, against observe() on run_trace.  (The
+    # follows how long it stays active: the per-node lockstep, and each lane
+    # handed off after its first step, against observe() on run_trace.  (The
     # view's length does not depend on s: every step's receiver is uniform
     # whoever sends.)
     cfg = GossipConfig(n=16, f=2, s=s)
@@ -493,7 +468,7 @@ def test_lumped_source_sends_match_per_node_engine(monkeypatch, s):
                        for _ in range(10_000))
     for i, path in enumerate(("lockstep", "crowded")):
         prefixes = (ObservedPrefix(10**9) for _ in range(20_000))
-        views = _views(monkeypatch, path, cfg, prefixes, spawn_stream(30, 10 * int(10 * s) + i), _pools(cfg))
+        views = _views(monkeypatch, path, cfg, prefixes, spawn_stream(30, 10 * int(10 * s) + i))
         lumped = Counter(min(prefix.senders.count(cfg.source), 5) for _, prefix, _ in views)
         assert _two_sample_p(lumped, per_node) > 1e-3, path
 
@@ -581,6 +556,39 @@ def test_estimators_refuse_nan_parameters(call):
     # event rank, silence window or multi-rumor k run.
     with pytest.raises(ValueError):
         call()
+
+
+_CFG = GossipConfig(n=100, f=10, s=0.5)
+COUNT_INPUTS = {
+    "silence_window": lambda x: FirstGoesQuiet(x),
+    "silence_spec_r": lambda x: estimate_attack_precision(_CFG, SilenceAttackSpec(r=x), 10, spawn_stream(0, 0)),
+    "multi_rumor_k": lambda x: FirstKDistinct(x),
+    "multi_rumor_rumors": lambda x: estimate_attack_precision(_CFG, MultiRumorAttackSpec(x), 10,
+                                                              spawn_stream(0, 0)),
+    "event_rank": lambda x: EventSpec.sender_rank_le(0, x),
+    "map_prior_size": lambda x: estimate_attack_precision(_CFG, MapAttackSpec(prior_size=x), 10,
+                                                          spawn_stream(0, 0)),
+    "delta_bound_r": lambda x: param_delta_bound(0.5, 10, 100, x),
+    "event_trials": lambda x: estimate_event(_CFG, EventSpec.first_sender_is(0), x, spawn_stream(0, 0)),
+    "attack_trials": lambda x: estimate_attack_precision(_CFG, MapAttackSpec(), x, spawn_stream(0, 0)),
+    "disclosure_trials": lambda x: estimate_source_disclosure(0.5, 10, 100, x, spawn_stream(0, 0)),
+    "spreading_trials": lambda x: estimate_spreading(_CFG, x, spawn_stream(0, 0)),
+    "result_trials": lambda x: EstimateResult.from_counts(1, x),
+}
+
+
+@pytest.mark.parametrize("name", COUNT_INPUTS)
+def test_count_inputs_refuse_non_integers(name):
+    # Each input was a comparison `not x >= lo`, which 2.5 and True pass:
+    # FirstGoesQuiet(2.5) never closed its window, FirstKDistinct(2.5) decided
+    # after 3 senders, a rank of 1.5 failed later in evaluate_senders and
+    # trials=True returned a result with `trials` True.  They now take
+    # GossipConfig's rule (operator.index's, no bool); an integer passes.
+    call = COUNT_INPUTS[name]
+    for bad in (2.5, True, math.nan, np.float64(3.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(bad)
+    call(np.int64(3))
 
 
 def test_mixing_timed_and_untimed_rejected():

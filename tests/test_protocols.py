@@ -120,7 +120,7 @@ def test_array_run_matches_the_loop_in_law(s, variant):
                                   (300, None), (300, 1500)]):
         cfg = GossipConfig(n=n, f=0, s=s, variant=variant, step_cap=cap)
         runs = [[engine(cfg, rng) for _ in range(400)]
-                for engine, rng in ((protocols._array_run, spawn_stream(83, 2 * i)),
+                for engine, rng in ((lambda cfg, rng: next(protocols._array_lanes(cfg, rng)), spawn_stream(83, 2 * i)),
                                     (protocols._sequential_run, spawn_stream(83, 2 * i + 1)))]
         lengths = [[r.steps for r in rs] for rs in runs]
         edges = np.unique(np.quantile(np.concatenate(lengths), np.linspace(0, 1, 11)))
@@ -147,7 +147,7 @@ def test_array_run_caps_at_block_edges(s, variant):
         for edge in (16, 80, 336, 1360, 5456):
             for cap in (edge - 1, edge, edge + 1):
                 cfg = GossipConfig(n=n, f=0, s=s, variant=variant, step_cap=cap)
-                run = protocols._array_run(cfg, rng)
+                run = next(protocols._array_lanes(cfg, rng))
                 ExecutionTrace(cfg, run.senders, run.receivers, run.complete(cfg)).validate()
                 assert run.steps == len(run.senders) == len(run.receivers)
                 assert run.steps == cap if not run.complete(cfg) else run.steps <= cap
@@ -291,7 +291,7 @@ def test_array_run_memory_is_near_its_output():
     cfg = GossipConfig(n=1 << 16, f=6554, s=1.0)
     tracemalloc.start()
     try:
-        run = protocols._array_run(cfg, spawn_stream(7, 2))
+        run = next(protocols._array_lanes(cfg, spawn_stream(7, 2)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
