@@ -386,18 +386,19 @@ def test_readme_csv_header_matches_run_experiment(tmp_path, kind):
 
 # sha256 of attack.csv for small attack grids.  They pin the draw order of
 # the engines and the attack rules (AC12 only compares a rerun with a rerun):
-# the array engine's fed lanes at s in {0, 1} ("map" at s = 0, "silence")
-# and the lumped engine at 0 < s < 1.  A change that moves it on purpose
+# the array engine's fed lanes at s in {0, 1} ("map" at s = 0, "silence"),
+# and at 0 < s < 1 the count lockstep ("map", "map_capped") and the per-node
+# lockstep ("multi_rumor").  A change that moves it on purpose
 # updates these digests and says so in CHANGES.md.
 GOLDEN_ATTACKS = {
     "map": (
         {"attack": "map", "n": "1024", "s": "0, 0.5", "prior_size": "all, 10", "trials": "200"},
-        "ac26ba8c9f16a38788e83f6ea44c4f46cc07f1d1c62c0a609539b43c6b3cc8e9",
+        "c46004720d014f3be4c3a29270d9c5b7d95c44ae9bd4ee0b8f86b9daeae19444",
     ),
     "map_capped": (
         {"attack": "map", "n": "256", "s": "0.5", "prior_size": "all, 10", "step_cap": "40",
          "trials": "300"},
-        "60fc9e3f4ab8d2d41f550eb2a3bf89f8b54405e06892e15acb00bc1fd05c58cc",
+        "a87e04d2ca180d6b2da93a8b9dff2b9836c8a873a82f4f78f38792ae52e9ff61",
     ),
     "silence": (
         {"attack": "silence", "variant": "delayed_start", "n": "1024", "s": "1", "trials": "300"},
@@ -406,7 +407,7 @@ GOLDEN_ATTACKS = {
     "multi_rumor": (
         {"attack": "multi_rumor", "n": "256", "s": "0.5", "rumors": "1, 3", "k": "5",
          "trials": "300"},
-        "61348cfdfb043880e728eeee6dc4e3ae59ec284bbd076b463babff582df41520",
+        "23c77d43da085366820d37ee8447367186390742541c446cdb2d17ac3148d5b5",
     ),
 }
 
@@ -483,12 +484,12 @@ def test_trace_csv_golden_digest(tmp_path):
 
 
 def test_event_family_golden_counts():
-    # The lumped engine path of estimate_events (s > 0), pinned like the
-    # digests above.  One stream's two counts can survive a change of draw
+    # The per-node lockstep path of estimate_events (0 < s < 1), pinned like
+    # the digests above.  One stream's two counts can survive a change of draw
     # order by chance, so three streams are pinned.
     cfg = GossipConfig(n=64, f=6, s=0.3)
     events = [EventSpec.sender_rank_le(0, 3), EventSpec.first_sender_is(1)]
-    pinned = {9: [(359, 0), (26, 0)], 10: [(330, 0), (22, 0)], 11: [(354, 0), (20, 0)]}
+    pinned = {9: [(373, 0), (23, 0)], 10: [(371, 0), (32, 0)], 11: [(372, 0), (41, 0)]}
     for stream, counts in pinned.items():
         res = estimate_events(cfg, events, 2000, spawn_stream(2027, stream))
         assert [(r.raw_successes, r.incomplete) for r in res] == counts, stream
