@@ -359,8 +359,10 @@ def test_lumped_hand_off_states_are_valid(monkeypatch, s, variant):
     # distinct active ids among those, after at least one step: on the count
     # lockstep, un-lumped from MAP's pools for a prior of size 4 (no sender
     # is fed before a hand-off there, since the first ends the lane), and on
-    # the per-node lockstep.  (At n <= 5 the exact-law test above barely sees
-    # a class of more than one node.)
+    # the per-node lockstep.  The deciders come in calls of 30, so the tail
+    # rule hands lanes off after many steps, with several informed nodes in
+    # a class.  (At n <= 5 the exact-law test above barely sees a class of
+    # more than one node.)
     cfg = GossipConfig(n=12, f=3, s=s, variant=variant)
     pools = _pools(cfg, 4)
     prior = frozenset(pools[estimators._PRIOR].tolist()) | {cfg.source}
@@ -374,12 +376,14 @@ def test_lumped_hand_off_states_are_valid(monkeypatch, s, variant):
 
     sequential_run = estimators._sequential_run
     monkeypatch.setattr(estimators, "_sequential_run", record)
-    for deciders, engine_pools in (([FirstInPrior(prior) for _ in range(3000)], pools),
-                                   ([ObservedPrefix(10**9) for _ in range(3000)], None)):
+    rng = spawn_stream(32, int(10 * s))
+    for make, engine_pools in ((lambda: FirstInPrior(prior), pools), (lambda: ObservedPrefix(10**9), None)):
         starts.clear()
-        for _ in _views(monkeypatch, "crowded", cfg, deciders, spawn_stream(32, int(10 * s)), engine_pools):
-            pass
-        assert len(starts) > 1000
+        for _ in range(100):
+            for _ in _lumped_views(cfg, [make() for _ in range(30)], rng, engine_pools):
+                pass
+        assert len(starts) > 500
+        assert sum(len(informed) >= 6 for (informed, _, _), _ in starts) > 300
         fed_lanes = sum(bool(fed) for _, fed in starts)
         assert fed_lanes > 100 if engine_pools is None else not fed_lanes
         for (informed, active, steps), fed in starts:
