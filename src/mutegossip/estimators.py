@@ -261,9 +261,9 @@ def _count_lanes(config: GossipConfig, deciders: Iterable, rng: np.random.Genera
         L = alive.size
 
         u = rng.random((3, L))
-        ends = st[0] + st[3], st[0] + st[3] + st[6]  # the sender's class: by the active nodes' cumulative counts
-        k = u[0] * (ends[1] + st[9])
-        cs = (k >= st[0]) + (k >= ends[0]) * 1 + (k >= ends[1])
+        two, three = st[0] + st[3], st[0] + st[3] + st[6]  # active nodes in the first two and three classes
+        k = u[0] * (three + st[9])
+        cs = (k >= st[0]).astype(np.int64) + (k >= two) + (k >= three)  # the sender's class
         mute = u[1] >= s
         r = (u[2] * n).astype(np.int64)
         rc = np.searchsorted(class_end, r, side="right")  # the receiver's class

@@ -153,14 +153,14 @@ def test_first_observed_senders_s0_match_engine(n, f, step_cap):
 # The lumped engine against the exact law and the per-node engine
 
 
-def _views(monkeypatch, path, cfg, deciders, rng, pools=None, floor=1000):
+def _views(monkeypatch, path, cfg, deciders, rng, pools=None):
     """_lumped_views's results on one path of its engine.  At 0 < s < 1, the
     count lockstep (given MAP's pools) or the per-node lockstep: "lockstep"
     steps every lane in lockstep to its end, with no tail rule; "lone" steps
     one lane at a time (_LANES = 1: the per-node lockstep's one row is taken
     over by each lane from the one before it); "crowded" hands every lane to
     the per-node engine after its first step (each decider in a call of its
-    own, whose tail rule hands the lane off), at least `floor` of them.  At
+    own, whose tail rule hands the lane off), at least 1,000 of them.  At
     s in {0, 1}, the array engine, which hands none off: "lockstep" steps as
     many lanes together as its tables hold, "lone" gives it one row, so each
     lane runs alone in the row the one before it left, and "crowded" cuts
@@ -183,7 +183,7 @@ def _views(monkeypatch, path, cfg, deciders, rng, pools=None, floor=1000):
             for index, decider in enumerate(deciders):
                 for _, decider, capped in _lumped_views(cfg, [decider], rng, pools):
                     yield index, decider, capped
-    assert len(hand_offs) >= floor if path == "crowded" and not array else not hand_offs, (path, len(hand_offs))
+    assert len(hand_offs) >= 1000 if path == "crowded" and not array else not hand_offs, (path, len(hand_offs))
 
 
 @functools.cache
