@@ -223,7 +223,7 @@ def _count_lanes(config: GossipConfig, deciders: Iterable, rng: np.random.Genera
     fresh[2:12:3] = sizes
     fresh[[0, 2, 13]] = 1, 0, n - 1
     pending = enumerate(deciders)
-    st = np.zeros((14, 0), np.int64)
+    st = np.zeros((14, 0), np.int64)  # per lane a column, laid out as _count_moves' rows
     lanes: list[tuple] = []  # per lane, (its index in `deciders`, its decider)
     alive = np.zeros(0, bool)
     exhausted, tail = False, 0
@@ -277,8 +277,8 @@ def _count_lanes(config: GossipConfig, deciders: Iterable, rng: np.random.Genera
         fed = np.flatnonzero(alive & (rc == _CURIOUS) & ((cs == _SOURCE) | (cs == _PRIOR)))
         if fed.size:
             drawn = prior[(rng.random(fed.size) * prior.size).astype(np.int64)] if prior.size else None
-            for k, (row, c) in enumerate(zip(fed.tolist(), cs[fed].tolist())):
-                if not lanes[row][1].feed(config.source if c == _SOURCE else int(drawn[k])):
+            for i, (row, c) in enumerate(zip(fed.tolist(), cs[fed].tolist())):
+                if not lanes[row][1].feed(config.source if c == _SOURCE else int(drawn[i])):
                     raise ValueError("the count lockstep needs a decider decided by its first fed sender")
             decided[fed] = True
 
