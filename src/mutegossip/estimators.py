@@ -19,7 +19,6 @@ Estimation honesty rules baked in:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
@@ -35,7 +34,7 @@ from .adversary import (
     silence_window,
 )
 from .core import GossipConfig, RoundTrace, check_count, split_stream
-from .protocols import _array_lanes, _check_round_variant, _sequential_run
+from .protocols import _array_lanes, _check_round_variant, _lanes
 from .protocols import run_sync  # noqa: F401  -- perfbench's traced run wraps estimators.run_sync
 
 Z99 = 2.576  # 99% two-sided normal quantile, as reported alongside estimates
@@ -114,11 +113,11 @@ class EventSpec:
 # ---------------------------------------------------------------------------
 # Lockstep engines for 0 < s < 1
 #
-# At s in {0, 1} _lumped_views runs every lane on the array engine instead
-# (protocols._array_lanes).  At 0 < s < 1 many runs ("lanes") advance one
-# step each per iteration, on numpy arrays, and Python runs only once per fed
-# entry.  MAP lanes run on the count lockstep, every other lane on the
-# per-node lockstep.
+# Every attack and event lane runs under the lane scheduler protocols._lanes,
+# on the array engine at s in {0, 1}.  At 0 < s < 1 each live lane advances
+# one step per iteration, on numpy arrays: MAP lanes on the count lockstep,
+# every other lane on the per-node lockstep.  Each supplies the scheduler a
+# reset of rows, a step of the live rows and a handed-off lane's state.
 #
 # Count lockstep.  On the complete graph the nodes of a class are
 # exchangeable, so a MAP run lumps to per-class counts of active, muted and
@@ -132,25 +131,22 @@ class EventSpec:
 # laid out class by class; its mute coin; a uniform receiver among the n
 # nodes, laid out as each class's [active, muted, uninformed] nodes as they
 # were before the sender muted.  The sender holds the first place of its
-# class's active block, which tells a send to itself apart.
+# class's active block, which tells a send to itself apart.  A handed-off
+# lane is un-lumped first: each class's active and muted nodes take distinct
+# ids, uniform over the class, which keeps the law since the state is
+# exchangeable within each class.
 #
 # Per-node lockstep.  Each lane keeps its own A list and each node's state
 # (uninformed, muted or active), one row of (rows x n) tables, and steps by
-# the per-node rule; a freed row takes the next decider.
+# the per-node rule.
 #
-# Both hand their last lanes to the per-node engine (protocols._sequential_run),
-# which ends them one by one: a step there costs 0.4-0.9 us (n = 4096-65536),
-# against 30-40 us for an iteration of the arrays with one live lane, in
-# process time on a 2-core Xeon VM.  The count lockstep un-lumps a lane's state first: each
-# class's active and muted nodes take distinct ids, uniform over the class,
-# which keeps the law since the state is exchangeable within each class.
+# Both hand their last _TAIL lanes to the per-node engine
+# (protocols._sequential_run), which ends them one by one: a step there costs
+# 0.4-0.9 us (n = 4096-65536), against 30-40 us for an iteration of the
+# arrays with one live lane, in process time on a 2-core Xeon VM.
 
 _LANES = 2048  # lanes stepped together at most; bounds the engines' arrays
-# Once no run waits and at most _TAIL lanes are left, they step together
-# for as many more steps as lanes are left, then each ends alone: a lane
-# that is about to end is not handed off, and a long tail is not stepped
-# together for long.
-_TAIL = 256
+_TAIL = 256  # lanes that the lockstep engines hand off at their end, at most
 # The per-node lockstep's tables hold at most this many (row, node) entries.
 _NODE_TABLE = 1 << 20
 _SOURCE, _REST, _PRIOR, _CURIOUS = range(4)  # the count lockstep's classes
@@ -168,13 +164,13 @@ def _pools(config: GossipConfig, prior_size: int) -> list[np.ndarray]:
 @functools.cache
 def _count_moves() -> np.ndarray:
     """The change of a lane's counts (per class active, muted, uninformed;
-    then steps and uninformed nodes) for each step outcome, one column per
+    then steps and uninformed nodes) for each step outcome, one row per
     ((sender class * 2 + mute) * 12 + receiver block) * 2 + self-send, where
     block 3c+b is class c's active (b=0), muted (1) or uninformed (2)
     nodes."""
-    moves = np.zeros((14, 4 * 2 * 12 * 2), np.int64)
-    for col, move in enumerate(moves.T):
-        rest, self_send = divmod(col, 2)
+    moves = np.zeros((4 * 2 * 12 * 2, 14), np.int64)
+    for row, move in enumerate(moves):
+        rest, self_send = divmod(row, 2)
         rest, block = divmod(rest, 12)
         sender, mute = divmod(rest, 2)
         move[12] = 1  # steps
@@ -189,13 +185,10 @@ def _count_moves() -> np.ndarray:
 
 
 def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Generator, pools=None):
-    """One run of `config` per decider, fed the sender of each observed entry
-    (a curious receiver) until it is decided, the run informs every node or
-    it hits the step cap.  Yields (index of the decider in `deciders`,
-    decider, capped) as runs end.  At s in {0, 1} the runs are the array
-    engine's lanes; otherwise MAP's, which come with their `pools` (from
-    _pools), run on the count lockstep and every other on the per-node
-    lockstep."""
+    """One run of `config` per decider, as protocols._lanes yields them: at
+    s in {0, 1} on the array engine; otherwise MAP's, which come with their
+    `pools` (from _pools), on the count lockstep and every other run on the
+    per-node lockstep."""
     if config.s in (0.0, 1.0):
         return _array_lanes(config, rng, deciders)
     if pools is not None:
@@ -203,18 +196,11 @@ def _lumped_views(config: GossipConfig, deciders: Iterable, rng: np.random.Gener
     return _node_lanes(config, deciders, rng)
 
 
-def _end_alone(config: GossipConfig, rng: np.random.Generator, lane, start):
-    """Run a lockstep lane on from `start` on the per-node engine."""
-    index, decider = lane
-    run = _sequential_run(config, rng, start, decider.feed)
-    return index, decider, not run.decided and not run.complete(config)
-
-
 def _count_lanes(config: GossipConfig, deciders: Iterable, rng: np.random.Generator, pools):
     """_lumped_views' count lockstep, for FirstInPrior deciders on `pools`.
-    A lane's counts are a column of `st`; its decider must be decided by the
+    A lane's counts are a row of `st`; its decider must be decided by the
     first sender it is fed."""
-    n, s, cap = config.n, config.s, config.max_steps
+    n, s, source = config.n, config.s, config.source
     moves = _count_moves()
     prior = pools[_PRIOR]
     sizes = [pool.size for pool in pools]
@@ -222,129 +208,93 @@ def _count_lanes(config: GossipConfig, deciders: Iterable, rng: np.random.Genera
     fresh = np.zeros(14, np.int64)  # a lane at step 0: the source active, every other node uninformed
     fresh[2:12:3] = sizes
     fresh[[0, 2, 13]] = 1, 0, n - 1
-    pending = enumerate(deciders)
-    st = np.zeros((14, 0), np.int64)  # per lane a column, laid out as _count_moves' rows
-    lanes: list[tuple] = []  # per lane, (its index in `deciders`, its decider)
-    alive = np.zeros(0, bool)
-    exhausted, tail = False, 0
+    st = np.zeros((_LANES, 14), np.int64)  # per row, its lane's counts, laid out as _count_moves' columns
+    was_fed = np.zeros(_LANES, bool)
 
-    def alone(row):
-        counts = st[:, row].tolist()
+    def reset(free):
+        st[free] = fresh
+        was_fed[free] = False
+
+    def advance(live):
+        if was_fed[live].any():
+            raise ValueError("the count lockstep needs a decider decided by its first fed sender")
+        L, at = live.size, np.take(st, live, axis=0)
+        u = rng.random((3, L))
+        two = at[:, 0] + at[:, 3]  # active nodes in the first two classes
+        three = two + at[:, 6]
+        k = u[0] * (three + at[:, 9])
+        cs = (k >= at[:, 0]).astype(np.int64) + (k >= two) + (k >= three)  # the sender's class
+        mute = u[1] >= s
+        r = (u[2] * n).astype(np.int64)
+        rc = np.searchsorted(class_end, r, side="right")  # the receiver's class
+        r -= class_start[rc]
+        lane = np.arange(L)
+        a = at[lane, 3 * rc]
+        block = 3 * rc + (r >= a) + (r >= a + at[lane, 3 * rc + 1])
+        self_send = (rc == cs) & (r == 0)
+        at += np.take(moves, ((cs * 2 + mute) * 12 + block) * 2 + self_send, axis=0)
+        st[live] = at
+        fed = np.flatnonzero((rc == _CURIOUS) & ((cs == _SOURCE) | (cs == _PRIOR)))
+        was_fed[live[fed]] = True
+        senders = np.full(fed.size, source)
+        in_prior = cs[fed] == _PRIOR
+        senders[in_prior] = prior[(rng.random(np.count_nonzero(in_prior)) * prior.size).astype(np.int64)]
+        return fed, senders, n - at[:, 13], at[:, 12]
+
+    def hand_off(row):
+        counts = st[row].tolist()
         informed, active = [], []
         for pool, a, m in zip(pools, counts[0:12:3], counts[1:12:3]):
             if a + m:
                 drawn = rng.choice(pool, a + m, replace=False)
                 informed.append(drawn)
                 active.append(drawn[:a])
-        return _end_alone(config, rng, lanes[row], (np.concatenate(informed), np.concatenate(active), counts[12]))
+        return np.concatenate(informed), np.concatenate(active), counts[12]
 
-    while True:
-        n_alive = int(np.count_nonzero(alive))
-        admit = not exhausted and 2 * n_alive <= _LANES
-        if n_alive < alive.size and (admit or 4 * n_alive < 3 * alive.size):
-            lanes = [lane for lane, keep in zip(lanes, alive.tolist()) if keep]
-            st = st[:, alive]
-            alive = alive[alive]
-        if admit:
-            lanes += itertools.islice(pending, _LANES - n_alive)
-            m = len(lanes) - alive.size
-            exhausted = m < _LANES - n_alive
-            st = np.hstack([st, np.repeat(fresh[:, None], m, axis=1)])
-            alive = np.concatenate([alive, np.ones(m, bool)])
-            n_alive += m
-        if exhausted and n_alive <= _TAIL:
-            tail += 1
-            if tail > n_alive:
-                for row in np.flatnonzero(alive).tolist():
-                    yield alone(row)
-                return
-        L = alive.size
-
-        u = rng.random((3, L))
-        two, three = st[0] + st[3], st[0] + st[3] + st[6]  # active nodes in the first two and three classes
-        k = u[0] * (three + st[9])
-        cs = (k >= st[0]).astype(np.int64) + (k >= two) + (k >= three)  # the sender's class
-        mute = u[1] >= s
-        r = (u[2] * n).astype(np.int64)
-        rc = np.searchsorted(class_end, r, side="right")  # the receiver's class
-        r -= class_start[rc]
-        a = st[3 * rc, np.arange(L)]
-        block = 3 * rc + (r >= a) + (r >= a + st[3 * rc + 1, np.arange(L)])
-        self_send = (rc == cs) & (r == 0)
-        st += np.take(moves, ((cs * 2 + mute) * 12 + block) * 2 + self_send, axis=1)
-
-        decided = np.zeros(L, bool)
-        fed = np.flatnonzero(alive & (rc == _CURIOUS) & ((cs == _SOURCE) | (cs == _PRIOR)))
-        if fed.size:
-            drawn = prior[(rng.random(fed.size) * prior.size).astype(np.int64)] if prior.size else None
-            for i, (row, c) in enumerate(zip(fed.tolist(), cs[fed].tolist())):
-                if not lanes[row][1].feed(config.source if c == _SOURCE else int(drawn[i])):
-                    raise ValueError("the count lockstep needs a decider decided by its first fed sender")
-            decided[fed] = True
-
-        ended = alive & (decided | (st[13] == 0) | (st[12] >= cap))
-        alive &= ~ended
-        for row in np.flatnonzero(ended).tolist():
-            yield *lanes[row], bool(not decided[row] and st[13, row] > 0)
+    return _lanes(config, rng, deciders, _LANES, reset, advance, hand_off, _TAIL)
 
 
 def _node_lanes(config: GossipConfig, deciders: Iterable, rng: np.random.Generator):
     """_lumped_views' per-node lockstep: each lane fed every observed sender
     by its id."""
-    n, s, cap, src, curious_lo = config.n, config.s, config.max_steps, config.source, config.curious_lo
+    n, s, src, curious_lo = config.n, config.s, config.source, config.curious_lo
     rows = max(1, min(_LANES, _NODE_TABLE // n))
     A = np.empty((rows, n), np.int32)  # per row, its lane's A list: its first la[row] entries
     state = np.zeros((rows, n), np.int8)  # per row and node: uninformed 0, muted 1, active 2
     la, n_informed, step = (np.zeros(rows, np.int64) for _ in range(3))
-    lanes = [None] * rows  # per row, (index, decider) of its lane
-    busy = np.zeros(rows, bool)
-    pending = enumerate(deciders)
-    exhausted, tail = False, 0
-    while True:
-        if not exhausted and (free := np.flatnonzero(~busy)).size:
-            new = list(itertools.islice(pending, free.size))
-            exhausted = len(new) < free.size
-            free = free[: len(new)]
-            state[free] = 0
-            state[free, src], A[free, 0] = 2, src
-            la[free], n_informed[free], step[free], busy[free] = 1, 1, 0, True
-            for row, lane in zip(free.tolist(), new):
-                lanes[row] = lane
-        live = np.flatnonzero(busy)
-        if exhausted and live.size <= _TAIL:
-            tail += 1
-            if tail > live.size:
-                for row in live.tolist():
-                    start = np.flatnonzero(state[row]), A[row, : la[row]], int(step[row])
-                    yield _end_alone(config, rng, lanes[row], start)
-                return
 
+    def reset(free):
+        state[free] = 0
+        state[free, src], A[free, 0] = 2, src
+        la[free], n_informed[free], step[free] = 1, 1, 0
+
+    def advance(live):
         u = rng.random((3, live.size))
         k = (u[0] * la[live]).astype(np.int64)
         snd = A[live, k]
         rcv = (u[2] * n).astype(np.int64)
         mute = u[1] >= s
-        m, km = live[mute], k[mute]  # swap-remove the muted senders from A
-        la[m] -= 1
-        A[m, km] = A[m, la[m]]
-        state[m, snd[mute]] = 1
+        if mute.any():  # swap-remove the muted senders from A
+            m, km = live[mute], k[mute]
+            la[m] -= 1
+            A[m, km] = A[m, la[m]]
+            state[m, snd[mute]] = 1
         was = state[live, rcv]  # after the mute, so a send to oneself wakes its sender
-        n_informed[live] += was == 0
-        w, kw = live[was < 2], rcv[was < 2]
-        state[w, kw] = 2
-        A[w, la[w]] = kw
-        la[w] += 1
-        step[live] += 1
+        informed, steps = n_informed[live] + (was == 0), step[live] + 1
+        n_informed[live], step[live] = informed, steps
+        wake = was < 2
+        if wake.any():
+            w, kw = live[wake], rcv[wake]
+            state[w, kw] = 2
+            A[w, la[w]] = kw
+            la[w] += 1
+        fed = np.flatnonzero(rcv >= curious_lo)
+        return fed, snd[fed], informed, steps
 
-        decided = np.zeros(live.size, bool)
-        obs = np.flatnonzero(rcv >= curious_lo)
-        for r, row, sender in zip(obs.tolist(), live[obs].tolist(), snd[obs].tolist()):
-            decided[r] = lanes[row][1].feed(sender)
-        ended = decided | (n_informed[live] == n) | (step[live] >= cap)
-        for r in np.flatnonzero(ended).tolist():
-            row = live[r]
-            busy[row] = False
-            yield *lanes[row], bool(not decided[r] and n_informed[row] < n)
+    def hand_off(row):
+        return np.flatnonzero(state[row]), A[row, : la[row]], int(step[row])
+
+    return _lanes(config, rng, deciders, rows, reset, advance, hand_off, _TAIL)
 
 
 def _first_observed_senders_s0(

@@ -26,18 +26,23 @@ mutes at s = 1, so A is the source followed by each new receiver in order of
 first appearance (under delayed start, A starts as the receiver of the
 source's single send), and at s = 0 A is the previous receiver.  There the
 array engine draws a block of steps of many runs ("lanes") at once and picks
-each step's sender as A[int(u * |A|)]: a run_trace run is its one recorded
-lane, and the estimators' attack and event runs are its fed lanes.  At
-0 < s < 1 the per-node loop draws receivers and uniforms in blocks and runs
-in chunks: a chunk is the steps up to the next refill of either buffer, so
-its steps check no buffer and its receivers are unboxed at once.  The loop
-also continues the estimators' lockstep runs from a given state.  Both engines
-record a run per chunk or block as int64 arrays, concatenated once at the
-end.
+each step's sender as A[int(u * |A|)].  At 0 < s < 1 the per-node loop draws
+receivers and uniforms in blocks and runs in chunks: a chunk is the steps up
+to the next refill of either buffer, so its steps check no buffer and its
+receivers are unboxed at once.  Both engines record a run per chunk or block
+as int64 arrays, concatenated once at the end.
+
+Lanes run under one scheduler, _lanes, which admits, feeds, ends and yields
+them and hands a lockstep engine's last lanes to the per-node loop; an
+engine supplies a reset of some rows of its tables, a step of the live rows
+and, for the hand-off, a lane's state.  A run_trace run at s in {0, 1} is
+the array engine's one recorded lane; the estimators' attack and event runs
+are the fed lanes of the array engine and of the lockstep engines there.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +56,7 @@ _STEPS = np.arange(_BLOCK)
 _TABLE = 1 << 17
 _LANE_STEPS = 1 << 14
 _NEVER = np.iinfo(np.int64).max
+_NONE = np.empty(0, np.int64)
 
 
 @dataclass
@@ -169,33 +175,88 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
 
     # One concatenation per column; rebinding frees the senders' chunks
     # before the receivers' are joined.  A fed run records nothing.
-    none = np.empty(0, np.int64)
-    senders = np.concatenate(senders or [none])
-    receivers = np.concatenate(receivers or [none])
+    senders = np.concatenate(senders or [_NONE])
+    receivers = np.concatenate(receivers or [_NONE])
     return SequentialRun(senders, receivers, n_informed, step, decided)
 
 
-def _array_lanes(config: GossipConfig, rng: np.random.Generator, deciders=None):
-    """Runs ("lanes") at s in {0, 1} (delayed start included), many at once,
-    drawn a block of steps at a time on (lanes x steps) arrays.
+def _lanes(config: GossipConfig, rng: np.random.Generator, deciders, rows: int, reset, advance,
+           hand_off=None, tail: int = 0):
+    """The lane scheduler: one run ("lane") of `config` per decider, fed the
+    sender of each observed entry (a curious receiver) by id and in step
+    order until it is decided, the run informs every node or it hits the
+    step cap; yields (index of the decider in `deciders`, decider, capped) as
+    lanes end.  Each free one of the engine's `rows` rows takes the next
+    decider: reset(rows) puts a lane at step 0 in each given row, and
+    advance(live) steps the lanes of the live rows and returns the positions
+    in `live` of the observed entries with their senders, each lane's in
+    step order, then each live lane's informed and step counts.
 
-    With `deciders`, one lane per decider, fed the sender of each observed
-    entry (a curious receiver) by id and in step order until it is decided,
-    the run informs every node or it hits the step cap.  Yields (index of the
-    decider in `deciders`, decider, capped) as lanes end; a freed row takes
-    the next decider.  Without, one run is recorded and yielded as a
-    SequentialRun.
+    Once no decider waits and at most `tail` lanes are left, they step
+    together for as many more steps as lanes are left, then each ends alone
+    on the per-node engine from the state hand_off(row) gives: a lane that is
+    about to end is not handed off, and a long tail is not stepped together
+    for long.
+    """
+    n, cap = config.n, config.max_steps
+    lanes = [None] * rows  # per row, (index, decider) of its lane
+    busy = np.zeros(rows, bool)
+    pending = enumerate(deciders)
+    exhausted, tail_steps, idle = False, 0, rows  # idle: rows without a lane
+    while True:
+        if not exhausted and idle:
+            free = np.flatnonzero(~busy)
+            new = list(itertools.islice(pending, free.size))
+            exhausted = len(new) < free.size
+            free = free[: len(new)]
+            reset(free)
+            busy[free] = True
+            idle -= len(new)
+            for row, lane in zip(free.tolist(), new):
+                lanes[row] = lane
+        live = np.flatnonzero(busy)
+        if exhausted and live.size <= tail:  # with no lane left, this ends every engine
+            tail_steps += 1
+            if tail_steps > live.size:
+                for row in live.tolist():
+                    index, decider = lanes[row]
+                    run = _sequential_run(config, rng, hand_off(row), decider.feed)
+                    yield index, decider, not run.decided and not run.complete(config)
+                return
+
+        fed, senders, informed, steps = advance(live)
+        decided = set()  # positions in `live` of the decided lanes
+        for r, row, sender in zip(fed.tolist(), live[fed].tolist(), senders.tolist()):
+            if r not in decided and lanes[row][1].feed(sender):
+                decided.add(r)
+        ended = (informed == n) | (steps >= cap)
+        if decided:
+            ended[list(decided)] = True
+        ended = np.flatnonzero(ended)
+        idle += ended.size
+        for r, row in zip(ended.tolist(), live[ended].tolist()):
+            busy[row] = False
+            yield *lanes[row], r not in decided and bool(informed[r] < n)
+
+
+def _array_lanes(config: GossipConfig, rng: np.random.Generator, deciders=None):
+    """The array engine: lanes at s in {0, 1} (delayed start included),
+    drawn a block of steps at a time on (lanes x steps) arrays and scheduled
+    by _lanes, which hands none off.
+
+    With `deciders`, yields what _lanes yields.  Without, one lane is
+    recorded and yielded as a SequentialRun.
 
     A block draws (L, B) receivers and, at s = 1, (L, B) uniforms; each
     sender is A[int(u * |A|)] with |A| as the step finds it, |A| = 1
     included.  B is 3 x the lanes' mean age + 16, so one lane's blocks start
-    at 16 steps and grow x4, up to _BLOCK and _LANE_STEPS / L.
+    at 16 steps and grow x4, up to _BLOCK and _LANE_STEPS / L.  A lane's
+    block is cut at the step cap and at the step that informs its last node.
     """
     n, cap, src, curious_lo = config.n, config.max_steps, config.source, config.curious_lo
     s_one = config.s == 1.0
     delayed = config.variant == "delayed_start"
     record = deciders is None
-    pending = enumerate([None] if record else deciders)
     rows = 1 if record else max(1, min(_TABLE // n, _LANE_STEPS // 16))
     # joined[row * n + v]: the clock at which v joined A (at s = 1) or the
     # informed set (at s = 0) in the row's lane, _NEVER if it has not; the
@@ -207,21 +268,17 @@ def _array_lanes(config: GossipConfig, rng: np.random.Generator, deciders=None):
     joined = np.full(rows * n, _NEVER, np.int64)
     order = np.empty(rows * n, np.int64)  # per row, A in list order; it only grows at s = 1
     base, la, prev, n_informed, step = (np.zeros(rows, np.int64) for _ in range(5))
-    lanes = [None] * rows  # per row, (index, decider) of its lane
-    busy = np.zeros(rows, bool)
     clock = 0
     senders, receivers = [], []  # the recorded lane's blocks
-    while True:
-        for row in np.flatnonzero(~busy).tolist():
-            if (lane := next(pending, None)) is None:
-                break
-            lanes[row], busy[row] = lane, True
+
+    def reset(free):
+        for row in free.tolist():  # a loop: most calls reset one row
             base[row], la[row], prev[row], n_informed[row], step[row] = clock, not delayed, src, 1, 0
             joined[row * n + src] = _NEVER if delayed else clock
             order[row * n] = src
-        live = np.flatnonzero(busy)
-        if not live.size:
-            return
+
+    def advance(live):
+        nonlocal clock
         L, at_step, offset = live.size, step[live], (live * n)[:, None]
         B = min(3 * int(at_step.sum()) // L + 16, _BLOCK, _LANE_STEPS // L, cap - int(at_step.min()))
         rcv = rng.integers(0, n, size=(L, B))
@@ -234,7 +291,6 @@ def _array_lanes(config: GossipConfig, rng: np.random.Generator, deciders=None):
         clock += L * B + 1  # a lane admitted next starts above every clock so far
         new = joined[cell] == at
         informed = n_informed[live, None] + (new & (rcv != src)).cumsum(1)
-        # Cut at the step that informs the last node, and at the cap.
         size = np.minimum(np.minimum(cap - at_step, B), (informed < n).sum(1) + 1)
         if s_one:
             held = la[live, None] + new.cumsum(1) - new  # |A| when each step picks its sender
@@ -245,33 +301,24 @@ def _array_lanes(config: GossipConfig, rng: np.random.Generator, deciders=None):
             snd = np.concatenate((prev[live, None], rcv[:, :-1]), axis=1)
             prev[live] = rcv[:, -1]
         snd[at_step == 0, 0] = src  # under delayed start A is empty before the first send
-
-        decided = np.zeros(L, bool)
+        end_step, end_informed = at_step + size, informed[np.arange(L), size - 1]
+        step[live], n_informed[live] = end_step, end_informed
         if record:
             senders.append(snd[0, : size[0]])
             receivers.append(rcv[0, : size[0]])
-        else:  # each lane's observed senders in step order, until it is decided
-            lane_of, t_of = np.nonzero((rcv >= curious_lo) & (_STEPS[:B] < size[:, None]))
-            t_of, fed = t_of.tolist(), snd[lane_of, t_of].tolist()
-            hi = 0
-            for r, (row, count) in enumerate(zip(live.tolist(), np.bincount(lane_of, minlength=L).tolist())):
-                lo, hi = hi, hi + count
-                feed = lanes[row][1].feed
-                for k in range(lo, hi):
-                    if feed(fed[k]):
-                        decided[r], size[r] = True, t_of[k] + 1
-                        break
-        end_step, end_informed = at_step + size, informed[np.arange(L), size - 1]
-        step[live], n_informed[live] = end_step, end_informed
-        for r in np.flatnonzero(decided | (end_informed == n) | (end_step == cap)).tolist():
-            row = live[r]
-            busy[row] = False
-            if record:  # one concatenation per column; rebinding frees the senders' blocks first
-                senders = np.concatenate(senders)
-                receivers = np.concatenate(receivers)
-                yield SequentialRun(senders, receivers, int(n_informed[row]), int(step[row]), False)
-            else:
-                yield *lanes[row], bool(not decided[r] and n_informed[row] < n)
+            return _NONE, _NONE, end_informed, end_step
+        lane_of, t_of = np.nonzero((rcv >= curious_lo) & (_STEPS[:B] < size[:, None]))
+        return lane_of, snd[lane_of, t_of], end_informed, end_step
+
+    lanes = _lanes(config, rng, [None] if record else deciders, rows, reset, advance)
+    if not record:
+        yield from lanes
+        return
+    next(lanes)
+    # One concatenation per column; rebinding frees the senders' blocks first.
+    senders = np.concatenate(senders)
+    receivers = np.concatenate(receivers)
+    yield SequentialRun(senders, receivers, int(n_informed[0]), int(step[0]), False)
 
 
 def run_trace(config: GossipConfig, rng: np.random.Generator) -> ExecutionTrace:

@@ -175,8 +175,8 @@ def _views(monkeypatch, path, cfg, deciders, rng, pools=None):
             patch.setattr(estimators, "_TAIL", 0)
             if path == "lone":
                 patch.setattr(estimators, "_LANES", 1)
-        run = estimators._sequential_run
-        patch.setattr(estimators, "_sequential_run", lambda *args: hand_offs.append(1) or run(*args))
+        run = protocols._sequential_run
+        patch.setattr(protocols, "_sequential_run", lambda *args: hand_offs.append(1) or run(*args))
         if array or path != "crowded":
             yield from _lumped_views(cfg, deciders, rng, pools)
         else:
@@ -374,8 +374,8 @@ def test_lumped_hand_off_states_are_valid(monkeypatch, s, variant):
                        [rule.found] if rule.found is not None else []))
         return sequential_run(config, rng, start, feed)
 
-    sequential_run = estimators._sequential_run
-    monkeypatch.setattr(estimators, "_sequential_run", record)
+    sequential_run = protocols._sequential_run
+    monkeypatch.setattr(protocols, "_sequential_run", record)
     rng = spawn_stream(32, int(10 * s))
     for make, engine_pools in ((lambda: FirstInPrior(prior), pools), (lambda: ObservedPrefix(10**9), None)):
         starts.clear()
@@ -401,6 +401,79 @@ def test_count_lockstep_refuses_a_decider_not_decided_by_its_first_sender():
     with pytest.raises(ValueError, match="decided by its first fed sender"):
         for _ in _lumped_views(cfg, [ObservedPrefix(2) for _ in range(50)], spawn_stream(38, 0), _pools(cfg, 4)):
             pass
+
+
+class _Watched:
+    """A rule that keeps whether it was decided and how its lane ended, and
+    fails if it is fed after it was decided."""
+
+    def __init__(self, rule):
+        self.rule, self.decided, self.end = rule, False, None
+
+    def feed(self, sender):
+        assert not self.decided, "fed after it was decided"
+        self.decided = self.rule.feed(sender)
+        return self.decided
+
+
+@pytest.mark.parametrize("s, variant, pools", [(0.0, "parameterized", False), (1.0, "parameterized", False),
+                                               (1.0, "delayed_start", False), (0.5, "parameterized", True),
+                                               (0.5, "parameterized", False)])
+def test_lane_scheduler_contract(monkeypatch, s, variant, pools):
+    # Each engine under protocols._lanes (the array engine at s in {0, 1}, at
+    # s = 0.5 the count lockstep on MAP's pools and the per-node lockstep),
+    # with 8 rows for the calls of 12 deciders each, a tail of 5 lanes that
+    # the locksteps hand off and a step cap that caps some lanes.  Every index
+    # is yielded once, with its decider; no decider is fed after it is
+    # decided; a decided lane is never reported capped; a capped lane is
+    # neither decided nor complete and has taken `step_cap` steps; a lane
+    # neither decided nor capped is complete.  A lane's end is read from the
+    # engine's last step of its row, or from its hand-off's run.
+    cfg = GossipConfig(n=6, f=1, s=s, variant=variant, step_cap=12)
+    monkeypatch.setattr(protocols, "_TABLE", 8 * cfg.n)
+    monkeypatch.setattr(estimators, "_LANES", 8)
+    monkeypatch.setattr(estimators, "_TAIL", 5)
+    scheduler, sequential_run, hand_offs = protocols._lanes, protocols._sequential_run, []
+
+    def lanes(config, rng, deciders, rows, reset, advance, *hand_off):
+        queue, holder = iter(deciders), {}
+
+        def watched_reset(free):
+            holder.update((row, next(queue)) for row in free.tolist())
+            reset(free)
+
+        def watched_advance(live):
+            out = advance(live)
+            for row, informed, steps in zip(live.tolist(), out[2].tolist(), out[3].tolist()):
+                holder[row].end = informed, steps
+            return out
+
+        return scheduler(config, rng, deciders, rows, watched_reset, watched_advance, *hand_off)
+
+    def handed_off(config, rng, start, feed):
+        run = sequential_run(config, rng, start, feed)
+        feed.__self__.end = run.n_informed, run.steps
+        hand_offs.append(1)
+        return run
+
+    for module in (protocols, estimators):
+        monkeypatch.setattr(module, "_lanes", lanes)
+    monkeypatch.setattr(protocols, "_sequential_run", handed_off)
+    prior = frozenset(_pools(cfg, 2)[estimators._PRIOR].tolist()) | {cfg.source}
+    rng, ends = spawn_stream(39, int(10 * s) + (variant == "delayed_start") + pools), Counter()
+    for call in range(100):
+        deciders = [_Watched(FirstInPrior(prior) if pools else ObservedPrefix(1 + i % 4)) for i in range(12)]
+        yielded = list(_lumped_views(cfg, deciders, rng, _pools(cfg, 2) if pools else None))
+        assert sorted(index for index, _, _ in yielded) == list(range(12))
+        for index, decider, capped in yielded:
+            informed, steps = decider.end
+            assert decider is deciders[index]
+            assert not (decider.decided and capped)
+            assert not capped or informed < cfg.n and steps == cfg.max_steps
+            assert capped or decider.decided or informed == cfg.n
+            ends[capped, decider.decided] += 1
+    assert min(ends[True, False], ends[False, True], ends[False, False]) >= 200, ends
+    assert len(hand_offs) >= 150 if s == 0.5 else not hand_offs
 
 
 def test_lumped_lockstep_never_runs_at_s0_and_s1(monkeypatch):

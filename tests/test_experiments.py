@@ -385,10 +385,11 @@ def test_readme_csv_header_matches_run_experiment(tmp_path, kind):
 
 
 # sha256 of attack.csv for small attack grids.  They pin the draw order of
-# the engines and the attack rules (AC12 only compares a rerun with a rerun):
-# the array engine's fed lanes at s in {0, 1} ("map" at s = 0, "silence"),
-# and at 0 < s < 1 the count lockstep ("map", "map_capped") and the per-node
-# lockstep ("multi_rumor").  A change that moves it on purpose
+# the engines, of the lane scheduler that admits, feeds and ends their lanes
+# (protocols._lanes) and of the attack rules (AC12 only compares a rerun with
+# a rerun): the array engine's fed lanes at s in {0, 1} ("map" at s = 0,
+# "silence"), and at 0 < s < 1 the count lockstep ("map", "map_capped") and
+# the per-node lockstep ("multi_rumor").  A change that moves it on purpose
 # updates these digests and says so in CHANGES.md.
 GOLDEN_ATTACKS = {
     "map": (
