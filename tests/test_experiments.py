@@ -394,12 +394,12 @@ def test_readme_csv_header_matches_run_experiment(tmp_path, kind):
 GOLDEN_ATTACKS = {
     "map": (
         {"attack": "map", "n": "1024", "s": "0, 0.5", "prior_size": "all, 10", "trials": "200"},
-        "c46004720d014f3be4c3a29270d9c5b7d95c44ae9bd4ee0b8f86b9daeae19444",
+        "e829b40dcb439f33071b04f4d6ad3aa62650e409b4e6a4a203ee947fd4b77dba",
     ),
     "map_capped": (
         {"attack": "map", "n": "256", "s": "0.5", "prior_size": "all, 10", "step_cap": "40",
          "trials": "300"},
-        "a87e04d2ca180d6b2da93a8b9dff2b9836c8a873a82f4f78f38792ae52e9ff61",
+        "d60b571816c2e302ab44a6547b524ffea9a42d76be9ab0b27bf1bf53c1511842",
     ),
     "silence": (
         {"attack": "silence", "variant": "delayed_start", "n": "1024", "s": "1", "trials": "300"},
