@@ -461,7 +461,7 @@ def test_lane_scheduler_contract(monkeypatch, s, variant, pools):
     monkeypatch.setattr(protocols, "_sequential_run", handed_off)
     prior = frozenset(_pools(cfg, 2)[estimators._PRIOR].tolist()) | {cfg.source}
     rng, ends = spawn_stream(39, int(10 * s) + (variant == "delayed_start") + pools), Counter()
-    for call in range(100):
+    for _ in range(100):
         deciders = [_Watched(FirstInPrior(prior) if pools else ObservedPrefix(1 + i % 4)) for i in range(12)]
         yielded = list(_lumped_views(cfg, deciders, rng, _pools(cfg, 2) if pools else None))
         assert sorted(index for index, _, _ in yielded) == list(range(12))
