@@ -12,7 +12,6 @@ temporary copies is written.
 
     python tools/mutants.py            # every mutant
     python tools/mutants.py NAME ...   # the named ones
-    python tools/mutants.py --list
 
 Exit status 0 if every mutant run was caught, 1 if one was missed, 2 if a
 listed test fails without any mutant.
@@ -134,12 +133,7 @@ def failures(tests, mutant: Mutant | None = None) -> tuple[set[str], float]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
     args = parser.parse_args(argv)
-    if args.list:
-        for mutant in MUTANTS:
-            print(mutant.name)
-        return 0
     if unknown := set(args.names) - {m.name for m in MUTANTS}:
         parser.error(f"unknown mutants: {sorted(unknown)}")
     chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
