@@ -180,10 +180,11 @@ def multi_rumor_attack(
     minimized across instances); remaining ties are broken uniformly.
     """
     lead_lists = [feed_all(FirstKDistinct(k), obs.senders).leads for obs in observations]
-    return _outcome(_score_multi_rumor(lead_lists, rng), true_source)
+    return _outcome(score_multi_rumor(lead_lists, rng), true_source)
 
 
-def _score_multi_rumor(lead_lists: Sequence[Sequence[int]], rng: np.random.Generator) -> Optional[int]:
+def score_multi_rumor(lead_lists: Sequence[Sequence[int]], rng: np.random.Generator) -> Optional[int]:
+    """multi_rumor_attack's prediction from each instance's lead list; None if all are empty."""
     counts: dict[int, int] = {}
     best_rank: dict[int, int] = {}
     for leads in lead_lists:

@@ -4,7 +4,8 @@ Usage:
     gossip-sim <kind> [--spec FILE] [--out DIR] [--jobs N] [--seed SEED]
                [key=value ...]
 
-where <kind> is one of: trace, spread, attack, validate, bounds.  Settings
+where <kind> is one of: trace, spread, attack, validate, bounds; a spec file
+`kind` or a kind= argument that names another kind is an error.  Settings
 come from the optional spec file, overlaid with any key=value arguments and
 then validated once against experiments.KEYS, which scopes each key to every
 kind, one kind or one attack.  GOSSIP_SEED overrides the spec's master_seed;
@@ -40,7 +41,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         items = read_spec(args.spec) if args.spec is not None else {}
         items.setdefault("name", (args.kind, None))
-        items["kind"] = (args.kind, None)
         given: dict = {}  # key=value arguments override the file's keys
         for tok in args.overrides:
             if "=" not in tok:
@@ -49,7 +49,10 @@ def main(argv: list[str] | None = None) -> int:
             if key in given:
                 raise SpecError(key, "given twice on the command line")
             given[key] = (value, None)
-        items.update(given)
+        for value, line in (v for v in (items.get("kind"), given.get("kind")) if v):
+            if str(value).strip() != args.kind:  # the command's kind is the kind
+                raise SpecError("kind", f"{value!r} is not the command's kind {args.kind!r}", line)
+        items.update(given, kind=(args.kind, None))
         if "GOSSIP_SEED" in os.environ:
             items["master_seed"] = (os.environ["GOSSIP_SEED"], None)
         if args.seed is not None:

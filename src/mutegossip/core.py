@@ -16,6 +16,7 @@ Conventions baked in here:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -96,6 +97,8 @@ class GossipConfig:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if not 0 <= self.f <= self.n - 2:
             raise ValueError(f"f must be in [0, n-2], got f={self.f}, n={self.n}")
+        if isinstance(self.s, bool) or not isinstance(self.s, numbers.Real):
+            raise ValueError(f"s must be a real number, got {self.s!r}")
         if not 0.0 <= self.s <= 1.0:
             raise ValueError(f"s must be in [0, 1], got {self.s}")
         if not 0 <= self.source < self.n:

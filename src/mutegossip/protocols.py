@@ -13,9 +13,7 @@ nodes, self included):
              the next round.  A round with one sender (every round at
              s = 0) draws scalars from the same stream and touches no
              n-long mask scan, so it costs O(1); rounds with more senders
-             work on dense masks.  The spreading estimator needs only the
-             per-round counts and takes them from the count-only engines in
-             estimators, which have run_sync's law.
+             work on dense masks.
 
 Engines are single-threaded and deterministic given their stream; run many
 of them concurrently on disjoint streams.
@@ -32,18 +30,47 @@ to the next refill of either buffer, so its steps check no buffer and its
 receivers are unboxed at once.  Both engines record a run per chunk or block
 as int64 arrays, concatenated once at the end.
 
-Lanes run under one scheduler, _lanes, which admits, feeds, ends and yields
-them and hands a lockstep engine's last lanes to the per-node loop; an
-engine supplies a reset of some rows of its tables, a step of the live rows
-and, for the hand-off, a lane's state.  A run_trace run at s in {0, 1} is
-the array engine's one recorded lane; the estimators' attack and event runs
-are the fed lanes of the array engine and of the lockstep engines there.
+Attack and event runs are fed lanes (fed_lanes): one per decider, fed the
+sender of each observed entry.  One scheduler, _lanes, admits, feeds, ends
+and yields every lane; an engine supplies a reset of some rows of its
+tables, a step of the live rows and, for a hand-off, a lane's state.  At s
+in {0, 1} lanes run on the array engine (a run_trace run there is its one
+recorded lane); at 0 < s < 1 each live lane takes one step per iteration:
+
+* Count lockstep (MAP lanes).  The nodes of a class are exchangeable, so a
+  MAP run lumps to per-class counts of active, muted and uninformed nodes
+  (strong lumpability; Kemeny & Snell, Finite Markov Chains, 6.3) over four
+  classes (_pools): the source, the other non-curious nodes outside the
+  prior, the prior's other members and the curious nodes.  FirstInPrior
+  decides at the first observed sender that is the source or in the prior,
+  so a lane is fed once, the source's id or an id uniform over the prior's
+  class, and ends; no node is told apart from its class.  A step draws a
+  uniform sender among the active nodes, laid out class by class, its mute
+  coin, and a uniform receiver among the n nodes, laid out as each class's
+  [active, muted, uninformed] nodes before the sender muted; the sender
+  holds the first place of its class's active block, which tells a send to
+  itself apart.  A handed-off lane is un-lumped first: each class's active
+  and muted nodes take distinct ids, uniform over the class, which keeps
+  the law since the state is exchangeable within each class.
+* Per-node lockstep (every other lane).  Each lane keeps its own A list and
+  each node's state (uninformed, muted or active), one row of (rows x n)
+  tables, and steps by the per-node rule.
+
+Both hand their last _TAIL lanes to the per-node loop (_sequential_run): a
+step there costs 0.4-0.9 us (n = 4096-65536), against 30-40 us for an
+iteration of the arrays with one live lane (process time, 2-core Xeon VM).
+
+round_counts draws run_sync's per-round informed and active counts, all
+that the spreading estimator reads, from count-only engines of its law: the
+coupon collector at s = 0, the count-only round engine at s > 0.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -55,6 +82,10 @@ _STEPS = np.arange(_BLOCK)
 # entries (lanes x n), and a block draws at most _LANE_STEPS lane-steps.
 _TABLE = 1 << 17
 _LANE_STEPS = 1 << 14
+_LANES = 2048  # lanes stepped together at most; bounds the engines' arrays
+_TAIL = 256  # lanes that the lockstep engines hand off at their end, at most
+# The per-node lockstep's tables hold at most this many (row, node) entries.
+_NODE_TABLE = 1 << 20
 _NEVER = np.iinfo(np.int64).max
 _NONE = np.empty(0, np.int64)
 
@@ -75,7 +106,7 @@ class SequentialRun:
 
 def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, feed=None) -> SequentialRun:
     """The per-node sequential engine loop: run_trace's engine at 0 < s < 1,
-    the one on which the estimators' lockstep engines end their last runs, and
+    the one on which the lockstep engines end their last lanes, and
     the reference that both are tested against.
 
     `start` = (informed ids, active ids, steps taken) continues a run from
@@ -321,6 +352,180 @@ def _array_lanes(config: GossipConfig, rng: np.random.Generator, deciders=None):
     yield SequentialRun(senders, receivers, int(n_informed[0]), int(step[0]), False)
 
 
+_SOURCE, _REST, _PRIOR, _CURIOUS = range(4)  # the count lockstep's classes
+
+
+def _pools(config: GossipConfig, prior_size: int) -> list[np.ndarray]:
+    """The ids of the count lockstep's classes for a MAP prior of prior_size
+    nodes, in _SOURCE, _REST, _PRIOR, _CURIOUS order; the prior is the source
+    plus the last prior_size-1 other non-curious ids.  A class may be empty."""
+    others = np.delete(np.arange(config.curious_lo), config.source)
+    rest, prior = np.split(others, [others.size - prior_size + 1])
+    return [np.array([config.source]), rest, prior, np.arange(config.curious_lo, config.n)]
+
+
+def map_prior(config: GossipConfig, prior_size: int) -> tuple[list[np.ndarray], frozenset]:
+    """_pools for a MAP prior of prior_size nodes (fed_lanes takes them), and the prior's ids."""
+    pools = _pools(config, prior_size)
+    return pools, frozenset(pools[_PRIOR].tolist()) | {config.source}
+
+
+@functools.cache
+def _count_moves() -> np.ndarray:
+    """The change of a lane's counts (per class active, muted, uninformed;
+    then steps and uninformed nodes) for each step outcome, one row per
+    ((sender class * 2 + mute) * 12 + receiver block) * 2 + self-send, where
+    block 3c+b is class c's active (b=0), muted (1) or uninformed (2)
+    nodes."""
+    moves = np.zeros((4 * 2 * 12 * 2, 14), np.int64)
+    for row, move in enumerate(moves):
+        rest, self_send = divmod(row, 2)
+        rest, block = divmod(rest, 12)
+        sender, mute = divmod(rest, 2)
+        move[12] = 1  # steps
+        if mute and not self_send:  # the sender goes quiet
+            move[3 * sender] -= 1
+            move[3 * sender + 1] += 1
+        if block % 3:  # a muted or uninformed receiver becomes active
+            move[block - block % 3] += 1
+            move[block] -= 1
+        move[13] = -(block % 3 == 2)
+    return moves
+
+
+def fed_lanes(config: GossipConfig, deciders: Iterable, rng: np.random.Generator, pools=None):
+    """One run of `config` per decider, as _lanes yields them: at s in
+    {0, 1} on the array engine; otherwise MAP's, which come with their
+    `pools` (from map_prior), on the count lockstep and every other run on
+    the per-node lockstep."""
+    if config.s in (0.0, 1.0):
+        return _array_lanes(config, rng, deciders)
+    if pools is not None:
+        return _count_lanes(config, deciders, rng, pools)
+    return _node_lanes(config, deciders, rng)
+
+
+def _count_lanes(config: GossipConfig, deciders: Iterable, rng: np.random.Generator, pools):
+    """fed_lanes' count lockstep, for FirstInPrior deciders on `pools`.
+    A lane's counts are a row of `st`; its decider must be decided by the
+    first sender it is fed."""
+    n, s, source = config.n, config.s, config.source
+    moves = _count_moves()
+    prior = pools[_PRIOR]
+    sizes = [pool.size for pool in pools]
+    class_end, class_start = np.cumsum(sizes), np.cumsum(sizes) - sizes
+    fresh = np.zeros(14, np.int64)  # a lane at step 0: the source active, every other node uninformed
+    fresh[2:12:3] = sizes
+    fresh[[0, 2, 13]] = 1, 0, n - 1
+    st = np.zeros((_LANES, 14), np.int64)  # per row, its lane's counts, laid out as _count_moves' columns
+    was_fed = np.zeros(_LANES, bool)
+
+    def reset(free):
+        st[free] = fresh
+        was_fed[free] = False
+
+    def advance(live):
+        if was_fed[live].any():
+            raise ValueError("the count lockstep needs a decider decided by its first fed sender")
+        L, at = live.size, np.take(st, live, axis=0)
+        u = rng.random((3, L))
+        two = at[:, 0] + at[:, 3]  # active nodes in the first two classes
+        three = two + at[:, 6]
+        k = u[0] * (three + at[:, 9])
+        cs = (k >= at[:, 0]).astype(np.int64) + (k >= two) + (k >= three)  # the sender's class
+        mute = u[1] >= s
+        r = (u[2] * n).astype(np.int64)
+        rc = np.searchsorted(class_end, r, side="right")  # the receiver's class
+        r -= class_start[rc]
+        lane = np.arange(L)
+        a = at[lane, 3 * rc]
+        block = 3 * rc + (r >= a) + (r >= a + at[lane, 3 * rc + 1])
+        self_send = (rc == cs) & (r == 0)
+        at += np.take(moves, ((cs * 2 + mute) * 12 + block) * 2 + self_send, axis=0)
+        st[live] = at
+        fed = np.flatnonzero((rc == _CURIOUS) & ((cs == _SOURCE) | (cs == _PRIOR)))
+        was_fed[live[fed]] = True
+        senders = np.full(fed.size, source)
+        in_prior = cs[fed] == _PRIOR
+        senders[in_prior] = prior[(rng.random(np.count_nonzero(in_prior)) * prior.size).astype(np.int64)]
+        return fed, senders, n - at[:, 13], at[:, 12]
+
+    def hand_off(row):
+        counts = st[row].tolist()
+        informed, active = [], []
+        for pool, a, m in zip(pools, counts[0:12:3], counts[1:12:3]):
+            if a + m:
+                drawn = rng.choice(pool, a + m, replace=False)
+                informed.append(drawn)
+                active.append(drawn[:a])
+        return np.concatenate(informed), np.concatenate(active), counts[12]
+
+    return _lanes(config, rng, deciders, _LANES, reset, advance, hand_off, _TAIL)
+
+
+def _node_lanes(config: GossipConfig, deciders: Iterable, rng: np.random.Generator):
+    """fed_lanes' per-node lockstep: each lane fed every observed sender
+    by its id."""
+    n, s, src, curious_lo = config.n, config.s, config.source, config.curious_lo
+    rows = max(1, min(_LANES, _NODE_TABLE // n))
+    A = np.empty((rows, n), np.int32)  # per row, its lane's A list: its first la[row] entries
+    state = np.zeros((rows, n), np.int8)  # per row and node: uninformed 0, muted 1, active 2
+    la, n_informed, step = (np.zeros(rows, np.int64) for _ in range(3))
+
+    def reset(free):
+        state[free] = 0
+        state[free, src], A[free, 0] = 2, src
+        la[free], n_informed[free], step[free] = 1, 1, 0
+
+    def advance(live):
+        u = rng.random((3, live.size))
+        k = (u[0] * la[live]).astype(np.int64)
+        snd = A[live, k]
+        rcv = (u[2] * n).astype(np.int64)
+        mute = u[1] >= s
+        if mute.any():  # swap-remove the muted senders from A
+            m, km = live[mute], k[mute]
+            la[m] -= 1
+            A[m, km] = A[m, la[m]]
+            state[m, snd[mute]] = 1
+        was = state[live, rcv]  # after the mute, so a send to oneself wakes its sender
+        informed, steps = n_informed[live] + (was == 0), step[live] + 1
+        n_informed[live], step[live] = informed, steps
+        wake = was < 2
+        if wake.any():
+            w, kw = live[wake], rcv[wake]
+            state[w, kw] = 2
+            A[w, la[w]] = kw
+            la[w] += 1
+        fed = np.flatnonzero(rcv >= curious_lo)
+        return fed, snd[fed], informed, steps
+
+    def hand_off(row):
+        return np.flatnonzero(state[row]), A[row, : la[row]], int(step[row])
+
+    return _lanes(config, rng, deciders, rows, reset, advance, hand_off, _TAIL)
+
+
+def first_observed_senders_s0(
+    config: GossipConfig, trials: int, rng: np.random.Generator
+) -> tuple[np.ndarray, int]:
+    """s=0 fast path: the first observed sender of each trial, from its law.
+
+    At s=0 the run is a walk: each step's receiver sends the next step.  The
+    first observed entry comes at step T ~ Geometric(f/n); its sender is the
+    source if T = 1, else the previous receiver, which was not curious and is
+    uniform on [0, curious_lo).  Returns (first senders, -1 where T exceeds
+    the step cap; count of capped trials).
+    """
+    if config.f == 0:
+        return np.full(trials, -1, dtype=np.int64), 0  # complete, empty observation
+    steps = rng.geometric(config.f / config.n, size=trials)
+    out = np.where(steps == 1, config.source, rng.integers(0, config.curious_lo, size=trials))
+    capped = steps > config.max_steps
+    out[capped] = -1
+    return out, int(np.count_nonzero(capped))
+
+
 def run_trace(config: GossipConfig, rng: np.random.Generator) -> ExecutionTrace:
     """Run the sequential engine to completion (or the step cap).
 
@@ -404,3 +609,72 @@ def run_sync(config: GossipConfig, rng: np.random.Generator) -> tuple[ExecutionT
     trace = ExecutionTrace(config=config, senders=np.concatenate(snd), receivers=np.concatenate(rcv),
                            complete=n_informed == n)
     return trace, RoundTrace(informed_per_round, active_per_round)
+
+
+def _coupon_runs_s0(config: GossipConfig, trials: int, rng: np.random.Generator):
+    """Lumped s=0 synchronous engine: yield (complete, RoundTrace) per trial.
+
+    At s=0 the one active node sends to a uniform target, which is the next
+    round's only active node, so the informed count is a coupon collector:
+    the rounds from the k-th to the (k+1)-th informed node are independent
+    Geometric((n-k)/n) draws, k = 1..n-1, and every round sends one message.
+    A run is step-capped iff its rounds exceed config.max_steps (capped runs
+    yield no trace).  The same law as run_sync at s=0, in another draw order.
+    """
+    n = config.n
+    counts = np.arange(1, n + 1)
+    waits = rng.geometric((n - counts[:-1]) / n, size=(trials, n - 1))
+    held = np.ones(n, dtype=np.int64)  # rounds ending with each informed count
+    for w in waits:
+        rounds = int(w.sum())
+        if rounds > config.max_steps:
+            yield False, None
+            continue
+        held[:-1] = w
+        held[0] -= 1  # the second node is informed *in* round waits[0]
+        yield True, RoundTrace(np.repeat(counts, held), np.broadcast_to(np.int64(1), (rounds,)))
+
+
+def _count_runs(config: GossipConfig, trials: int, rng: np.random.Generator):
+    """Count-only synchronous engine for s > 0: yield (complete, RoundTrace) per trial.
+
+    On the complete graph the nodes are exchangeable, so the informed and
+    active counts are themselves a Markov chain (strong lumpability; Kemeny &
+    Snell, Finite Markov Chains, 6.3).  A round of k senders first draws its
+    stayers' count, k at s = 1 and Binomial(k, s) otherwise.  With the nodes
+    renumbered as stayers [0, stay), other active [stay, k), informed
+    inactive [k, informed) and uninformed [informed, n), a receiver among the
+    stayers changes no count; so the round draws only the m ~ Binomial(k,
+    (n - stay)/n) receivers outside them, uniform over [stay, n) (multinomial
+    splitting), informs the distinct ones >= informed and leaves active the
+    stayers plus the distinct ones.  The same law as run_sync in another
+    draw order.  A run is step-capped once its messages reach
+    config.max_steps.
+    """
+    n, s, cap = config.n, config.s, config.max_steps
+    hit = np.zeros(n, dtype=bool)  # one round's receivers
+    for _ in range(trials):
+        informed = active = 1
+        messages = 0
+        informed_per_round: list[int] = []
+        active_per_round: list[int] = []
+        while informed < n and messages < cap:
+            k = active
+            stay = k if s == 1.0 else int(rng.binomial(k, s))
+            rcv = rng.integers(stay, n, size=int(rng.binomial(k, (n - stay) / n)))
+            hit[rcv] = True
+            active = stay + int(np.count_nonzero(hit[stay:]))
+            informed += int(np.count_nonzero(hit[informed:]))
+            hit[rcv] = False
+            messages += k
+            informed_per_round.append(informed)
+            active_per_round.append(active)
+        yield informed == n, RoundTrace(informed_per_round, active_per_round)
+
+
+def round_counts(config: GossipConfig, trials: int, rng: np.random.Generator):
+    """`trials` runs of run_sync's law as (complete, RoundTrace) pairs, from the
+    coupon-collector engine at s = 0 and the count-only round engine otherwise;
+    the variant is checked before any draw."""
+    _check_round_variant(config)
+    return (_coupon_runs_s0 if config.s == 0.0 else _count_runs)(config, trials, rng)

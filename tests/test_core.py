@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,6 +78,16 @@ def test_config_refuses_non_integer_fields(field, bad, good):
             GossipConfig(**{**kwargs, field: value})
     cfg = GossipConfig(**{**kwargs, field: good})
     run_trace(cfg, spawn_stream(3, 0)).validate()
+
+
+def test_config_refuses_an_s_that_is_not_a_real_number():
+    # A bool s ran as s = 1, and a str or None s raised a TypeError from the
+    # range check.  Any real number passes: exact.py reads a Fraction s.
+    for bad in (True, np.True_, "0.5", None, 0.5j):
+        with pytest.raises(ValueError, match="s must be a real number"):
+            GossipConfig(n=10, f=1, s=bad)
+    for good in (Fraction(1, 2), np.float64(0.5), np.float32(0.25), 1):
+        assert GossipConfig(n=10, f=1, s=good).s == good
 
 
 

@@ -29,10 +29,6 @@ from mutegossip.estimators import (
     MapAttackSpec,
     MultiRumorAttackSpec,
     SilenceAttackSpec,
-    _coupon_runs_s0,
-    _first_observed_senders_s0,
-    _lumped_views,
-    _pools,
     estimate_attack_precision,
     estimate_dp_gap,
     estimate_event,
@@ -41,7 +37,7 @@ from mutegossip.estimators import (
     estimate_spreading,
 )
 from mutegossip.exact import sequence_probability
-from mutegossip.protocols import run_sync, run_trace
+from mutegossip.protocols import _coupon_runs_s0, _pools, fed_lanes, first_observed_senders_s0, run_sync, run_trace
 
 
 def test_estimate_result_fields():
@@ -124,7 +120,7 @@ def test_first_observed_senders_s0_match_exact_marginals():
     # n=4, f=1, source 0: the exact first-sender law 2/4, 1/4, 1/4 and 0,
     # which test_exact derives from exact_observation_posteriors.
     cfg = GossipConfig(n=4, f=1, s=0.0)
-    first, capped = _first_observed_senders_s0(cfg, 200_000, spawn_stream(21, 0))
+    first, capped = first_observed_senders_s0(cfg, 200_000, spawn_stream(21, 0))
     assert capped == 0
     counts = np.bincount(first, minlength=4)
     assert counts[3] == 0
@@ -137,11 +133,11 @@ def test_first_observed_senders_s0_match_engine(n, f, step_cap):
     # entry: two-sample chi-square over the classes {each node, capped}.
     cfg = GossipConfig(n=n, f=f, s=0.0, step_cap=step_cap)
     stream = 100 * n + (step_cap or 0)
-    law, capped = _first_observed_senders_s0(cfg, 200_000, spawn_stream(22, stream))
+    law, capped = first_observed_senders_s0(cfg, 200_000, spawn_stream(22, stream))
     assert capped == np.count_nonzero(law < 0)
     prefixes = (ObservedPrefix(1) for _ in range(20_000))
     engine = [-1 if cut else prefix.senders[0]
-              for _, prefix, cut in _lumped_views(cfg, prefixes, spawn_stream(23, stream))]
+              for _, prefix, cut in fed_lanes(cfg, prefixes, spawn_stream(23, stream))]
     table = np.vstack([np.bincount(np.add(x, 1), minlength=n + 1) for x in (law, engine)])
     assert stats.chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue > 1e-3
     # The cap binds iff the first `step_cap` receivers all miss the f curious.
@@ -154,7 +150,7 @@ def test_first_observed_senders_s0_match_engine(n, f, step_cap):
 
 
 def _views(monkeypatch, path, cfg, deciders, rng, pools=None):
-    """_lumped_views's results on one path of its engine.  At 0 < s < 1, the
+    """fed_lanes' results on one path of its engine.  At 0 < s < 1, the
     count lockstep (given MAP's pools) or the per-node lockstep: "lockstep"
     steps every lane in lockstep to its end, with no tail rule; "lone" steps
     one lane at a time (_LANES = 1: the per-node lockstep's one row is taken
@@ -172,16 +168,16 @@ def _views(monkeypatch, path, cfg, deciders, rng, pools=None):
         elif array and path == "crowded":
             patch.setattr(protocols, "_BLOCK", 1)
         elif path != "crowded":
-            patch.setattr(estimators, "_TAIL", 0)
+            patch.setattr(protocols, "_TAIL", 0)
             if path == "lone":
-                patch.setattr(estimators, "_LANES", 1)
+                patch.setattr(protocols, "_LANES", 1)
         run = protocols._sequential_run
         patch.setattr(protocols, "_sequential_run", lambda *args: hand_offs.append(1) or run(*args))
         if array or path != "crowded":
-            yield from _lumped_views(cfg, deciders, rng, pools)
+            yield from fed_lanes(cfg, deciders, rng, pools)
         else:
             for index, decider in enumerate(deciders):
-                for _, decider, capped in _lumped_views(cfg, [decider], rng, pools):
+                for _, decider, capped in fed_lanes(cfg, [decider], rng, pools):
                     yield index, decider, capped
     assert len(hand_offs) >= 1000 if path == "crowded" and not array else not hand_offs, (path, len(hand_offs))
 
@@ -223,7 +219,7 @@ def _assert_sequence_law(views, cfg, trials):
                                            (2, 0.5, "parameterized"), (3, 1.0, "parameterized"),
                                            (4, 1.0, "delayed_start")])
 def test_lumped_views_match_exact_law(monkeypatch, path, k, s, variant):
-    # _lumped_views at f=1 against exact.sequence_probability, on the three
+    # fed_lanes at f=1 against exact.sequence_probability, on the three
     # paths of each engine (see _views): at 0 < s < 1 the per-node lockstep
     # and, for MAP, the count lockstep, and at s in {0, 1} the array engine.
     # The complete observed-sender sequences, with every observed sender fed
@@ -243,7 +239,7 @@ def test_lumped_views_match_exact_law(monkeypatch, path, k, s, variant):
         _assert_sequence_law(_views(monkeypatch, path, cfg, prefixes, spawn_stream(seed, stream)), cfg, trials)
 
     pools = _pools(cfg, 2)
-    prior = frozenset(pools[estimators._PRIOR].tolist()) | {cfg.source}
+    prior = frozenset(pools[protocols._PRIOR].tolist()) | {cfg.source}
     rules = _ended(_views(monkeypatch, path, cfg, (FirstInPrior(prior) for _ in range(trials)),
                           spawn_stream(33, stream), pools))
     found = [rule.found for rule in rules]
@@ -328,11 +324,11 @@ def test_fed_lanes_in_reused_rows_match_the_loop(s, variant):
     cfg = GossipConfig(n=300, f=30, s=s, variant=variant, step_cap=1500)
     trials = 3000
     if s == 0.5:
-        assert trials > min(estimators._LANES, estimators._NODE_TABLE // cfg.n)
+        assert trials > min(protocols._LANES, protocols._NODE_TABLE // cfg.n)
     else:
         assert trials > 4 * min(protocols._TABLE // cfg.n, protocols._LANE_STEPS // 16)
     lanes = [(prefix.senders, capped) for _, prefix, capped in
-             _lumped_views(cfg, [ObservedPrefix(10**9) for _ in range(trials)], spawn_stream(107, 0))]
+             fed_lanes(cfg, [ObservedPrefix(10**9) for _ in range(trials)], spawn_stream(107, 0))]
     rng, loop = spawn_stream(107, 1), []
     for _ in range(800):
         prefix = ObservedPrefix(10**9)
@@ -365,7 +361,7 @@ def test_lumped_hand_off_states_are_valid(monkeypatch, s, variant):
     # more than one node.)
     cfg = GossipConfig(n=12, f=3, s=s, variant=variant)
     pools = _pools(cfg, 4)
-    prior = frozenset(pools[estimators._PRIOR].tolist()) | {cfg.source}
+    prior = frozenset(pools[protocols._PRIOR].tolist()) | {cfg.source}
     starts = []
 
     def record(config, rng, start, feed):
@@ -380,7 +376,7 @@ def test_lumped_hand_off_states_are_valid(monkeypatch, s, variant):
     for make, engine_pools in ((lambda: FirstInPrior(prior), pools), (lambda: ObservedPrefix(10**9), None)):
         starts.clear()
         for _ in range(100):
-            for _ in _lumped_views(cfg, [make() for _ in range(30)], rng, engine_pools):
+            for _ in protocols.fed_lanes(cfg, [make() for _ in range(30)], rng, engine_pools):
                 pass
         assert len(starts) > 500
         assert sum(len(informed) >= 6 for (informed, _, _), _ in starts) > 300
@@ -399,7 +395,7 @@ def test_count_lockstep_refuses_a_decider_not_decided_by_its_first_sender():
     # rule decided there, as FirstInPrior is on MAP's pools.
     cfg = GossipConfig(n=12, f=3, s=0.5)
     with pytest.raises(ValueError, match="decided by its first fed sender"):
-        for _ in _lumped_views(cfg, [ObservedPrefix(2) for _ in range(50)], spawn_stream(38, 0), _pools(cfg, 4)):
+        for _ in fed_lanes(cfg, [ObservedPrefix(2) for _ in range(50)], spawn_stream(38, 0), _pools(cfg, 4)):
             pass
 
 
@@ -431,8 +427,8 @@ def test_lane_scheduler_contract(monkeypatch, s, variant, pools):
     # engine's last step of its row, or from its hand-off's run.
     cfg = GossipConfig(n=6, f=1, s=s, variant=variant, step_cap=12)
     monkeypatch.setattr(protocols, "_TABLE", 8 * cfg.n)
-    monkeypatch.setattr(estimators, "_LANES", 8)
-    monkeypatch.setattr(estimators, "_TAIL", 5)
+    monkeypatch.setattr(protocols, "_LANES", 8)
+    monkeypatch.setattr(protocols, "_TAIL", 5)
     scheduler, sequential_run, hand_offs = protocols._lanes, protocols._sequential_run, []
 
     def lanes(config, rng, deciders, rows, reset, advance, *hand_off):
@@ -456,14 +452,13 @@ def test_lane_scheduler_contract(monkeypatch, s, variant, pools):
         hand_offs.append(1)
         return run
 
-    for module in (protocols, estimators):
-        monkeypatch.setattr(module, "_lanes", lanes)
+    monkeypatch.setattr(protocols, "_lanes", lanes)
     monkeypatch.setattr(protocols, "_sequential_run", handed_off)
-    prior = frozenset(_pools(cfg, 2)[estimators._PRIOR].tolist()) | {cfg.source}
+    prior = frozenset(_pools(cfg, 2)[protocols._PRIOR].tolist()) | {cfg.source}
     rng, ends = spawn_stream(39, int(10 * s) + (variant == "delayed_start") + pools), Counter()
     for _ in range(100):
         deciders = [_Watched(FirstInPrior(prior) if pools else ObservedPrefix(1 + i % 4)) for i in range(12)]
-        yielded = list(_lumped_views(cfg, deciders, rng, _pools(cfg, 2) if pools else None))
+        yielded = list(fed_lanes(cfg, deciders, rng, _pools(cfg, 2) if pools else None))
         assert sorted(index for index, _, _ in yielded) == list(range(12))
         for index, decider, capped in yielded:
             informed, steps = decider.end
@@ -482,11 +477,11 @@ def test_lumped_lockstep_never_runs_at_s0_and_s1(monkeypatch):
     # the per-node lockstep.
     entered = []
     for name in ("_array_lanes", "_count_lanes", "_node_lanes"):
-        def wrap(*args, engine=getattr(estimators, name), name=name):
+        def wrap(*args, engine=getattr(protocols, name), name=name):
             entered.append(name)
             return engine(*args)
 
-        monkeypatch.setattr(estimators, name, wrap)
+        monkeypatch.setattr(protocols, name, wrap)
     rng = spawn_stream(37, 0)
     for s, variant in ((0.0, "parameterized"), (1.0, "parameterized"), (1.0, "delayed_start"),
                        (0.5, "parameterized")):
@@ -526,7 +521,7 @@ def test_lumped_first_senders_match_per_node_engine(n, s, variant, cap):
     stream = int(n * 10 + 10 * s) + (variant == "delayed_start")
     prefixes = (ObservedPrefix(2) for _ in range(20_000))
     lumped = Counter(cell(prefix.senders) for _, prefix, _ in
-                     _lumped_views(cfg, prefixes, spawn_stream(25, stream)))
+                     fed_lanes(cfg, prefixes, spawn_stream(25, stream)))
     rng = spawn_stream(26, stream)
     per_node = Counter(cell(observe(run_trace(cfg, rng)).senders.tolist()) for _ in range(1500))
     assert _two_sample_p(lumped, per_node) > 1e-3
@@ -617,6 +612,17 @@ def test_estimate_events_rejects_nodes_outside_range(s, node):
     cfg = GossipConfig(n=100, f=10, s=s)
     with pytest.raises(ValueError, match=f"event node {node} is outside"):
         estimate_events(cfg, [EventSpec.first_sender_is(node)], 10, spawn_stream(0, 0))
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5])  # the s = 0 path and the lane engines
+@pytest.mark.parametrize("node", [1.5, True, math.nan, np.float64(1.0)])
+def test_estimate_events_refuses_non_integer_nodes(s, node):
+    # These passed the range check: at s = 0 node 1.5 raised an IndexError
+    # and True a TypeError, and at s = 0.5 node 1.5 estimated 0.0 while True
+    # and np.float64(1.0) were read as node 1.
+    cfg = GossipConfig(n=20, f=2, s=s)
+    with pytest.raises(ValueError, match="node must be an integer"):
+        estimate_events(cfg, [EventSpec.sender_rank_le(node, 0)], 200, spawn_stream(0, 0))
 
 
 @pytest.mark.parametrize("call", [
@@ -1007,7 +1013,7 @@ def test_count_runs_match_exact_round_law(n, s):
         assert abs(informed[0] - 5 / 3) < 1e-15 and abs(active[0] - (1 + 2 * s / 3)) < 1e-15
 
     trials = 20000
-    runs = [rounds for complete, rounds in estimators._count_runs(GossipConfig(n=n, f=0, s=s), trials,
+    runs = [rounds for complete, rounds in protocols._count_runs(GossipConfig(n=n, f=0, s=s), trials,
                                                                   spawn_stream(61, n))]
     for rounds in runs[:200]:
         rounds.validate()
@@ -1035,7 +1041,7 @@ def test_count_runs_match_exact_round_law(n, s):
 @pytest.mark.parametrize("n, s", [(64, 0.05), (64, 0.5), (1024, 0.05), (1024, 0.5), (64, 1.0), (1024, 1.0)])
 def test_count_runs_match_run_sync(n, s):
     cfg = GossipConfig(n=n, f=0, s=s)
-    lumped = [rounds for _, rounds in estimators._count_runs(cfg, 2000, spawn_stream(62, n))]
+    lumped = [rounds for _, rounds in protocols._count_runs(cfg, 2000, spawn_stream(62, n))]
     rng = spawn_stream(63, n)
     sync = [run_sync(cfg, rng)[1] for _ in range(400)]
     for rounds in lumped[:100]:
@@ -1062,7 +1068,7 @@ def test_count_runs_capped_share_matches_run_sync():
     # messages to the cap.
     for stream, s in ((0, 0.5), (2, 1.0)):
         cfg = GossipConfig(n=128, f=13, s=s, step_cap=700)
-        runs = list(estimators._count_runs(cfg, 4000, spawn_stream(64, stream)))
+        runs = list(protocols._count_runs(cfg, 4000, spawn_stream(64, stream)))
         for complete, rounds in runs[:200]:
             rounds.validate()
             assert complete or rounds.messages[:-1].sum() < 700 <= rounds.messages.sum()

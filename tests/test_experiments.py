@@ -591,6 +591,28 @@ def test_cli_error_keeps_the_file_line(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_cli_refuses_a_spec_file_of_another_kind(tmp_path, capsys):
+    # `bounds --spec spread_desk.cfg` wrote a bounds.csv under the file's
+    # name.  The command's kind is the kind, and the error names the file's
+    # line; a file of the command's own kind still runs.
+    path = PRESETS / "spread_desk.cfg"
+    line = next(i for i, text in enumerate(path.read_text().splitlines(), start=1) if text.startswith("kind"))
+    assert main(["bounds", "--spec", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert f"spec key 'kind' (line {line}): 'spread' is not the command's kind 'bounds'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    assert main(["spread", "--spec", str(path), "--out", str(tmp_path / "y"), "--jobs", "1", "n=64", "trials=2"]) == 0
+
+
+def test_cli_refuses_a_kind_argument_of_another_kind(tmp_path, capsys):
+    # `spread kind=bounds` ran bounds, since the arguments were overlaid after
+    # the command set the kind.  A kind= argument naming the command's kind
+    # still runs.
+    assert main(["spread", "--out", str(tmp_path / "x"), "kind=bounds"]) == 2
+    assert "spec key 'kind': 'bounds' is not the command's kind 'spread'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    assert main(["bounds", "--out", str(tmp_path / "y"), "kind=bounds"]) == 0
+
+
 @pytest.mark.parametrize("case", ["missing", "directory", "undecodable", "json_list"])
 def test_cli_rejects_an_unusable_spec_file(tmp_path, capsys, case):
     path = tmp_path / "exp.json"

@@ -1,5 +1,7 @@
 import hashlib
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from scipy import stats
 from mutegossip import protocols
 from mutegossip.adversary import FirstGoesQuiet, ObservedPrefix, observe
 from mutegossip.core import ExecutionTrace, GossipConfig, RoundTrace, spawn_stream
+from mutegossip.exact import _moves
 from mutegossip.protocols import run_sync, run_trace
 
 
@@ -151,6 +154,41 @@ def test_array_run_caps_at_block_edges(s, variant):
                 ExecutionTrace(cfg, run.senders, run.receivers, run.complete(cfg)).validate()
                 assert run.steps == len(run.senders) == len(run.receivers)
                 assert run.steps == cap if not run.complete(cfg) else run.steps <= cap
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_loop_first_two_steps_match_the_exact_step_rule(s):
+    # The per-node loop (run_trace at 0 < s < 1) against exact._moves, the
+    # oracle's one-step rule: a chi-square test of the first two steps'
+    # (sender, receiver) pairs at n = 4 over 20,000 runs.  The second sender
+    # depends on the first sender's mute coin and on the pick from A, which
+    # the observed-sender laws at f = 1 and n = 4 barely see.
+    n, trials = 4, 20_000
+    law = Counter()
+    for p, i, j, active in _moves(n, Fraction(s), 1):
+        for q, i2, j2, _ in _moves(n, Fraction(s), active):
+            law[i, j, i2, j2] += p * q
+    cfg, rng, runs = GossipConfig(n=n, f=0, s=s), spawn_stream(111, int(4 * s)), Counter()
+    for _ in range(trials):
+        trace = run_trace(cfg, rng)
+        (i, i2), (j, j2) = trace.senders[:2].tolist(), trace.receivers[:2].tolist()
+        runs[i, j, i2, j2] += 1
+    cells = sorted(law)
+    assert sum(law.values()) == 1 and set(runs) <= set(cells)
+    observed = [runs[cell] for cell in cells]
+    assert stats.chisquare(observed, [float(law[cell]) * trials for cell in cells]).pvalue > 1e-4
+
+
+def test_loop_continues_a_run_from_its_state():
+    # A run continued from (informed ids, active ids, steps taken) counts the
+    # given informed nodes and steps: from all nodes but one informed, it
+    # ends complete at the step that informs the last, its steps counted on
+    # from the start's.
+    cfg, rng = GossipConfig(n=8, f=1, s=0.5, step_cap=10_000), spawn_stream(112, 0)
+    for _ in range(200):
+        run = protocols._sequential_run(cfg, rng, (list(range(7)), [0, 3], 40))
+        assert run.complete(cfg) and run.receivers[-1] == 7
+        assert run.steps == 40 + len(run.receivers) == 40 + len(run.senders)
 
 
 def test_run_trace_at_s0_and_s1_never_runs_the_loop(monkeypatch):

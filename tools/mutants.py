@@ -32,11 +32,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PROTOCOLS = "src/mutegossip/protocols.py"
-ESTIMATORS = "src/mutegossip/estimators.py"
+EXACT = "src/mutegossip/exact.py"
 EXACT_LAW = "tests/test_estimators.py::test_lumped_views_match_exact_law"
 CONTRACT = "tests/test_estimators.py::test_lane_scheduler_contract"
 REUSED = "tests/test_estimators.py::test_fed_lanes_in_reused_rows_match_the_loop"
 HAND_OFF = "tests/test_estimators.py::test_lumped_hand_off_states_are_valid"
+ARRAY_LOOP = "tests/test_protocols.py::test_array_run_matches_the_loop_in_law"
+TRACE_LAW = "tests/test_exact.py::test_exact_matches_monte_carlo"
+ROUND_LAW = "tests/test_estimators.py::test_count_runs_match_exact_round_law"
+COUNT_SYNC = "tests/test_estimators.py::test_count_runs_match_run_sync"
+COUPON_SYNC = "tests/test_estimators.py::test_coupon_runs_s0_match_run_sync"
+LENGTH_LAW = "tests/test_exact.py::test_observation_length_law_is_exact_for_every_s"
+FIRST_STEPS = "tests/test_protocols.py::test_loop_first_two_steps_match_the_exact_step_rule"
 TIMEOUT = 600  # seconds for one mutant's pytest
 SKIPPED = (".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks", ".perfbench_out", "out")
 
@@ -78,31 +85,97 @@ MUTANTS = [
     Mutant("array: no forced first send of the source under delayed start", PROTOCOLS,
            "        snd[at_step == 0, 0] = src", "        pass",
            (f"{EXACT_LAW}[4-1.0-delayed_start-lockstep]",)),
-    # The count lockstep (estimators._count_lanes).
-    Mutant("count: no self-send in the step", ESTIMATORS,
+    # The count lockstep (protocols._count_lanes).
+    Mutant("count: no self-send in the step", PROTOCOLS,
            "self_send = (rc == cs) & (r == 0)", "self_send = rc < 0",
            (f"{HAND_OFF}[0.5-parameterized]", f"{CONTRACT}[0.5-parameterized-True]")),
-    Mutant("count: prior ids drawn from the rest class", ESTIMATORS,
+    Mutant("count: prior ids drawn from the rest class", PROTOCOLS,
            "senders[in_prior] = prior[(rng.random(np.count_nonzero(in_prior)) * prior.size)",
            "senders[in_prior] = pools[_REST][(rng.random(np.count_nonzero(in_prior)) * pools[_REST].size)",
            (f"{EXACT_LAW}[1-0.3333333333333333-parameterized-lockstep]", f"{HAND_OFF}[0.5-parameterized]")),
-    Mutant("count: the source fed as a prior id", ESTIMATORS,
+    Mutant("count: the source fed as a prior id", PROTOCOLS,
            "in_prior = cs[fed] == _PRIOR", "in_prior = cs[fed] >= _SOURCE",
            (f"{EXACT_LAW}[1-0.3333333333333333-parameterized-lockstep]",
             "tests/test_estimators.py::test_map_attack_singleton_prior_is_always_right")),
-    Mutant("count: un-lumping with repeated ids", ESTIMATORS,
+    Mutant("count: un-lumping with repeated ids", PROTOCOLS,
            "rng.choice(pool, a + m, replace=False)", "rng.choice(pool, a + m, replace=True)",
            (f"{HAND_OFF}[0.5-parameterized]",)),
-    # The per-node lockstep (estimators._node_lanes).
-    Mutant("node: no row reset on refill", ESTIMATORS,
+    # The per-node lockstep (protocols._node_lanes).
+    Mutant("node: no row reset on refill", PROTOCOLS,
            "        state[free] = 0\n", "",
            (f"{REUSED}[0.5-parameterized]", f"{CONTRACT}[0.5-parameterized-False]")),
-    Mutant("node: the receiver read before the mute", ESTIMATORS,
+    Mutant("node: the receiver read before the mute", PROTOCOLS,
            "was = state[live, rcv]", "was = np.where(rcv == snd, 2, state[live, rcv])",
            (f"{EXACT_LAW}[2-0.5-parameterized-lockstep]", f"{CONTRACT}[0.5-parameterized-False]")),
-    Mutant("node: a handed-off A list one entry too long", ESTIMATORS,
+    Mutant("node: a handed-off A list one entry too long", PROTOCOLS,
            "A[row, : la[row]], int(step[row])", "A[row, : la[row] + 1], int(step[row])",
            (f"{HAND_OFF}[0.5-parameterized]", f"{CONTRACT}[0.5-parameterized-False]")),
+    # The per-node loop (protocols._sequential_run).
+    Mutant("loop: stay x0.8", PROTOCOLS,
+           "mute = uniforms[uptr] >= s", "mute = uniforms[uptr] >= 0.8 * s",
+           (f"{FIRST_STEPS}[0.25]", f"{FIRST_STEPS}[0.5]")),
+    Mutant("loop: biased sender choice", PROTOCOLS,
+           "k = int(uniforms[uptr] * la)", "k = int(uniforms[uptr] ** 2 * la)",
+           (f"{TRACE_LAW}[0.5]", f"{ARRAY_LOOP}[1.0-parameterized]")),
+    Mutant("loop: no forced first mute under delayed start", PROTOCOLS,
+           "mute = always_mute or (delayed and step == 0)", "mute = always_mute",
+           (f"{ARRAY_LOOP}[1.0-delayed_start]",)),
+    Mutant("loop: a continued run counts its informed nodes from 1", PROTOCOLS,
+           "n_informed = len(informed_ids)", "n_informed = 1",
+           ("tests/test_protocols.py::test_loop_continues_a_run_from_its_state",)),
+    # The round engine (protocols.run_sync).
+    Mutant("sync: stay x0.8 in a round of several senders", PROTOCOLS,
+           "active[snd] = rng.random(k) < s", "active[snd] = rng.random(k) < 0.8 * s",
+           (f"{COUNT_SYNC}[64-0.5]", f"{COUNT_SYNC}[1024-0.5]")),
+    Mutant("sync: a lone sender's stay coin inverted", PROTOCOLS,
+           "stay = s == 1.0 or rng.random() < s", "stay = s == 1.0 or rng.random() >= s",
+           (f"{COUNT_SYNC}[64-0.05]", f"{COUNT_SYNC}[1024-0.05]")),
+    Mutant("sync: a round's first receiver is not informed", PROTOCOLS,
+           "informed[rcv] = True", "informed[rcv[1:]] = True",
+           (f"{COUNT_SYNC}[64-0.5]", f"{COUNT_SYNC}[64-1.0]")),
+    # The count-only round engine (protocols._count_runs).
+    Mutant("count rounds: stay x0.8", PROTOCOLS,
+           "stay = k if s == 1.0 else int(rng.binomial(k, s))",
+           "stay = k if s == 1.0 else int(rng.binomial(k, 0.8 * s))",
+           (f"{ROUND_LAW}[4-0.5]", f"{COUNT_SYNC}[1024-0.5]")),
+    Mutant("count rounds: the last round's counts dropped", PROTOCOLS,
+           "yield informed == n, RoundTrace(informed_per_round, active_per_round)",
+           "yield informed == n, RoundTrace(informed_per_round[:-1], active_per_round[:-1])",
+           (f"{ROUND_LAW}[3-0.5]", f"{ROUND_LAW}[4-1.0]")),
+    Mutant("count rounds: the first uninformed node is never counted", PROTOCOLS,
+           "informed += int(np.count_nonzero(hit[informed:]))",
+           "informed += int(np.count_nonzero(hit[informed + 1:]))",
+           (f"{ROUND_LAW}[3-0.5]", f"{COUNT_SYNC}[64-1.0]")),
+    Mutant("count rounds: one message per round toward the cap", PROTOCOLS,
+           "messages += k\n            informed_per_round.append(informed)",
+           "messages += 1\n            informed_per_round.append(informed)",
+           ("tests/test_estimators.py::test_count_runs_capped_share_matches_run_sync",)),
+    # The coupon-collector engine (protocols._coupon_runs_s0).
+    Mutant("coupon: waits drawn with p = (n-k+1)/n", PROTOCOLS,
+           "rng.geometric((n - counts[:-1]) / n,", "rng.geometric((n - counts[:-1] + 1) / n,",
+           (f"{COUPON_SYNC}[3-4000]", f"{COUPON_SYNC}[64-400]")),
+    Mutant("coupon: the last count dropped", PROTOCOLS,
+           "held[0] -= 1  #", "held[-1] = 0\n        held[0] -= 1  #",
+           (f"{COUPON_SYNC}[3-4000]", f"{COUPON_SYNC}[64-400]")),
+    Mutant("coupon: the last count held twice", PROTOCOLS,
+           "held[0] -= 1  #", "held[-1] = 2\n        held[0] -= 1  #",
+           (f"{COUPON_SYNC}[3-4000]", f"{COUPON_SYNC}[64-400]")),
+    # The exact oracle's step rule (exact._moves).
+    Mutant("exact: stay x4/5", EXACT,
+           "for p, kept in ((s, active),", "for p, kept in ((s * 4 / 5, active),",
+           (f"{LENGTH_LAW}[0]",)),
+    Mutant("exact: biased sender choice", EXACT,
+           "    senders = [i for i in range(n) if active >> i & 1]\n",
+           "    senders = [i for i in range(n) if active >> i & 1]\n    senders += senders[:1]\n",
+           (f"{TRACE_LAW}[1]", f"{EXACT_LAW}[3-1.0-parameterized-lockstep]", f"{FIRST_STEPS}[0.5]")),
+    Mutant("exact: no self-send", EXACT,
+           "(p / (len(senders) * n), i, j, kept | 1 << j) for j in range(n)]",
+           "(p / (len(senders) * (n - 1)), i, j, kept | 1 << j) for j in range(n) if j != i]",
+           (f"{LENGTH_LAW}[0]", f"{FIRST_STEPS}[0.5]")),
+    Mutant("exact: a muting sender stays in A", EXACT,
+           "(1 - s, active & ~(1 << i))", "(1 - s, active)",
+           ("tests/test_exact.py::test_walk_first_sender_marginals_match_closed_forms",
+            f"{EXACT_LAW}[0-0.0-parameterized-lockstep]")),
 ]
 
 
