@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .experiments import KINDS, SpecError, build_spec, read_spec, run_experiment
+from .experiments import KINDS, SpecError, build_spec, read_items, read_spec, run_experiment
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -41,14 +41,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         items = read_spec(args.spec) if args.spec is not None else {}
         items.setdefault("name", (args.kind, None))
-        given: dict = {}  # key=value arguments override the file's keys
-        for tok in args.overrides:
-            if "=" not in tok:
-                raise SpecError("<arg>", f"expected key=value, got {tok!r}")
-            key, _, value = (part.strip() for part in tok.partition("="))
-            if key in given:
-                raise SpecError(key, "given twice on the command line")
-            given[key] = (value, None)
+        given = read_items(((arg, None) for arg in args.overrides), "<arg>")  # override the file's keys
         for value, line in (v for v in (items.get("kind"), given.get("kind")) if v):
             if str(value).strip() != args.kind:  # the command's kind is the kind
                 raise SpecError("kind", f"{value!r} is not the command's kind {args.kind!r}", line)

@@ -79,14 +79,21 @@ class EventSpec:
     node: Optional[int] = None
     r: Optional[int] = None
 
+    def __post_init__(self):
+        if self.kind not in ("sender_rank_le", "timed_first_disclosure"):
+            raise ValueError(f"unknown event kind {self.kind!r}")
+        if not self.timed:
+            check_count("node", self.node)
+            check_count("r", self.r, 0)
+        elif self.node is not None or self.r is not None:
+            raise ValueError(f"{self.kind} takes no node or r")
+
     @classmethod
     def first_sender_is(cls, node: int) -> "EventSpec":
         return cls.sender_rank_le(node, 0)
 
     @classmethod
     def sender_rank_le(cls, node: int, r: int) -> "EventSpec":
-        check_count("node", node)
-        check_count("r", r, 0)
         return cls(kind="sender_rank_le", node=node, r=r)
 
     @classmethod

@@ -2,20 +2,21 @@
 fan-out, and CSV/JSON emission.
 
 A spec is a flat key=value text file (JSON object accepted as an
-alternative front-end); grids are comma lists.  Grid points expand in
+alternative front-end); grids are comma lists.  read_items reads file
+lines, JSON members and CLI arguments alike.  Grid points expand in
 lexicographic order over the declared lists, and grid point g draws all of
 its randomness from the stream (master_seed, g), so results are
 byte-for-byte reproducible regardless of worker count or scheduling.
 
 Two tables describe what a spec can say and what a run writes:
 
-  KEYS    each spec key's parser, bounds, the word standing for None (`all`,
-          `auto`), whether it is a comma list, and its scope: every kind,
-          one kind, or one attack, whose keys are its estimator spec's fields
-          (the first is its grid list; the spec's param() resolves it to
-          attack.csv's `param`).  In the order frozen_text() echoes them;
-          ExperimentSpec.keys() names the keys one spec uses and build_spec
-          rejects any other.
+  KEYS    ExperimentSpec's fields, in the order frozen_text() echoes them,
+          each with its Key: parser, bounds, the word standing for None
+          (`all`, `auto`), whether it is a comma list, and its scope: every
+          kind, one kind, or one attack, whose keys are its estimator spec's
+          fields (the first is its grid list; the spec's param() resolves it
+          to attack.csv's `param`).  ExperimentSpec.keys() names the keys
+          one spec uses and build_spec rejects any other.
   _KINDS  each kind's CSV header (<kind>.csv, fixed column order, floats
           with 10 significant digits; README lists the same headers) and the
           function giving one grid point's rows, as CSV text in blocks of
@@ -32,7 +33,7 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -81,66 +82,6 @@ class SpecError(ValueError):
         self.line = line
         where = f" (line {line})" if line is not None else ""
         super().__init__(f"spec key '{key}'{where}: {message}")
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A validated experiment description with all defaults resolved."""
-
-    name: str
-    kind: str
-    master_seed: int = 12345
-    trials: int = 1000
-    n: tuple[int, ...] = (1024,)
-    s: tuple[float, ...] = (1.0,)
-    f_over_n: tuple[float, ...] = (0.1,)
-    variant: str = "parameterized"
-    attack: Optional[str] = None
-    prior_size: tuple[Optional[int], ...] = (None,)  # None = all non-curious
-    rumors: tuple[int, ...] = (10,)
-    k: int = 10
-    r: tuple[Optional[int], ...] = (None,)  # None = ceil(ln(n)^2)
-    quantity: tuple[Optional[str], ...] = (None,)  # None = each with a closed form at s
-    step_cap: Optional[int] = None
-    source: int = 0
-
-    def keys(self) -> tuple[str, ...]:
-        """The keys this spec uses, in frozen_text order: those of every
-        kind, and those scoped to its kind or its attack."""
-        return tuple(k for k, rule in KEYS.items() if rule.scope in (None, self.kind, self.attack))
-
-    def grid(self) -> list[dict]:
-        """Expand the parameter grid, lexicographic over the declared lists:
-        n, s, f_over_n, then the first scoped list key, if any."""
-        own = next((k for k in self.keys() if KEYS[k].scope and KEYS[k].many), None)
-        points = []
-        for n, s, fon in itertools.product(self.n, self.s, self.f_over_n):
-            base = {"n": n, "s": s, "f": round(fon * n)}
-            points += [{**base, own: v} for v in getattr(self, own)] if own else [base]
-        for g, p in enumerate(points):
-            p["g"] = g
-        return points
-
-    def config(self, point: dict) -> GossipConfig:
-        return GossipConfig(
-            n=point["n"],
-            f=point["f"],
-            s=point["s"],
-            source=self.source,
-            variant=self.variant,
-            step_cap=self.step_cap,
-        )
-
-    def frozen_text(self) -> str:
-        """Canonical key=value echo of this spec, defaults included; a
-        scalar left at None (step_cap) is omitted."""
-        lines = []
-        for key in self.keys():
-            rule, value = KEYS[key], getattr(self, key)
-            shown = map(rule.show, value if rule.many else [value])
-            if rule.many or value is not None:
-                lines.append(f"{key} = " + ", ".join(shown))
-        return "\n".join(lines) + "\n"
 
 
 _ROWS = 2048  # CSV lines per text block
@@ -207,10 +148,10 @@ def _validate_rows(spec: ExperimentSpec, point: dict, rng) -> list[str]:
     rows = []
     for q in auto if point["quantity"] is None else [point["quantity"]]:
         if q == "first_sender_source":
-            closed = (f + 1) / n
+            closed = (f + 1) / n if f else 0.0  # with no curious node, nothing is observed
             res = estimate_event(cfg, EventSpec.first_sender_is(cfg.source), spec.trials, rng)
         elif q == "first_sender_other":
-            closed = 1 / n
+            closed = 1 / n if f else 0.0
             other = next(j for j in range(cfg.curious_lo) if j != cfg.source)
             res = estimate_event(cfg, EventSpec.first_sender_is(other), spec.trials, rng)
         elif q == "event_f":
@@ -262,7 +203,7 @@ class Key(NamedTuple):
     """How one spec key's value is parsed, checked and echoed."""
 
     parse: type  # int, float or str, applied to the stripped text
-    many: bool = False  # a comma list (a tuple), else a scalar
+    many: bool  # a comma list (a tuple), else a scalar
     lo: Optional[float] = None
     hi: Optional[float] = None
     none: Optional[str] = None  # the word that stands for None
@@ -281,25 +222,75 @@ class Key(NamedTuple):
         return short if float(short) == v else repr(v)
 
 
+def _key(parse: type, default=MISSING, **rule):
+    """A spec key's field: its default and its Key, a list iff the default is."""
+    return field(default=default, metadata={"key": Key(parse, isinstance(default, tuple), **rule)})
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """A validated experiment description with all defaults resolved."""
+
+    name: str = _key(str)
+    kind: str = _key(str, choices=KINDS)
+    master_seed: int = _key(int, 12345)
+    trials: int = _key(int, 1000, lo=1)
+    n: tuple[int, ...] = _key(int, (1024,), lo=2)
+    s: tuple[float, ...] = _key(float, (1.0,), lo=0.0, hi=1.0)
+    f_over_n: tuple[float, ...] = _key(float, (0.1,), lo=0.0, hi=1.0)
+    variant: str = _key(str, "parameterized", choices=VARIANTS)
+    source: int = _key(int, 0, lo=0)
+    attack: Optional[str] = _key(str, None, choices=ATTACKS, scope="attack")
+    # None is every non-curious node (prior_size), ceil(ln(n)^2) (r), each closed form at s (quantity).
+    prior_size: tuple[Optional[int], ...] = _key(int, (None,), lo=1, none="all", scope="map")
+    rumors: tuple[int, ...] = _key(int, (10,), lo=1, scope="multi_rumor")
+    k: int = _key(int, 10, lo=1, scope="multi_rumor")
+    r: tuple[Optional[int], ...] = _key(int, (None,), lo=1, none="auto", scope="silence")
+    quantity: tuple[Optional[str], ...] = _key(str, (None,), none="auto", choices=tuple(QUANTITIES),
+                                               scope="validate")
+    step_cap: Optional[int] = _key(int, None, lo=1)
+
+    def keys(self) -> tuple[str, ...]:
+        """The keys this spec uses, in frozen_text order: those of every
+        kind, and those scoped to its kind or its attack."""
+        return tuple(k for k, rule in KEYS.items() if rule.scope in (None, self.kind, self.attack))
+
+    def grid(self) -> list[dict]:
+        """Expand the parameter grid, lexicographic over the declared lists:
+        n, s, f_over_n, then the first scoped list key, if any."""
+        own = next((k for k in self.keys() if KEYS[k].scope and KEYS[k].many), None)
+        points = []
+        for n, s, fon in itertools.product(self.n, self.s, self.f_over_n):
+            base = {"n": n, "s": s, "f": round(fon * n)}
+            points += [{**base, own: v} for v in getattr(self, own)] if own else [base]
+        for g, p in enumerate(points):
+            p["g"] = g
+        return points
+
+    def config(self, point: dict) -> GossipConfig:
+        return GossipConfig(
+            n=point["n"],
+            f=point["f"],
+            s=point["s"],
+            source=self.source,
+            variant=self.variant,
+            step_cap=self.step_cap,
+        )
+
+    def frozen_text(self) -> str:
+        """Canonical key=value echo of this spec, defaults included; a
+        scalar left at None (step_cap) is omitted."""
+        lines = []
+        for key in self.keys():
+            rule, value = KEYS[key], getattr(self, key)
+            shown = map(rule.show, value if rule.many else [value])
+            if rule.many or value is not None:
+                lines.append(f"{key} = " + ", ".join(shown))
+        return "\n".join(lines) + "\n"
+
+
 # Every spec key, in the order frozen_text() echoes them.
-KEYS = {
-    "name": Key(str),
-    "kind": Key(str, choices=KINDS),
-    "master_seed": Key(int),
-    "trials": Key(int, lo=1),
-    "n": Key(int, many=True, lo=2),
-    "s": Key(float, many=True, lo=0.0, hi=1.0),
-    "f_over_n": Key(float, many=True, lo=0.0, hi=1.0),
-    "variant": Key(str, choices=VARIANTS),
-    "source": Key(int, lo=0),
-    "attack": Key(str, choices=ATTACKS, scope="attack"),
-    "prior_size": Key(int, many=True, lo=1, none="all", scope="map"),
-    "rumors": Key(int, many=True, lo=1, scope="multi_rumor"),
-    "k": Key(int, lo=1, scope="multi_rumor"),
-    "r": Key(int, many=True, lo=1, none="auto", scope="silence"),
-    "quantity": Key(str, many=True, none="auto", choices=tuple(QUANTITIES), scope="validate"),
-    "step_cap": Key(int, lo=1),
-}
+KEYS = {f.name: f.metadata["key"] for f in fields(ExperimentSpec)}
 
 
 def parse_spec(path: str | Path) -> ExperimentSpec:
@@ -308,9 +299,8 @@ def parse_spec(path: str | Path) -> ExperimentSpec:
 
 
 def read_spec(path: str | Path) -> dict:
-    """A spec file's keys as {key: (value, line)}, unvalidated: flat
-    key=value text, or a JSON object (whose keys have line None).  A key
-    given twice is an error."""
+    """A spec file's items, unvalidated, by read_items: its key = value
+    lines (blank and # lines skipped), or the members of a JSON object."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
@@ -318,34 +308,35 @@ def read_spec(path: str | Path) -> dict:
         raise SpecError("<file>", f"cannot read {path}: {e}") from e
     if path.suffix == ".json" or text.lstrip().startswith("{"):
         try:
-            raw = json.loads(text, object_pairs_hook=_unique_keys)
+            raw = json.loads(text, object_pairs_hook=lambda members: read_items(
+                ((member, None) for member in members), "<json>"))
         except json.JSONDecodeError as e:
             raise SpecError("<json>", f"invalid JSON: {e}") from e
         if not isinstance(raw, dict):
             raise SpecError("<json>", f"expected a JSON object, got {type(raw).__name__}")
-        return {str(k): (v, None) for k, v in raw.items()}
-    items = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise SpecError("<line>", f"expected key = value, got {stripped!r}", lineno)
-        key, _, value = (part.strip() for part in stripped.partition("="))
+        return raw
+    lines = enumerate(map(str.strip, text.splitlines()), start=1)
+    return read_items(((line, i) for i, line in lines if line and not line.startswith("#")), "<line>")
+
+
+def read_items(entries: Iterable[tuple], where: str) -> dict:
+    """Spec items {key: (value, line)} from (entry, line) pairs, an entry
+    being a `key = value` text, split at its first "=" and stripped, or a
+    (key, value) pair.  `where` (<line>, <arg>, <json>) names a text without
+    "=".  A key given twice is an error."""
+    items: dict = {}
+    for entry, line in entries:
+        if isinstance(entry, str):
+            key, eq, value = (part.strip() for part in entry.partition("="))
+            if not eq:
+                raise SpecError(where, f"expected key = value, got {entry!r}", line)
+        else:
+            key, value = entry
         if key in items:
-            raise SpecError(key, f"given twice, first on line {items[key][1]}", lineno)
-        items[key] = (value, lineno)
+            first = items[key][1]
+            raise SpecError(key, "given twice" + (f", first on line {first}" if first else ""), line)
+        items[key] = (value, line)
     return items
-
-
-def _unique_keys(pairs: list[tuple]) -> dict:
-    """A JSON object's members as a dict; a key given twice is an error."""
-    out: dict = {}
-    for key, value in pairs:
-        if key in out:
-            raise SpecError(key, "given twice")
-        out[key] = value
-    return out
 
 
 def build_spec(items: dict) -> ExperimentSpec:

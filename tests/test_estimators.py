@@ -625,6 +625,24 @@ def test_estimate_events_refuses_non_integer_nodes(s, node):
         estimate_events(cfg, [EventSpec.sender_rank_le(node, 0)], 200, spawn_stream(0, 0))
 
 
+@pytest.mark.parametrize("fields", [
+    dict(kind="sender_rank_le", node=1.5, r=0),
+    dict(kind="sender_rank_le", node=True, r=0),
+    dict(kind="sender_rank_le", node=1, r=-1),
+    dict(kind="sender_rank_le", node=1, r=None),
+    dict(kind="bogus", node=1, r=0),
+    dict(kind="timed_first_disclosure", node=3),
+], ids=["node-1.5", "node-True", "r-minus-1", "r-None", "kind-bogus", "timed-with-node"])
+def test_event_spec_built_directly_is_checked(fields):
+    # Only sender_rank_le() checked node and r, so a directly built event
+    # reached the engines: at n = 20, f = 2 node 1.5 raised an IndexError at
+    # s = 0 and estimated 0.0 at s = 0.5, r = -1 estimated 0.0, r = None
+    # raised a TypeError in horizon, "bogus" ran as sender_rank_le and the
+    # timed event ignored its node.
+    with pytest.raises(ValueError):
+        EventSpec(**fields)
+
+
 @pytest.mark.parametrize("call", [
     lambda: EventSpec.sender_rank_le(0, math.nan),
     lambda: estimate_attack_precision(GossipConfig(n=100, f=10, s=0.5), SilenceAttackSpec(r=math.nan), 10,

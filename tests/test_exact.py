@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from scipy import stats
 
 from mutegossip.adversary import FirstInPrior, feed_all, observe
 from mutegossip.core import GossipConfig, spawn_stream
@@ -81,6 +82,18 @@ def test_exact_matches_monte_carlo(s):
         assert abs(cnt / trials - p) < 5 * se + 1e-9
         checked += 1
     assert checked >= 3
+    # A chi-square over every sequence of length <= 4 expected at least 5
+    # times, the rest pooled in one cell.  It sees the loop's stay
+    # probability off by a fifth at s = 0.5, which the six most common
+    # sequences alone do not.
+    law = {obs: float(sequence_probability(cfg, obs))
+           for h in range(1, 5) for obs in product(range(n), repeat=h)}
+    cells = [obs for obs, p in law.items() if p * trials >= 5]
+    expected = [law[obs] * trials for obs in cells]
+    observed = [counts[obs] for obs in cells]
+    expected.append(trials - sum(expected))
+    observed.append(trials - sum(observed))
+    assert stats.chisquare(observed, expected).pvalue > 1e-4
     # a structurally impossible sequence has exact probability zero
     assert sequence_probability(cfg, (2, 1)) == 0 or counts[(2, 1)] > 0
 

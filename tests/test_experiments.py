@@ -120,6 +120,38 @@ def test_parse_spec_rejects_keys_the_spec_does_not_use(tmp_path, fname, text, ke
     assert "not used by" in str(err.value)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("trials", "0"), ("n", "1"), ("source", "-1"), ("step_cap", "0"),
+    ("prior_size", "0"), ("rumors", "0"), ("k", "0"), ("r", "0"),
+])
+def test_parse_spec_refuses_a_value_below_its_key_bound(tmp_path, key, value):
+    # The key refuses the value itself, on its own line, before any grid
+    # point or run could.
+    scope = {"prior_size": "map", "rumors": "multi_rumor", "k": "multi_rumor", "r": "silence"}
+    head = f"name = x\nkind = attack\nattack = {scope.get(key, 'map')}\n"
+    with pytest.raises(SpecError) as err:
+        parse_spec(write(tmp_path, f"{head}{key} = {value}\n"))
+    assert (err.value.key, err.value.line) == (key, 4)
+    assert "is not >=" in str(err.value)
+
+
+def test_key_value_splits_at_the_first_equals_sign(tmp_path):
+    # In a file line and in a CLI argument alike, the value may hold "=".
+    assert parse_spec(write(tmp_path, "name = a=b\nkind = bounds\n")).name == "a=b"
+    out = tmp_path / "o"
+    assert main(["bounds", "--out", str(out), "name=c = d"]) == 0
+    assert "name = c = d\n" in (out / "spec.cfg").read_text()
+
+
+def test_an_entry_without_an_equals_sign_is_refused(tmp_path, capsys):
+    with pytest.raises(SpecError) as err:
+        parse_spec(write(tmp_path, "name = x\n\nkind spread\n"))
+    assert (err.value.key, err.value.line) == ("<line>", 3)
+    assert "expected key = value, got 'kind spread'" in str(err.value)
+    assert main(["spread", "--out", str(tmp_path / "x"), "n=64", "trials"]) == 2
+    assert "spec key '<arg>': expected key = value, got 'trials'" in capsys.readouterr().err
+
+
 def test_parse_twice_is_byte_identical(tmp_path):
     path = write(tmp_path, BASE)
     a = parse_spec(path).frozen_text()
@@ -680,6 +712,15 @@ def test_cli_validate_auto_runs_each_closed_form(tmp_path, s, rows):
 def test_cli_validate_rejects_a_quantity_without_closed_form(tmp_path, capsys):
     assert main(["validate", "--out", str(tmp_path / "v"), "quantity=event_f", "s=0"]) == 2
     assert "'quantity'" in capsys.readouterr().err
+
+
+def test_cli_validate_first_sender_closed_forms_are_zero_without_curious_nodes(tmp_path):
+    # At f = 0 no sender is ever observed, yet the closed forms were written
+    # as (f + 1)/n and 1/n, so both rows read 0.01 and failed.
+    out = tmp_path / "v"
+    assert main(["validate", "--out", str(out), "--jobs", "1", "n=100", "f_over_n=0", "s=0", "trials=2000"]) == 0
+    rows = (out / "validate.csv").read_text().splitlines()[1:3]
+    assert rows == [f"{q},0,0,100,0,0,0,2000,true" for q in ("first_sender_source", "first_sender_other")]
 
 
 def test_cli_options_before_or_after_kind(tmp_path):

@@ -1,5 +1,5 @@
-"""Mutation check of the engine tests: does each broken engine fail the tests
-that are meant to catch it?
+"""Mutation check of the tests: does each broken engine, spec reader or
+event check fail the tests that are meant to catch it?
 
 Each record of MUTANTS names a file, a text in it, the text that replaces it
 and the tier-1 test ids expected to fail on that change.  For each mutant the
@@ -33,6 +33,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PROTOCOLS = "src/mutegossip/protocols.py"
 EXACT = "src/mutegossip/exact.py"
+EXPERIMENTS = "src/mutegossip/experiments.py"
+ESTIMATORS = "src/mutegossip/estimators.py"
+TEST_SPEC = "tests/test_experiments.py"
 EXACT_LAW = "tests/test_estimators.py::test_lumped_views_match_exact_law"
 CONTRACT = "tests/test_estimators.py::test_lane_scheduler_contract"
 REUSED = "tests/test_estimators.py::test_fed_lanes_in_reused_rows_match_the_loop"
@@ -113,7 +116,7 @@ MUTANTS = [
     # The per-node loop (protocols._sequential_run).
     Mutant("loop: stay x0.8", PROTOCOLS,
            "mute = uniforms[uptr] >= s", "mute = uniforms[uptr] >= 0.8 * s",
-           (f"{FIRST_STEPS}[0.25]", f"{FIRST_STEPS}[0.5]")),
+           (f"{FIRST_STEPS}[0.25]", f"{FIRST_STEPS}[0.5]", f"{TRACE_LAW}[0.5]")),
     Mutant("loop: biased sender choice", PROTOCOLS,
            "k = int(uniforms[uptr] * la)", "k = int(uniforms[uptr] ** 2 * la)",
            (f"{TRACE_LAW}[0.5]", f"{ARRAY_LOOP}[1.0-parameterized]")),
@@ -176,6 +179,38 @@ MUTANTS = [
            "(1 - s, active & ~(1 << i))", "(1 - s, active)",
            ("tests/test_exact.py::test_walk_first_sender_marginals_match_closed_forms",
             f"{EXACT_LAW}[0-0.0-parameterized-lockstep]")),
+    # The spec keys (ExperimentSpec's fields) and the key = value reader.
+    Mutant("spec: trials' lower bound dropped", EXPERIMENTS,
+           "_key(int, 1000, lo=1)", "_key(int, 1000)",
+           (f"{TEST_SPEC}::test_parse_spec_refuses_a_value_below_its_key_bound[trials-0]",)),
+    Mutant("spec: a list key read as a scalar", EXPERIMENTS,
+           "Key(parse, isinstance(default, tuple), **rule)", "Key(parse, False, **rule)",
+           (f"{TEST_SPEC}::test_parse_spec_comma_lists_and_comments",
+            f"{TEST_SPEC}::test_perfbench_names_and_presets_still_match")),
+    Mutant("spec: a float echoed at 10 digits only", EXPERIMENTS,
+           "return short if float(short) == v else repr(v)", "return short",
+           (f"{TEST_SPEC}::test_frozen_text_keeps_every_digit_of_a_float",)),
+    Mutant("reader: a key given twice is accepted", EXPERIMENTS,
+           "        if key in items:\n", "        if False:\n",
+           (f"{TEST_SPEC}::test_parse_spec_rejects_duplicate_keys",
+            f"{TEST_SPEC}::test_cli_rejects_duplicate_override")),
+    Mutant("reader: split at the last =", EXPERIMENTS,
+           'entry.partition("=")', 'entry.rpartition("=")',
+           (f"{TEST_SPEC}::test_key_value_splits_at_the_first_equals_sign",)),
+    Mutant("reader: a text without = read as a key", EXPERIMENTS,
+           "            if not eq:\n", "            if False:\n",
+           (f"{TEST_SPEC}::test_an_entry_without_an_equals_sign_is_refused",)),
+    Mutant("cli: imports an underscored name", "src/mutegossip/cli.py",
+           "read_spec, run_experiment\n", "read_spec, run_experiment\nfrom .experiments import _parse  # noqa: F401\n",
+           ("tests/test_layout.py::test_no_module_imports_an_underscored_name_from_another",)),
+    # The event check (estimators.EventSpec.__post_init__).
+    Mutant("event: a negative rank accepted", ESTIMATORS,
+           'check_count("r", self.r, 0)', 'check_count("r", self.r)',
+           ("tests/test_estimators.py::test_event_spec_built_directly_is_checked[r-minus-1]",)),
+    Mutant("event: an unknown kind accepted", ESTIMATORS,
+           'if self.kind not in ("sender_rank_le", "timed_first_disclosure"):',
+           'if self.kind == "":',
+           ("tests/test_estimators.py::test_event_spec_built_directly_is_checked[kind-bogus]",)),
 ]
 
 
