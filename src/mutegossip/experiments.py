@@ -424,11 +424,18 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, jobs: int = 1) -> 
     (out / "spec.cfg").write_text(spec.frozen_text())
 
     points = spec.grid()
-    t0 = time.perf_counter()
-    # Both branches return the results in grid order.
+    t0, wall0 = time.perf_counter(), time.time()
+    # Both branches return the results in grid order.  The pool takes the
+    # largest points first, so that no worker ends the run alone on a big
+    # point: n descending (work grows with n for every kind), then, for
+    # spreading only, s ascending (its rounds grow as s falls).
     if jobs > 1 and len(points) > 1:
+        spread = spec.kind == "spread"
+        order = sorted(points, key=lambda p: (-p["n"], p["s"] if spread else 0))  # stable: ties keep grid order
         with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
-            results = list(pool.map(_point_worker, [(spec, p) for p in points]))
+            results = [None] * len(points)
+            for p, result in zip(order, pool.map(_point_worker, [(spec, p) for p in order])):
+                results[p["g"]] = result
     else:
         results = [_point_worker((spec, p)) for p in points]
 
@@ -446,7 +453,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, jobs: int = 1) -> 
         "wall_clock_seconds": round(time.perf_counter() - t0, 3),
         "points_total": len(points),
         "points_failed": len(failures),
-        "points": [{"g": p["g"], "seconds": seconds} for p, (_, _, seconds) in zip(points, results)],
+        "points": [{"g": p["g"], **ran, "start": round(ran["start"] - wall0, 3)}
+                   for p, (_, _, ran) in zip(points, results)],
         "failures": failures,
         "notes": "spread experiments report synchronous-engine rounds for every s",
     }
@@ -455,15 +463,16 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, jobs: int = 1) -> 
 
 
 def _point_worker(args: tuple[ExperimentSpec, dict]):
-    """(text blocks, None, seconds) for a finished point, (None, failure,
-    seconds) for a failed one; seconds is the point's wall time."""
+    """(text blocks, None, ran) for a finished point, (None, failure, ran)
+    for a failed one; ran holds the point's wall-clock start, the id of the
+    process that ran it and its wall seconds."""
     spec, point = args
-    t0 = time.perf_counter()
+    start, t0 = time.time(), time.perf_counter()
     try:
         blocks, failure = list(_run_point(spec, point)), None
     except Exception as e:  # keep completed points, report the rest
         blocks, failure = None, {"error": f"{type(e).__name__}: {e}", "traceback": traceback.format_exc()}
-    return blocks, failure, round(time.perf_counter() - t0, 3)
+    return blocks, failure, {"start": start, "pid": os.getpid(), "seconds": round(time.perf_counter() - t0, 3)}
 
 
 def _run_point(spec: ExperimentSpec, point: dict) -> Iterable[str]:

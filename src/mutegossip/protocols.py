@@ -427,7 +427,9 @@ def _count_lanes(config: GossipConfig, deciders: Iterable, rng: np.random.Genera
     def advance(live):
         if was_fed[live].any():
             raise ValueError("the count lockstep needs a decider decided by its first fed sender")
-        L, at = live.size, np.take(st, live, axis=0)
+        L = live.size
+        whole = L == len(st)  # every row is live (all are while deciders wait): step st in place
+        at = st if whole else np.take(st, live, axis=0)
         u = rng.random((3, L))
         two = at[:, 0] + at[:, 3]  # active nodes in the first two classes
         three = two + at[:, 6]
@@ -442,7 +444,8 @@ def _count_lanes(config: GossipConfig, deciders: Iterable, rng: np.random.Genera
         block = 3 * rc + (r >= a) + (r >= a + at[lane, 3 * rc + 1])
         self_send = (rc == cs) & (r == 0)
         at += np.take(moves, ((cs * 2 + mute) * 12 + block) * 2 + self_send, axis=0)
-        st[live] = at
+        if not whole:
+            st[live] = at
         fed = np.flatnonzero((rc == _CURIOUS) & ((cs == _SOURCE) | (cs == _PRIOR)))
         was_fed[live[fed]] = True
         senders = np.full(fed.size, source)

@@ -326,6 +326,69 @@ def test_run_experiment_pool_no_larger_than_grid(tmp_path, monkeypatch):
     assert sizes == [3]
 
 
+def test_pool_takes_the_largest_points_first_and_writes_in_grid_order(tmp_path, monkeypatch):
+    # The pool is handed a spread grid's points n descending, then s
+    # ascending, ties in grid order, and another kind's n descending only; a
+    # point that fails in the middle of that order leaves the CSV rows,
+    # `points` and `failures` in grid order, as at --jobs 1.
+    import mutegossip.experiments as ex
+
+    submitted = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            submitted.extend(point for _, point in items)
+            return map(fn, items)
+
+    real = ex._run_point
+
+    def flaky(spec, point):
+        if (point["n"], point["s"], point["f"]) == (40, 0.1, 4):
+            raise RuntimeError("boom")
+        return real(spec, point)
+
+    monkeypatch.setattr(ex, "_run_point", flaky)
+    spec = build_spec({"name": ("order", None), "kind": ("spread", None), "n": ("20, 60, 40", None),
+                       "s": ("0.5, 0.1", None), "f_over_n": ("0.1, 0.05", None), "trials": ("2", None)})
+    grid = spec.grid()
+    assert ex.run_experiment(spec, tmp_path / "serial", jobs=1) == 1
+    assert not submitted
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", FakePool)
+    assert ex.run_experiment(spec, tmp_path / "pool", jobs=2) == 1
+    key = [(p["n"], p["s"], p["f"]) for p in submitted]
+    assert key == [(60, 0.1, 6), (60, 0.1, 3), (60, 0.5, 6), (60, 0.5, 3),
+                   (40, 0.1, 4), (40, 0.1, 2), (40, 0.5, 4), (40, 0.5, 2),
+                   (20, 0.1, 2), (20, 0.1, 1), (20, 0.5, 2), (20, 0.5, 1)]
+    assert sorted(p["g"] for p in submitted) == [p["g"] for p in grid]
+    assert submitted.index(grid[10]) == 4  # the failing point, in the middle of the order
+    manifests = [json.loads((tmp_path / d / "manifest.json").read_text()) for d in ("serial", "pool")]
+    for manifest in manifests:
+        assert [p["g"] for p in manifest["points"]] == list(range(len(grid)))
+        assert [f["point"]["g"] for f in manifest["failures"]] == [10]
+    assert manifests[0]["failures"][0]["point"] == manifests[1]["failures"][0]["point"]
+    serial, pool = ((tmp_path / d / "spread.csv").read_text() for d in ("serial", "pool"))
+    assert pool == serial
+    rows = [tuple(row.split(",")[:3]) for row in pool.splitlines()[1:]]
+    assert [(int(n), float(s), int(f)) for n, s, f in dict.fromkeys(rows)] == [
+        (p["n"], p["s"], p["f"]) for p in grid if p["g"] != 10]
+
+    submitted.clear()
+    spec = build_spec({"name": ("order", None), "kind": ("bounds", None), "n": ("100, 300", None),
+                       "s": ("0.5, 0.1", None)})
+    assert ex.run_experiment(spec, tmp_path / "bounds", jobs=2) == 0
+    assert [(p["n"], p["s"]) for p in submitted] == [(300, 0.5), (300, 0.1), (100, 0.5), (100, 0.1)]
+
+
 def test_manifest_times_each_point_in_grid_order(tmp_path):
     spec = build_spec({"name": ("pts", None), "kind": ("bounds", None), "n": ("100, 200, 300", None),
                        "s": ("0.5", None)})
@@ -333,7 +396,8 @@ def test_manifest_times_each_point_in_grid_order(tmp_path):
         assert run_experiment(spec, tmp_path / str(jobs), jobs=jobs) == 0
         points = json.loads((tmp_path / str(jobs) / "manifest.json").read_text())["points"]
         assert [p["g"] for p in points] == [0, 1, 2]
-        assert all(set(p) == {"g", "seconds"} and p["seconds"] >= 0 for p in points)
+        assert all(set(p) == {"g", "start", "pid", "seconds"} and p["start"] >= 0 and p["seconds"] >= 0
+                   for p in points)
         digest = hashlib.sha256((tmp_path / str(jobs) / "bounds.csv").read_bytes()).hexdigest()
         assert digest == "58c9ea578da420bdeea8485bd36b95df8ccbadabdd1ce6dbf0cc6392eddc4f8f"
 

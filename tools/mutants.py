@@ -1,5 +1,5 @@
-"""Mutation check of the tests: does each broken engine, spec reader or
-event check fail the tests that are meant to catch it?
+"""Mutation check of the tests: does each broken engine, spec reader, pool
+order or event check fail the tests that are meant to catch it?
 
 Each record of MUTANTS names a file, a text in it, the text that replaces it
 and the tier-1 test ids expected to fail on that change.  For each mutant the
@@ -100,6 +100,9 @@ MUTANTS = [
            "in_prior = cs[fed] == _PRIOR", "in_prior = cs[fed] >= _SOURCE",
            (f"{EXACT_LAW}[1-0.3333333333333333-parameterized-lockstep]",
             "tests/test_estimators.py::test_map_attack_singleton_prior_is_always_right")),
+    Mutant("count: the in-place step works on a copy", PROTOCOLS,
+           "at = st if whole else", "at = st.copy() if whole else",
+           (f"{EXACT_LAW}[1-0.3333333333333333-parameterized-lone]", f"{CONTRACT}[0.5-parameterized-True]")),
     Mutant("count: un-lumping with repeated ids", PROTOCOLS,
            "rng.choice(pool, a + m, replace=False)", "rng.choice(pool, a + m, replace=True)",
            (f"{HAND_OFF}[0.5-parameterized]",)),
@@ -200,6 +203,13 @@ MUTANTS = [
     Mutant("reader: a text without = read as a key", EXPERIMENTS,
            "            if not eq:\n", "            if False:\n",
            (f"{TEST_SPEC}::test_an_entry_without_an_equals_sign_is_refused",)),
+    # The pool's submission order (experiments.run_experiment).
+    Mutant("pool: points submitted in grid order", EXPERIMENTS,
+           'order = sorted(points, key=lambda p: (-p["n"], p["s"] if spread else 0))', "order = points",
+           (f"{TEST_SPEC}::test_pool_takes_the_largest_points_first_and_writes_in_grid_order",)),
+    Mutant("pool: s orders every kind", EXPERIMENTS,
+           'p["s"] if spread else 0', 'p["s"]',
+           (f"{TEST_SPEC}::test_pool_takes_the_largest_points_first_and_writes_in_grid_order",)),
     Mutant("cli: imports an underscored name", "src/mutegossip/cli.py",
            "read_spec, run_experiment\n", "read_spec, run_experiment\nfrom .experiments import _parse  # noqa: F401\n",
            ("tests/test_layout.py::test_no_module_imports_an_underscored_name_from_another",)),
