@@ -24,18 +24,20 @@ mutes at s = 1, so A is the source followed by each new receiver in order of
 first appearance (under delayed start, A starts as the receiver of the
 source's single send), and at s = 0 A is the previous receiver.  There the
 array engine draws a block of steps of many runs ("lanes") at once and picks
-each step's sender as A[int(u * |A|)].  At 0 < s < 1 the per-node loop draws
-receivers and uniforms in blocks and runs in chunks: a chunk is the steps up
-to the next refill of either buffer, so its steps check no buffer and its
-receivers are unboxed at once.  Both engines record a run per chunk or block
-as int64 arrays, concatenated once at the end.
+each step's sender as A[int(u * |A|)].  At 0 < s < 1 the per-node loop takes
+the same three draws at every step, whatever |A| and s: a receiver from an
+integer block, then a sender pick u (the sender is A[int(u * |A|)]) and a
+stay coin from a float block twice as long.  The two blocks are drawn
+together, so a block's steps check no buffer.  Both engines record a run per
+block as int64 arrays, concatenated once at the end.
 
 Attack and event runs are fed lanes (fed_lanes): one per decider, fed the
 sender of each observed entry.  One scheduler, _lanes, admits, feeds, ends
-and yields every lane; an engine supplies a reset of some rows of its
+and yields every fed lane; an engine supplies a reset of some rows of its
 tables, a step of the live rows and, for a hand-off, a lane's state.  At s
 in {0, 1} lanes run on the array engine (a run_trace run there is its one
-recorded lane); at 0 < s < 1 each live lane takes one step per iteration:
+recorded lane, which it steps directly); at 0 < s < 1 each live lane takes
+one step per iteration:
 
 * Count lockstep (MAP lanes).  The nodes of a class are exchangeable, so a
   MAP run lumps to per-class counts of active, muted and uninformed nodes
@@ -127,57 +129,31 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
     np.frombuffer(active_flag, np.uint8)[active_ids] = 1
     n_informed = len(informed_ids)
     active = np.asarray(active_ids).tolist()
-    senders: list[np.ndarray] = []  # one int64 array per chunk
-    receivers: list[np.ndarray] = []  # per chunk, a slice of its receiver block
+    senders: list[np.ndarray] = []  # one int64 array per block
+    receivers: list[np.ndarray] = []  # per block, a slice of its receiver block
     decided = False
 
-    # Block-drawn randomness: receivers come from an integer block of
-    # `block` entries; sender picks (only needed while |A| > 1) and
-    # stay/mute coins (only needed for 0 < s < 1) from a float block of
-    # `ulen`, unboxed to plain Python floats.  Blocks start small and grow to
-    # _BLOCK; their sizes fix the draw order.
-    block = 256
-    targets = rng.integers(0, n, size=block)
-    tptr = 0
-    uniforms = rng.random(block).tolist()
-    uptr = 0
-    ulen = block
-    use_coin = 0.0 < s < 1.0
-    always_mute = s == 0.0
-
-    while n_informed < n and step < cap:
-        if tptr == block:
-            block = min(block * 4, _BLOCK)
-            targets = rng.integers(0, n, size=block)
-            tptr = 0
-        if uptr + 2 > ulen:
-            uniforms = rng.random(block).tolist()
-            uptr = 0
-            ulen = block
-
-        # A chunk runs up to the next refill: a step takes one receiver and
-        # at most two uniforms, so no buffer runs out inside it.
+    # Block-drawn randomness: each step takes a receiver from an integer
+    # block and two uniforms, its sender pick and then its stay coin, from a
+    # float block twice as long, unboxed to plain Python floats.  The two
+    # blocks are drawn together, 16 steps first and growing x4 to _BLOCK, and
+    # cut at the step cap; their sizes fix the draw order.
+    block = 16
+    while n_informed < n and step < cap and not decided:
+        targets = rng.integers(0, n, size=min(block, cap - step))
+        u = rng.random(2 * targets.size).tolist()
+        block = min(block * 4, _BLOCK)
         first = step
-        chunk: list[int] = []  # the chunk's senders, when recorded
-        for j in targets[tptr:tptr + min(block - tptr, (ulen - uptr) // 2, cap - step)].tolist():
-            la = len(active)
-            if la == 1:
-                k = 0
-            else:
-                # No round-up: a uniform u <= 1 - 2**-53 and 1 <= m < 2**53
-                # give int(u * m) < m, here and in every u * m draw of both engines.
-                k = int(uniforms[uptr] * la)
-                uptr += 1
+        sent: list[int] = []  # the block's senders, when recorded
+        for j, pick, coin in zip(targets.tolist(), u[0::2], u[1::2]):
+            # No round-up: a uniform u <= 1 - 2**-53 and 1 <= m < 2**53
+            # give int(u * m) < m, here and in every u * m draw of both engines.
+            k = int(pick * len(active))
             i = active[k]
-
-            if use_coin:
-                mute = uniforms[uptr] >= s
-                uptr += 1
-            else:  # under delayed start the source sends once, then stays silent
-                mute = always_mute or (delayed and step == 0)
-            if mute:  # swap-remove the sender from A
+            # Under delayed start the source sends once, then stays silent.
+            if coin >= s or (delayed and step == 0):  # swap-remove the sender from A
                 last = active.pop()
-                if k < la - 1:
+                if k < len(active):
                     active[k] = last
                 active_flag[i] = 0
 
@@ -190,21 +166,17 @@ def _sequential_run(config: GossipConfig, rng: np.random.Generator, start=None, 
 
             step += 1
             if feed is None:
-                chunk.append(i)
+                sent.append(i)
             elif j >= curious_lo and feed(i):
                 decided = True
                 break
             if n_informed == n:
                 break
-        done = step - first
         if feed is None:
-            senders.append(np.array(chunk, np.int64))
-            receivers.append(targets[tptr:tptr + done])
-        tptr += done
-        if decided:
-            break
+            senders.append(np.array(sent, np.int64))
+            receivers.append(targets[: step - first])
 
-    # One concatenation per column; rebinding frees the senders' chunks
+    # One concatenation per column; rebinding frees the senders' blocks
     # before the receivers' are joined.  A fed run records nothing.
     senders = np.concatenate(senders or [_NONE])
     receivers = np.concatenate(receivers or [_NONE])
@@ -272,11 +244,11 @@ def _lanes(config: GossipConfig, rng: np.random.Generator, deciders, rows: int, 
 
 def _array_lanes(config: GossipConfig, rng: np.random.Generator, deciders=None):
     """The array engine: lanes at s in {0, 1} (delayed start included),
-    drawn a block of steps at a time on (lanes x steps) arrays and scheduled
-    by _lanes, which hands none off.
+    drawn a block of steps at a time on (lanes x steps) arrays.
 
-    With `deciders`, yields what _lanes yields.  Without, one lane is
-    recorded and yielded as a SequentialRun.
+    With `deciders`, the lanes are scheduled by _lanes, which hands none
+    off, and it yields what _lanes yields.  Without, one lane is stepped
+    directly until it ends, recorded and yielded as a SequentialRun.
 
     A block draws (L, B) receivers and, at s = 1, (L, B) uniforms; each
     sender is A[int(u * |A|)] with |A| as the step finds it, |A| = 1
@@ -341,11 +313,13 @@ def _array_lanes(config: GossipConfig, rng: np.random.Generator, deciders=None):
         lane_of, t_of = np.nonzero((rcv >= curious_lo) & (_STEPS[:B] < size[:, None]))
         return lane_of, snd[lane_of, t_of], end_informed, end_step
 
-    lanes = _lanes(config, rng, [None] if record else deciders, rows, reset, advance)
     if not record:
-        yield from lanes
+        yield from _lanes(config, rng, deciders, rows, reset, advance)
         return
-    next(lanes)
+    live = np.zeros(1, np.int64)
+    reset(live)
+    while n_informed[0] < n and step[0] < cap:
+        advance(live)
     # One concatenation per column; rebinding frees the senders' blocks first.
     senders = np.concatenate(senders)
     receivers = np.concatenate(receivers)

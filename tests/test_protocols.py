@@ -88,7 +88,7 @@ def test_async_determinism():
 # purpose updates these digests and says so in CHANGES.md.
 GOLDEN_TRACES = {
     "s0": (0.0, "parameterized", "71b617c3dcb2079f50b5aacc4c7e2ff9325e3e2df27623bd9eee9140588352cc"),
-    "s01": (0.1, "parameterized", "7f72c38bd8321c9a58c6d473950c9722ebe04ddb6a01465e9d4fcb3087e4a40a"),
+    "s01": (0.1, "parameterized", "4706011839c696db3861b6ca93eada071ef62af37e58188c0b530ea8a2f1e158"),
     "s1": (1.0, "parameterized", "1a1144af4920ddcaaa1d6b930bce1dcf00773ad2b09d1a0aad85a921480581bf"),
     "delayed": (1.0, "delayed_start", "681fa785983bec9bf179134050b592a6ba7c76bdee87b6b171b95ea7e9336e89"),
 }
@@ -221,6 +221,32 @@ def test_fed_lane_is_fed_the_recorded_view(s, variant):
         assert recorded.random() == fed.random()
 
 
+def test_recorded_and_fed_runs_draw_alike():
+    # A recorded run and a fed run of one stream draw alike: a never-deciding
+    # fed run is fed exactly the recorded run's observed senders, is capped
+    # iff the recorded run is incomplete, and leaves the generator where it
+    # does.  At s in {0, 1} the array engine steps its recorded lane directly
+    # and its fed lanes (fed_lanes) through _lanes; at s = 0.3 the loop
+    # records or feeds in one body.
+    for s, variant in LAW_CASES + [(0.3, "parameterized")]:
+        for i, (n, f, cap) in enumerate([(2, 0, None), (3, 1, None), (64, 6, None), (64, 6, 40),
+                                         (300, 30, 1000), (1000, 100, None)]):
+            cfg = GossipConfig(n=n, f=f, s=s, variant=variant, step_cap=cap)
+            recorded, fed, prefix = spawn_stream(113, i), spawn_stream(113, i), ObservedPrefix(10**9)
+            if s == 0.3:
+                run = protocols._sequential_run(cfg, recorded)
+                trace = ExecutionTrace(cfg, run.senders, run.receivers, run.complete(cfg))
+                fed_run = protocols._sequential_run(cfg, fed, None, prefix.feed)
+                capped = not fed_run.decided and not fed_run.complete(cfg)
+                assert run.steps == len(trace)
+            else:
+                trace = run_trace(cfg, recorded)
+                [(_, _, capped)] = protocols.fed_lanes(cfg, [prefix], fed)
+            assert prefix.senders == observe(trace).senders.tolist(), (s, variant, n, cap)
+            assert capped == (not trace.complete)
+            assert recorded.random() == fed.random()
+
+
 @pytest.mark.parametrize("s, variant", LAW_CASES)
 def test_fed_lane_caps_at_block_edges(s, variant):
     # A lane capped just before, at and just after each block edge (16, 80,
@@ -245,12 +271,12 @@ def test_fed_lane_caps_at_block_edges(s, variant):
 
 # sha256 of run_trace runs at n=4096 and of the generator's next draws,
 # rng.random(4) after each run.  The caps stop a run inside the loop's
-# 1024- and 4096-entry receiver blocks, where the loop cuts its chunks.
+# 1024- and 4096-step blocks, which the loop cuts at the cap.
 GOLDEN_TRACE_STATES = {
-    "s01_cap1000": (0.1, 1000, "5147c3b3d289d043c7852e204bc23e2a13c5bb86f99caea7628d3cbd3c9b65b4"),
-    "s01_cap5000": (0.1, 5000, "b257fabab41c2d03a829488e189f8bd2d74dbfb4d3819bbdb28765bcd4d85f8f"),
-    "s05_cap1000": (0.5, 1000, "2a19fe031b4ff32ee95e2b98444732b4d32a602b3b841c8a4b6a9e28c0c3588c"),
-    "s05_cap5000": (0.5, 5000, "705122b1fed3d55bd185f2b7f8f0a8bbe893310bb1f66ce15e979bbb7da46923"),
+    "s01_cap1000": (0.1, 1000, "ef0294cead0e2c416b7d737d939b51222cadecde5560f64066e08d1a80e470b7"),
+    "s01_cap5000": (0.1, 5000, "2afbe9878c16e99f1069c294b2a65c487885d3d2ceb0c4d50fc52c8ad10a00f9"),
+    "s05_cap1000": (0.5, 1000, "258922145a4ab063ad735d19e0fd925df85d5e3305350635b2fa841769d76c13"),
+    "s05_cap5000": (0.5, 5000, "eb11811ec475e95666317f0e5e7112d939f7f04b5541a47a9e80cff14377046b"),
 }
 
 
@@ -269,8 +295,8 @@ def test_run_trace_golden_state(name):
 
 
 def test_run_trace_golden_sweep():
-    # Small n and caps at, before and after the loop's block edges (256 and
-    # 256 + 1024 receivers), at every s regime (on the array engine at s in
+    # Small n and caps at, before and after the loop's block edges (16, 80,
+    # 336 and 1,360 steps), at every s regime (on the array engine at s in
     # {0, 1}), pinned as one digest of the runs and the generator's next
     # draws.
     rng = spawn_stream(67, 99)
@@ -278,18 +304,19 @@ def test_run_trace_golden_sweep():
     for n in (2, 3, 5, 300, 1000):
         for s, variant in ((0.0, "parameterized"), (0.1, "parameterized"), (0.5, "parameterized"),
                            (0.9, "parameterized"), (1.0, "parameterized"), (1.0, "delayed_start")):
-            for cap in (None, 1, 2, 255, 256, 257, 1279, 1280, 1281):
+            for cap in (None, 1, 2, 15, 16, 17, 79, 80, 81, 335, 336, 337, 1359, 1360, 1361):
                 trace = run_trace(GossipConfig(n=n, f=0, s=s, variant=variant, step_cap=cap), rng)
                 for a in (trace.senders, trace.receivers, rng.random(4)):
                     h.update(a.tobytes())
-    assert h.hexdigest() == "9cc6cec734fd6da5c083fb2853a66be3fde3d43e21a95a3c6a85faf72a7903f3"
+    assert h.hexdigest() == "02fb19c7657abeaaf00ffebec984fb215fd42425c76aca6cddd7c3a6fc8dea13"
 
 
 def test_fed_run_golden_state():
-    # A hand-off: the loop continues a run from a given state and feeds the
-    # senders of curious receivers to a silence rule, which decides inside
-    # the loop's 1024- or 4096-entry blocks.  Pinned: where each run stops,
-    # its counts and the generator's next draws.
+    # A hand-off: the loop continues a run from a given state at step 40 and
+    # feeds the senders of curious receivers to a silence rule, which decides
+    # inside the loop's 1024- or 4096-step blocks (steps 376 to 5,496).
+    # Pinned: where each run stops, its counts and the generator's next
+    # draws.
     cfg = GossipConfig(n=4096, f=409, s=0.3)
     rng = spawn_stream(71, 0)
     h = hashlib.sha256()
@@ -302,13 +329,13 @@ def test_fed_run_golden_state():
             stops.append((run.steps, run.decided, run.n_informed))
             h.update(rng.random(4).tobytes())
     h.update(repr(stops).encode())
-    assert sum(1300 < steps < 5000 and decided for steps, decided, _ in stops) >= 4
-    assert h.hexdigest() == "17d1a3aca26ea1f804865468953d0889f5b0886ae8b2751c26b89bac5ac938d1"
+    assert sum(376 < steps < 5496 and decided for steps, decided, _ in stops) >= 4
+    assert h.hexdigest() == "ecc9ab95d1b23587b7d365acf8fa748c1d127d810c099aae17fb43e6c0099957"
 
 
 def test_recorded_run_memory_is_near_its_output():
     # n = 2^16, s = 0.1 runs the per-step loop; capped at 100,000 steps to
-    # keep the traced run short.  Chunks recorded as int64 arrays and joined
+    # keep the traced run short.  Blocks recorded as int64 arrays and joined
     # once peak under 2.5x the output; a Python int list of senders took
     # ~3.6x here (3.4x over the full ~857k-step run).
     cfg = GossipConfig(n=1 << 16, f=6554, s=0.1, step_cap=100_000)

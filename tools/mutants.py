@@ -88,6 +88,10 @@ MUTANTS = [
     Mutant("array: no forced first send of the source under delayed start", PROTOCOLS,
            "        snd[at_step == 0, 0] = src", "        pass",
            (f"{EXACT_LAW}[4-1.0-delayed_start-lockstep]",)),
+    Mutant("array: the recorded lane's row is not reset", PROTOCOLS,
+           "    reset(live)\n    while", "    while",
+           ("tests/test_protocols.py::test_recorded_and_fed_runs_draw_alike",
+            "tests/test_protocols.py::test_run_trace_golden_digest[s1]")),
     # The count lockstep (protocols._count_lanes).
     Mutant("count: no self-send in the step", PROTOCOLS,
            "self_send = (rc == cs) & (r == 0)", "self_send = rc < 0",
@@ -118,14 +122,17 @@ MUTANTS = [
            (f"{HAND_OFF}[0.5-parameterized]", f"{CONTRACT}[0.5-parameterized-False]")),
     # The per-node loop (protocols._sequential_run).
     Mutant("loop: stay x0.8", PROTOCOLS,
-           "mute = uniforms[uptr] >= s", "mute = uniforms[uptr] >= 0.8 * s",
+           "if coin >= s or", "if coin >= 0.8 * s or",
            (f"{FIRST_STEPS}[0.25]", f"{FIRST_STEPS}[0.5]", f"{TRACE_LAW}[0.5]")),
     Mutant("loop: biased sender choice", PROTOCOLS,
-           "k = int(uniforms[uptr] * la)", "k = int(uniforms[uptr] ** 2 * la)",
+           "k = int(pick * len(active))", "k = int(pick ** 2 * len(active))",
            (f"{TRACE_LAW}[0.5]", f"{ARRAY_LOOP}[1.0-parameterized]")),
     Mutant("loop: no forced first mute under delayed start", PROTOCOLS,
-           "mute = always_mute or (delayed and step == 0)", "mute = always_mute",
+           "if coin >= s or (delayed and step == 0):", "if coin >= s:",
            (f"{ARRAY_LOOP}[1.0-delayed_start]",)),
+    Mutant("loop: the pick and the coin read one uniform", PROTOCOLS,
+           "u[1::2]", "u[0::2]",
+           (f"{TRACE_LAW}[0.5]", f"{REUSED}[0.5-parameterized]")),
     Mutant("loop: a continued run counts its informed nodes from 1", PROTOCOLS,
            "n_informed = len(informed_ids)", "n_informed = 1",
            ("tests/test_protocols.py::test_loop_continues_a_run_from_its_state",)),
